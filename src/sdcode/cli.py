@@ -8,16 +8,21 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from typing import Optional
 
 from .algebra import Algebra, make_field, make_ring
 from .codec import decode, encode, read_stripe, write_stripe
-from .construct import build_h1, build_h2, read_matrix, write_matrix
+from .construct import (
+    build_h1,
+    build_h2,
+    parse_token,
+    read_matrix,
+    tokens_with_columns,
+    write_matrix,
+)
 from .errors import (
     InconsistentSyndromeError,
-    ParseError,
     SdCodeError,
     UndecodablePatternError,
 )
@@ -46,20 +51,25 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
                    help="binary polynomials mod 1+x+...+x^(p-1), p an odd prime")
 
 
+def _key_values(flag: str, text: str) -> dict:
+    kv = {}
+    for item in text.split(","):
+        if "=" not in item:
+            raise ValueError(f"{flag} items must be key=value, got {item!r}")
+        k, v = item.split("=", 1)
+        kv[k] = v
+    return kv
+
+
 def _algebra_of(args) -> Algebra:
     if args.field is not None:
-        kv = {}
-        for item in args.field.split(","):
-            if "=" not in item:
-                raise ValueError(f"--field items must be key=value, got {item!r}")
-            k, v = item.split("=", 1)
-            kv[k] = v
+        kv = _key_values("--field", args.field)
         if "w" not in kv or not set(kv) <= {"w", "poly"}:
             raise ValueError("--field takes w=<int> and optional poly=0x<hex>")
         w = int(kv["w"])
         modulus = int(kv["poly"], 16) if "poly" in kv else None
         return make_field(w, modulus)
-    kv = dict(item.split("=", 1) for item in args.ring.split(",") if "=" in item)
+    kv = _key_values("--ring", args.ring)
     if set(kv) != {"p"}:
         raise ValueError("--ring takes p=<odd prime>")
     return make_ring(int(kv["p"]))
@@ -67,15 +77,10 @@ def _algebra_of(args) -> Algebra:
 
 def _read_tokens(path: str, algebra: Algebra) -> list:
     with open(path) as fh:
-        text = fh.read()
-    out = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        for mobj in re.finditer(r"\S+", line):
-            try:
-                out.append(algebra.parse_element(mobj.group()))
-            except ValueError as ex:
-                raise ParseError(str(ex), line=lineno, column=mobj.start() + 1) from None
-    return out
+        lines = fh.read().split("\n")
+    return [parse_token(algebra, tok, lineno, col)
+            for lineno, line in enumerate(lines, start=1)
+            for tok, col in tokens_with_columns(line)]
 
 
 def _cmd_construct(args) -> int:

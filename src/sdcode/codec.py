@@ -15,16 +15,22 @@ corrupt-but-complete inputs are rejected rather than silently accepted.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
-from .algebra import Element, parse_algebra
-from .construct import CodeSpec, ParityCheckMatrix
+from .algebra import Element
+from .construct import (
+    CodeSpec,
+    ParityCheckMatrix,
+    check_row_count,
+    parse_token,
+    read_text,
+    row_tokens,
+    write_text,
+)
 from .errors import (
     InconsistentSyndromeError,
     LengthMismatchError,
-    ParseError,
     ShapeMismatchError,
     SingularParitySupportError,
     TooManyParitySectorsError,
@@ -182,84 +188,24 @@ MISSING_TOKEN = "?"
 
 
 def write_stripe(st: Stripe, sink) -> None:
-    own = not hasattr(sink, "write")
-    fh: TextIO = open(sink, "w") if own else sink
-    try:
-        spec, alg = st.spec, st.spec.algebra
-        fh.write(STRIPE_MAGIC + "\n")
-        fh.write(alg.descriptor() + "\n")
-        fh.write(f"params n={spec.n} m={spec.m} s={spec.s} r={spec.r}\n")
-        for i in range(spec.r):
-            toks = [alg.element_token(st.symbols[i][j]) if st.present[i][j]
-                    else MISSING_TOKEN for j in range(spec.n)]
-            fh.write(" ".join(toks) + "\n")
-    finally:
-        if own:
-            fh.close()
+    spec, alg = st.spec, st.spec.algebra
+    rows = ([alg.element_token(st.symbols[i][j]) if st.present[i][j] else MISSING_TOKEN
+             for j in range(spec.n)] for i in range(spec.r))
+    write_text(sink, STRIPE_MAGIC, spec, rows, with_family=False)
 
 
 def read_stripe(source) -> Stripe:
-    own = not hasattr(source, "read")
-    fh: TextIO = open(source, "r") if own else source
-    try:
-        lines = fh.read().split("\n")
-    finally:
-        if own:
-            fh.close()
-    if not lines or lines[0].strip() != STRIPE_MAGIC:
-        raise ParseError(f"expected header {STRIPE_MAGIC!r}", line=1, column=1)
-    if len(lines) < 3:
-        raise ParseError("truncated file", line=len(lines), column=1)
-    try:
-        algebra = parse_algebra(lines[1].strip())
-    except ValueError as ex:
-        raise ParseError(str(ex), line=2, column=1) from None
-    toks = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", lines[2])]
-    if not toks or toks[0][0] != "params":
-        raise ParseError("expected a 'params ...' line", line=3, column=1)
-    kv = {}
-    for tok, col in toks[1:]:
-        if "=" not in tok:
-            raise ParseError(f"expected key=value, got {tok!r}", line=3, column=col)
-        k, v = tok.split("=", 1)
-        try:
-            kv[k] = int(v)
-        except ValueError:
-            raise ParseError(f"{k} must be an integer, got {v!r}",
-                             line=3, column=col) from None
-    if set(kv) != {"n", "m", "s", "r"}:
-        raise ParseError("params line must set exactly n, m, s, r", line=3, column=1)
-    try:
-        spec = CodeSpec(n=kv["n"], m=kv["m"], s=kv["s"], r=kv["r"],
-                        algebra=algebra, family="generic")
-    except ValueError as ex:
-        raise ParseError(str(ex), line=3, column=1) from None
-
-    body = lines[3:]
-    while body and not body[-1].strip():
-        body.pop()
-    if len(body) != spec.r:
-        raise ParseError(f"expected {spec.r} stripe rows, found {len(body)}",
-                         line=4, column=1)
+    spec, body = read_text(source, STRIPE_MAGIC, with_family=False)
+    check_row_count(body, spec.r, "stripe rows")
+    algebra = spec.algebra
     symbols = []
     present = []
-    for ri, text in enumerate(body):
-        lineno = 4 + ri
-        row_toks = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
-        if len(row_toks) != spec.n:
-            raise ParseError(f"expected {spec.n} tokens, found {len(row_toks)}",
-                             line=lineno, column=1)
+    for lineno, text in enumerate(body, start=4):
         srow, prow = [], []
-        for tok, col in row_toks:
-            if tok == MISSING_TOKEN:
-                srow.append(algebra.zero)
-                prow.append(False)
-                continue
-            try:
-                srow.append(algebra.parse_element(tok))
-            except ValueError as ex:
-                raise ParseError(str(ex), line=lineno, column=col) from None
-            prow.append(True)
+        for tok, col in row_tokens(text, lineno, spec.n):
+            missing = tok == MISSING_TOKEN
+            srow.append(algebra.zero if missing else parse_token(algebra, tok, lineno, col))
+            prow.append(not missing)
         symbols.append(srow)
         present.append(prow)
     return Stripe(spec, symbols, present)

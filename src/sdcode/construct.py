@@ -21,8 +21,9 @@ block i, which reduces to the two families' local parts at m = 1 and 2.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .algebra import Algebra, Element, parse_algebra
 from .errors import (
@@ -169,116 +170,149 @@ def validate_structure(pcm: ParityCheckMatrix) -> bool:
 
 
 # -- text format -----------------------------------------------------------
+#
+# Matrix and stripe files share one layout: a magic line, the algebra
+# descriptor, a params line, then one body line per row.
 
 MAGIC = "SDCODE-H v1"
+_SHAPE_KEYS = ("n", "m", "s", "r")
 
 
-def write_matrix(pcm: ParityCheckMatrix, sink) -> None:
-    """Write the line-oriented text form (path or text file object)."""
-    own = not hasattr(sink, "write")
-    fh: TextIO = open(sink, "w") if own else sink
-    try:
-        spec, alg = pcm.spec, pcm.spec.algebra
-        fh.write(MAGIC + "\n")
-        fh.write(alg.descriptor() + "\n")
-        fh.write(f"params n={spec.n} m={spec.m} s={spec.s} r={spec.r} "
-                 f"family={spec.family}\n")
-        for row in pcm.matrix.bits:
-            fh.write(" ".join(alg.element_token(alg.element(v)) for v in row) + "\n")
-    finally:
-        if own:
-            fh.close()
+@contextmanager
+def open_text(target, mode: str = "r") -> Iterator[TextIO]:
+    """A path is opened (and closed afterwards); a file object is used as is."""
+    if hasattr(target, "read" if mode == "r" else "write"):
+        yield target
+    else:
+        with open(target, mode) as fh:
+            yield fh
 
 
-def _tokens_with_columns(text: str) -> list[tuple[str, int]]:
+def write_text(sink, magic: str, spec: CodeSpec, rows: Iterable[Sequence[str]],
+               with_family: bool) -> None:
+    """Write the header for spec and one line of tokens per row."""
+    params = f"params n={spec.n} m={spec.m} s={spec.s} r={spec.r}"
+    if with_family:
+        params += f" family={spec.family}"
+    with open_text(sink, "w") as fh:
+        fh.write(f"{magic}\n{spec.algebra.descriptor()}\n{params}\n")
+        for toks in rows:
+            fh.write(" ".join(toks) + "\n")
+
+
+def tokens_with_columns(text: str) -> list[tuple[str, int]]:
+    """Whitespace-separated tokens of one line with 1-based columns."""
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
 
 
-def _parse_params_line(text: str, lineno: int) -> dict:
-    toks = _tokens_with_columns(text)
+def parse_token(algebra: Algebra, tok: str, line: int, column: int) -> Element:
+    try:
+        return algebra.parse_element(tok)
+    except ValueError as ex:
+        raise ParseError(str(ex), line=line, column=column) from None
+
+
+def row_tokens(text: str, lineno: int, expected: int) -> list[tuple[str, int]]:
+    toks = tokens_with_columns(text)
+    if len(toks) != expected:
+        raise ParseError(f"expected {expected} tokens, found {len(toks)}",
+                         line=lineno, column=1)
+    return toks
+
+
+def _parse_spec(text: str, algebra: Algebra, with_family: bool) -> CodeSpec:
+    """The params line (line 3): n, m, s, r, and family if with_family
+    (otherwise the spec is generic)."""
+    toks = tokens_with_columns(text)
     if not toks or toks[0][0] != "params":
-        raise ParseError("expected a 'params ...' line", line=lineno, column=1)
+        raise ParseError("expected a 'params ...' line", line=3, column=1)
+    keys = _SHAPE_KEYS + ("family",) if with_family else _SHAPE_KEYS
     kv = {}
     for tok, col in toks[1:]:
         if "=" not in tok:
-            raise ParseError(f"expected key=value, got {tok!r}", line=lineno, column=col)
+            raise ParseError(f"expected key=value, got {tok!r}", line=3, column=col)
         k, v = tok.split("=", 1)
         kv[k] = (v, col)
-    if set(kv) != {"n", "m", "s", "r", "family"}:
-        raise ParseError("params line must set exactly n, m, s, r, family",
-                         line=lineno, column=1)
-    out = {}
-    for k in ("n", "m", "s", "r"):
+    if set(kv) != set(keys):
+        raise ParseError(f"params line must set exactly {', '.join(keys)}",
+                         line=3, column=1)
+    shape = {}
+    for k in _SHAPE_KEYS:
         v, col = kv[k]
         try:
-            out[k] = int(v)
+            shape[k] = int(v)
         except ValueError:
             raise ParseError(f"{k} must be an integer, got {v!r}",
-                             line=lineno, column=col) from None
-    fam, col = kv["family"]
-    if fam not in FAMILIES:
-        raise ParseError(f"unknown family {fam!r}", line=lineno, column=col)
-    out["family"] = fam
-    return out
-
-
-def read_matrix(source) -> ParityCheckMatrix:
-    """Parse the text form back; raises ParseError with line/column."""
-    own = not hasattr(source, "read")
-    fh: TextIO = open(source, "r") if own else source
+                             line=3, column=col) from None
+    family, col = kv.get("family", ("generic", 1))
+    if family not in FAMILIES:
+        raise ParseError(f"unknown family {family!r}", line=3, column=col)
     try:
+        return CodeSpec(**shape, algebra=algebra, family=family)
+    except ValueError as ex:
+        raise ParseError(str(ex), line=3, column=1) from None
+
+
+def read_text(source, magic: str, with_family: bool) -> tuple[CodeSpec, list[str]]:
+    """Parse the header of a matrix or stripe file.
+
+    Returns the spec and the body lines (line 4 on), trailing blank
+    lines dropped.
+    """
+    with open_text(source) as fh:
         lines = fh.read().split("\n")
-    finally:
-        if own:
-            fh.close()
-    if not lines or lines[0].strip() != MAGIC:
-        raise ParseError(f"expected header {MAGIC!r}", line=1, column=1)
+    if lines[0].strip() != magic:
+        raise ParseError(f"expected header {magic!r}", line=1, column=1)
     if len(lines) < 3:
         raise ParseError("truncated file", line=len(lines), column=1)
     try:
         algebra = parse_algebra(lines[1].strip())
     except ValueError as ex:
         raise ParseError(str(ex), line=2, column=1) from None
+    spec = _parse_spec(lines[2], algebra, with_family)
+    body = lines[3:]
+    while body and not body[-1].strip():
+        body.pop()
+    return spec, body
 
-    p = _parse_params_line(lines[2], 3)
-    expected_ms = {"construction1": (1, 2), "construction2": (2, 2)}.get(p["family"])
-    if expected_ms and (p["m"], p["s"]) != expected_ms:
+
+def check_row_count(body: Sequence[str], expected: int, what: str) -> None:
+    """Point at the first missing or the first extra body line."""
+    if len(body) != expected:
+        raise ParseError(f"expected {expected} {what}, found {len(body)}",
+                         line=4 + min(len(body), expected), column=1)
+
+
+def write_matrix(pcm: ParityCheckMatrix, sink) -> None:
+    """Write the line-oriented text form (path or text file object)."""
+    alg = pcm.spec.algebra
+    rows = ([alg.element_token(alg.element(v)) for v in row] for row in pcm.matrix.bits)
+    write_text(sink, MAGIC, pcm.spec, rows, with_family=True)
+
+
+def read_matrix(source) -> ParityCheckMatrix:
+    """Parse the text form back; raises ParseError with line/column."""
+    spec, body = read_text(source, MAGIC, with_family=True)
+    algebra = spec.algebra
+    expected_ms = {"construction1": (1, 2), "construction2": (2, 2)}.get(spec.family)
+    if expected_ms and (spec.m, spec.s) != expected_ms:
         raise ParseError(
-            f"family {p['family']} fixes (m, s) = {expected_ms}, "
-            f"got ({p['m']}, {p['s']})", line=3, column=1)
-    try:
-        spec = CodeSpec(n=p["n"], m=p["m"], s=p["s"], r=p["r"],
-                        algebra=algebra, family=p["family"])
-    except ValueError as ex:
-        raise ParseError(str(ex), line=3, column=1) from None
+            f"family {spec.family} fixes (m, s) = {expected_ms}, "
+            f"got ({spec.m}, {spec.s})", line=3, column=1)
     if spec.family != "generic":
         try:
             _check_order(spec.r, spec.n, algebra)
         except OrderTooSmallError as ex:
             raise ParseError(str(ex), line=3, column=1) from None
-
-    nrows, ncols = spec.parity_rows, spec.total_columns
-    body = lines[3:]
-    while body and not body[-1].strip():
-        body.pop()
-    if len(body) != nrows:
-        raise ParseError(f"expected {nrows} matrix rows, found {len(body)}",
-                         line=3 + len(body) + (1 if len(body) < nrows else 0), column=1)
+    check_row_count(body, spec.parity_rows, "matrix rows")
 
     mr = spec.m * spec.r
     rows_bits = []
     for ri, text in enumerate(body):
         lineno = 4 + ri
-        toks = _tokens_with_columns(text)
-        if len(toks) != ncols:
-            raise ParseError(f"expected {ncols} tokens, found {len(toks)}",
-                             line=lineno, column=1)
         row = []
-        for ci, (tok, col) in enumerate(toks):
-            try:
-                e = algebra.parse_element(tok)
-            except ValueError as ex:
-                raise ParseError(str(ex), line=lineno, column=col) from None
+        for ci, (tok, col) in enumerate(row_tokens(text, lineno, spec.total_columns)):
+            e = parse_token(algebra, tok, lineno, col)
             if ri < mr:
                 block = ri // spec.m
                 if e.bits and not block * spec.n <= ci < (block + 1) * spec.n:

@@ -138,35 +138,33 @@ def determinant(m: Matrix) -> Element:
     return m.algebra.element(acc[full])
 
 
-def _gauss_jordan(ops: _Gf2mOps, rows: list[list[int]], npivot: int) -> list[int]:
-    """Reduced elimination in the field given by ops, mutating rows.
+def eliminate(ops: _Gf2mOps, rows: list[list[int]], pivot_cols: Iterable[int]) -> list[int]:
+    """Forward elimination in the field given by ops, mutating rows.
 
-    Pivots are searched in columns [0, npivot) only; any extra columns
-    ride along (augmented systems).  Pivot choice is the first nonzero
-    scanning down, so the result is deterministic.  Returns the pivot
-    column list.
+    For each pivot column in turn, the first unused row with a nonzero
+    entry there becomes the pivot: it is scaled to 1 and cleared from the
+    other unused rows; rows already used are left alone.  Returns the
+    pivot rows in column order, so pivot row k is zero in the pivot
+    columns before the k-th.  Other columns ride along (augmented
+    systems, residuals).
     """
-    nrows = len(rows)
+    used = [False] * len(rows)
     pivots = []
-    pr = 0
-    for c in range(npivot):
-        hit = next((k for k in range(pr, nrows) if rows[k][c]), None)
-        if hit is None:
+    for c in pivot_cols:
+        p = next((k for k in range(len(rows)) if not used[k] and rows[k][c]), None)
+        if p is None:
             continue
-        rows[pr], rows[hit] = rows[hit], rows[pr]
-        inv = ops.inv(rows[pr][c])
+        used[p] = True
+        pivots.append(p)
+        inv = ops.inv(rows[p][c])
         if inv != 1:
-            rows[pr] = [ops.mul(inv, v) for v in rows[pr]]
-        prow = rows[pr]
-        for k in range(nrows):
-            f = rows[k][c]
-            if k == pr or not f:
+            rows[p] = [ops.mul(inv, v) for v in rows[p]]
+        prow = rows[p]
+        for t in range(len(rows)):
+            f = rows[t][c]
+            if used[t] or not f:
                 continue
-            rows[k] = [a ^ ops.mul(f, b) for a, b in zip(rows[k], prow)]
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
+            rows[t] = [a ^ ops.mul(f, b) for a, b in zip(rows[t], prow)]
     return pivots
 
 
@@ -178,12 +176,12 @@ def factor_ranks(m: Matrix) -> tuple[int, ...]:
     """
     if isinstance(m.algebra, Field):
         rows = [list(r) for r in m.bits]
-        return (len(_gauss_jordan(m.algebra.ops, rows, m.cols)),)
+        return (len(eliminate(m.algebra.ops, rows, range(m.cols))),)
     ring = m.algebra
     out = []
     for f, ops in zip(ring.factorization.factors, ring.factor_ops):
         rows = [[poly.mod(v, f) for v in r] for r in m.bits]
-        out.append(len(_gauss_jordan(ops, rows, m.cols)))
+        out.append(len(eliminate(ops, rows, range(m.cols))))
     return tuple(out)
 
 
@@ -210,13 +208,21 @@ def is_invertible(m: Matrix) -> bool:
 def _solve_field_bits(ops: _Gf2mOps, rows: list[list[int]], b: list[int]):
     ncols = len(rows[0]) if rows else 0
     aug = [list(r) + [v] for r, v in zip(rows, b)]
-    pivots = _gauss_jordan(ops, aug, ncols)
+    pivots = eliminate(ops, aug, range(ncols))
     if len(pivots) < ncols:
         return "deficient", None
-    for k in range(ncols, len(aug)):
-        if aug[k][ncols]:
-            return "inconsistent", None
-    return "ok", [aug[i][ncols] for i in range(ncols)]
+    used = set(pivots)
+    if any(aug[k][ncols] for k in range(len(aug)) if k not in used):
+        return "inconsistent", None
+    x = [0] * ncols
+    for c in reversed(range(ncols)):
+        row = aug[pivots[c]]
+        acc = row[ncols]
+        for j in range(c + 1, ncols):
+            if row[j]:
+                acc ^= ops.mul(row[j], x[j])
+        x[c] = acc
+    return "ok", x
 
 
 def solve_bits(algebra: Algebra, rows_bits: Sequence[Sequence[int]],

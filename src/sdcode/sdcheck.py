@@ -37,7 +37,7 @@ from .errors import (
     PatternInvalidError,
     TooManyErasuresError,
 )
-from .linalg import Matrix, full_column_rank, submatrix
+from .linalg import Matrix, eliminate, full_column_rank, submatrix
 
 
 @dataclass(frozen=True)
@@ -126,29 +126,6 @@ def _factor_views(hm: ParityCheckMatrix) -> list[tuple]:
     return views
 
 
-def _eliminate_rows(ops, rows: list[list[int]], pivot_cols: Sequence[int]):
-    """Forward elimination pivoting on the given columns, first-nonzero
-    row choice.  Returns (rank, indices of rows never used as pivots)."""
-    used = [False] * len(rows)
-    rank = 0
-    for c in pivot_cols:
-        p = next((k for k in range(len(rows)) if not used[k] and rows[k][c]), None)
-        if p is None:
-            continue
-        used[p] = True
-        rank += 1
-        inv = ops.inv(rows[p][c])
-        if inv != 1:
-            rows[p] = [ops.mul(inv, v) for v in rows[p]]
-        prow = rows[p]
-        for t in range(len(rows)):
-            f = rows[t][c]
-            if used[t] or not f:
-                continue
-            rows[t] = [a ^ ops.mul(f, b) for a, b in zip(rows[t], prow)]
-    return rank, [t for t in range(len(rows)) if not used[t]]
-
-
 def _subset_singular(ops, residual: list[list[int]], combo: Sequence[int]) -> bool:
     """True iff the s x s submatrix of the residual on these columns is
     singular (s small)."""
@@ -162,8 +139,7 @@ def _subset_singular(ops, residual: list[list[int]], combo: Sequence[int]) -> bo
         c, d = residual[1][combo[0]], residual[1][combo[1]]
         return ops.mul(a, d) == ops.mul(b, c)
     rows = [[row[c] for c in combo] for row in residual]
-    rank, _ = _eliminate_rows(ops, rows, range(s))
-    return rank < s
+    return len(eliminate(ops, rows, range(s))) < s
 
 
 def _scan_group_python(views, spec: CodeSpec, disks: Sequence[int]):
@@ -176,10 +152,11 @@ def _scan_group_python(views, spec: CodeSpec, disks: Sequence[int]):
     residuals = []
     for ops, rows in views:
         work = [list(r) for r in rows]
-        rank, rest = _eliminate_rows(ops, work, disk_cols)
-        if rank < mr:
+        used = set(eliminate(ops, work, disk_cols))
+        if len(used) < mr:
             return "all"
-        residuals.append((ops, [[work[t][c] for c in survivor_cols] for t in rest]))
+        residuals.append((ops, [[work[t][c] for c in survivor_cols]
+                                for t in range(len(work)) if t not in used]))
     for combo in combinations(range(len(survivor_cols)), spec.s):
         if any(_subset_singular(ops, res, combo) for ops, res in residuals):
             return combo

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .algebra import Algebra, Element
-from .construct import build_h_generic
+from .construct import build_h_generic, open_text
 from .errors import OrderTooSmallError
 from .sdcheck import ErasurePattern, SdReport, is_sd, pattern_to_text
 
@@ -126,10 +126,5 @@ def format_report(records: Sequence[TrialRecord]) -> str:
 
 
 def write_report(records: Sequence[TrialRecord], sink) -> None:
-    own = not hasattr(sink, "write")
-    fh: TextIO = open(sink, "w") if own else sink
-    try:
+    with open_text(sink, "w") as fh:
         fh.write(format_report(records))
-    finally:
-        if own:
-            fh.close()

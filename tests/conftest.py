@@ -3,26 +3,6 @@ import pytest
 from sdcode import make_field, make_ring
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--run-extended", action="store_true", default=False,
-        help="run the full-scale verification checks (minutes of CPU)")
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "extended: full-scale checks, enabled with --run-extended")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--run-extended"):
-        return
-    skip = pytest.mark.skip(reason="opt-in with --run-extended")
-    for item in items:
-        if "extended" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture
 def report(capsys):
     """Print a line that bypasses capture, for acceptance pass/fail output."""

@@ -88,6 +88,11 @@ def test_bad_algebra_value_exits_1(tmp_path, capsys):
     assert run("construct", "--family", "construction1", "--r", "3", "--n", "5",
                "--ring", "q=17", "-o", str(tmp_path / "x")) == 1
     capsys.readouterr()
+    for flag, value in (("--field", "w=4,bogus"), ("--ring", "p=17,bogus")):
+        assert run("construct", "--family", "construction1", "--r", "3", "--n", "5",
+                   flag, value, "-o", str(tmp_path / "x")) == 1
+        assert "'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 # ------------------------------------------------------------- verify

@@ -258,8 +258,12 @@ def test_read_stripe_errors(gf16):
     with pytest.raises(ParseError) as ei:
         parse(lines[0], lines[1], "params n=3 m=1 s=2 r=x", *lines[3:])
     assert ei.value.line == 3
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as ei:
         parse(*lines[:-1])  # one stripe row short
+    assert ei.value.line == 5 and ei.value.column == 1
+    with pytest.raises(ParseError) as ei:
+        parse(*lines, lines[-1])  # one stripe row extra
+    assert ei.value.line == 6 and ei.value.column == 1
     bad_row = lines[3] + " 1"
     with pytest.raises(ParseError) as ei:
         parse(*lines[:3], bad_row, *lines[4:])

@@ -209,12 +209,23 @@ def test_solve_rejects_singular(gf16, ring7):
         solve(mr, [ring7.one])
 
 
-def test_solve_bits_statuses(gf16):
+def test_solve_bits_statuses(gf16, ring7):
     # tall consistent, tall inconsistent, wide (deficient)
     status, x = solve_bits(gf16, [[1], [2]], [3, 6])
     assert status == "ok" and gf16.mul_bits(2, x[0]) == 6 and x[0] == 3
     status, _ = solve_bits(gf16, [[1], [2]], [3, 7])
     assert status == "inconsistent"
+    # column 0 is zero in row 0, so row 1 pivots column 0 and row 0
+    # column 1: back-substitution has to follow the pivot rows, not row order
+    for alg in (gf16, ring7):
+        a = [[0, alg.alpha_pow_bits(1)],
+             [alg.alpha_pow_bits(2), 1],
+             [1, alg.alpha_pow_bits(3)]]
+        x = [alg.alpha_pow_bits(4), alg.alpha_pow_bits(5)]
+        b = [alg.mul_bits(row[0], x[0]) ^ alg.mul_bits(row[1], x[1]) for row in a]
+        assert solve_bits(alg, a, b) == ("ok", x)
+        b[2] ^= 1
+        assert solve_bits(alg, a, b) == ("inconsistent", None)
     status, _ = solve_bits(gf16, [[1, 2]], [3])
     assert status == "deficient"
     status, x = solve_bits(gf16, [], [])
