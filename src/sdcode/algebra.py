@@ -120,7 +120,12 @@ class _Gf2mOps:
             for i in range(self.qm1):
                 exp[i] = v
                 log[v] = i
-                v = poly.mulmod(v, g, modulus)
+                if g == 2:      # times x: shift, reduce on overflow
+                    v <<= 1
+                    if v & self.q:
+                        v ^= modulus
+                else:
+                    v = poly.mulmod(v, g, modulus)
             for i in range(self.qm1, 2 * self.qm1 - 1):
                 exp[i] = exp[i - self.qm1]
             self.exp = exp

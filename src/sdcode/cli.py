@@ -7,7 +7,6 @@ decodable, stripe inconsistent), 1 usage, parse, or I/O failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
@@ -37,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
 
 
 def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
@@ -167,7 +162,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="exhaustively test the SD property")
     p.add_argument("-H", dest="matrix", required=True, metavar="PATH")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker threads (result is independent of this)")
     p.add_argument("--progress", action="store_true",
                    help="report disk-set progress on stderr")
@@ -203,7 +198,7 @@ def _build_parser() -> _Parser:
     _add_algebra_flags(p)
     p.add_argument("-o", dest="output", metavar="PATH",
                    help="report path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search)
     return parser
 

@@ -147,7 +147,11 @@ def eliminate(ops: _Gf2mOps, rows: list[list[int]], pivot_cols: Iterable[int]) -
     pivot rows in column order, so pivot row k is zero in the pivot
     columns before the k-th.  Other columns ride along (augmented
     systems, residuals).
+
+    Updates touch only the pivot row's nonzeros: the local rows of an SD
+    parity-check matrix have n nonzeros out of rn.
     """
+    mul = ops.mul
     used = [False] * len(rows)
     pivots = []
     for c in pivot_cols:
@@ -156,15 +160,19 @@ def eliminate(ops: _Gf2mOps, rows: list[list[int]], pivot_cols: Iterable[int]) -
             continue
         used[p] = True
         pivots.append(p)
-        inv = ops.inv(rows[p][c])
-        if inv != 1:
-            rows[p] = [ops.mul(inv, v) for v in rows[p]]
         prow = rows[p]
-        for t in range(len(rows)):
-            f = rows[t][c]
+        nz = [(k, v) for k, v in enumerate(prow) if v]
+        inv = ops.inv(prow[c])
+        if inv != 1:
+            nz = [(k, mul(inv, v)) for k, v in nz]
+            for k, v in nz:
+                prow[k] = v
+        for t, row in enumerate(rows):
+            f = row[c]
             if used[t] or not f:
                 continue
-            rows[t] = [a ^ ops.mul(f, b) for a, b in zip(rows[t], prow)]
+            for k, v in nz:
+                row[k] ^= mul(f, v)
     return pivots
 
 

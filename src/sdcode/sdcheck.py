@@ -6,8 +6,10 @@ sectors are linearly independent, so the SD property is decided by
 checking every pattern.  Verification groups patterns by their disk set:
 one forward elimination pivoting on the mr disk columns is shared by all
 C((n-m)r, s) sector choices of the group, which each reduce to an s x s
-test against the leftover (non-pivot) rows.  For s = 2 that test is a
-2 x 2 determinant evaluated for all pairs at once with table lookups.
+test against the leftover (non-pivot) rows.  For s = 2 the pairs are
+not tested one by one: a pair is singular exactly when a column is zero
+or both columns have the same ratio of leftover rows, so one pass over
+the columns finds the first failing pair.
 
 Over the ring the same procedure runs once per irreducible factor of
 M_p(x); a pattern fails if it fails in any factor.
@@ -26,8 +28,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from . import _gf2poly as poly
 from .algebra import Field
@@ -129,20 +129,38 @@ def _factor_views(hm: ParityCheckMatrix) -> list[tuple]:
 def _subset_singular(ops, residual: list[list[int]], combo: Sequence[int]) -> bool:
     """True iff the s x s submatrix of the residual on these columns is
     singular (s small)."""
-    s = len(combo)
-    if s == 0:
-        return False
-    if s == 1:
-        return residual[0][combo[0]] == 0
-    if s == 2:
-        a, b = residual[0][combo[0]], residual[0][combo[1]]
-        c, d = residual[1][combo[0]], residual[1][combo[1]]
-        return ops.mul(a, d) == ops.mul(b, c)
     rows = [[row[c] for c in combo] for row in residual]
-    return len(eliminate(ops, rows, range(s))) < s
+    return len(eliminate(ops, rows, range(len(combo)))) < len(combo)
 
 
-def _scan_group_python(views, spec: CodeSpec, disks: Sequence[int]):
+def _first_singular_pair(ops, r0: list[int], r1: list[int]):
+    """First column pair (i, j), i < j in lexicographic order, whose 2 x 2
+    submatrix of the rows r0, r1 is singular; None when there is none.
+
+    A pair is singular exactly when one of its columns is zero or both
+    columns have the same ratio r1/r0 (a marker when r0 is zero).  One
+    backward pass finds, for each i, the smallest later j failing with it.
+    """
+    first = None
+    zero = None         # leftmost zero column right of i
+    nearest = {}        # ratio -> leftmost column right of i with that ratio
+    for i in range(len(r0) - 1, -1, -1):
+        a, b = r0[i], r1[i]
+        if not (a or b):
+            j = i + 1 if i + 1 < len(r0) else None
+            zero = i
+        else:
+            key = ops.mul(b, ops.inv(a)) if a else -1
+            j = nearest.get(key)
+            if zero is not None and (j is None or zero < j):
+                j = zero
+            nearest[key] = i
+        if j is not None:
+            first = (i, j)
+    return first
+
+
+def _scan_group(views, spec: CodeSpec, disks: Sequence[int]):
     """First failing sector choice for this disk set, as survivor indices;
     'all' when the disk columns alone are dependent; None when clean."""
     mr = spec.m * spec.r
@@ -157,56 +175,13 @@ def _scan_group_python(views, spec: CodeSpec, disks: Sequence[int]):
             return "all"
         residuals.append((ops, [[work[t][c] for c in survivor_cols]
                                 for t in range(len(work)) if t not in used]))
+    if spec.s == 2:
+        pairs = [_first_singular_pair(ops, *res) for ops, res in residuals]
+        return min((p for p in pairs if p is not None), default=None)
     for combo in combinations(range(len(survivor_cols)), spec.s):
         if any(_subset_singular(ops, res, combo) for ops, res in residuals):
             return combo
     return None
-
-
-def _scan_group_np(views_np, spec: CodeSpec, disks: Sequence[int]):
-    """Table-driven variant of _scan_group_python for s = 2."""
-    mr = spec.m * spec.r
-    disk_cols = sorted(spec.column_of(i, d) for i in range(spec.r) for d in disks)
-    dset = set(disks)
-    survivor_cols = np.fromiter(
-        (c for c in range(spec.total_columns) if c % spec.n not in dset), dtype=np.intp)
-    pair_fail = None
-    for exp, log, qm1, m0 in views_np:
-        m = m0.copy()
-        used = np.zeros(m.shape[0], dtype=bool)
-        rank = 0
-        for c in disk_cols:
-            cand = np.nonzero((m[:, c] != 0) & ~used)[0]
-            if cand.size == 0:
-                continue
-            p = cand[0]
-            used[p] = True
-            rank += 1
-            row = m[p]
-            piv = int(row[c])
-            if piv != 1:
-                nz = row != 0
-                row[nz] = exp[log[row[nz]] + (qm1 - log[piv])]
-            others = cand[1:]
-            if others.size:
-                contrib = exp[log[m[others, c]][:, None] + log[row][None, :]]
-                contrib[:, row == 0] = 0
-                m[others] ^= contrib
-        if rank < mr:
-            return "all"
-        res = m[~used][:, survivor_cols]
-        r0, r1 = res[0], res[1]
-        prod = exp[log[r0][:, None] + log[r1][None, :]]
-        prod[r0 == 0, :] = 0
-        prod[:, r1 == 0] = 0
-        det = prod ^ prod.T
-        fail = det == 0
-        pair_fail = fail if pair_fail is None else pair_fail | fail
-    iu, ju = np.triu_indices(pair_fail.shape[0], 1)
-    bad = np.nonzero(pair_fail[iu, ju])[0]
-    if bad.size == 0:
-        return None
-    return int(iu[bad[0]]), int(ju[bad[0]])
 
 
 def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
@@ -220,12 +195,7 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     spec = hm.spec
     total = comb(spec.n, spec.m) * comb((spec.n - spec.m) * spec.r, spec.s)
     views = _factor_views(hm)
-    if spec.s == 2 and all(ops.has_tables for ops, _ in views):
-        views_np = [(*ops.np_tables(), ops.qm1, np.array(bits, dtype=np.int32))
-                    for ops, bits in views]
-        scan = lambda d: _scan_group_np(views_np, spec, d)
-    else:
-        scan = lambda d: _scan_group_python(views, spec, d)
+    scan = lambda d: _scan_group(views, spec, d)
     groups = list(combinations(range(spec.n), spec.m))
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -46,11 +46,17 @@ def test_field_width_and_modulus_validation():
         Field(4, modulus=0x14)
 
 
-def test_field_mul_table_against_carryless_reference(gf16):
-    for a in range(16):
-        for b in range(16):
-            want = poly.mulmod(a, b, 0x13)
-            assert gf16.mul_bits(a, b) == want
+def test_field_mul_table_against_carryless_reference(gf16, ring17):
+    # x generates GF(16) mod 0x13, but not mod 0x1f (order 5) nor mod the
+    # degree-8 factors of M_17 (order 17): both ways of stepping the
+    # tables are checked
+    cases = [(gf16.ops, 0x13), (Field(4, modulus=0x1F).ops, 0x1F)]
+    cases += [(ops, f) for f, ops in zip(ring17.factorization.factors, ring17.factor_ops)]
+    assert {ops.exp[1] == 2 for ops, _ in cases} == {True, False}
+    for ops, f in cases:
+        for a in range(ops.q):
+            for b in range(ops.q):
+                assert ops.mul(a, b) == poly.mulmod(a, b, f)
 
 
 def test_field_inverse_and_units(gf16):

@@ -1,4 +1,5 @@
 """Exhaustive SD verification, erasure patterns, and shortening."""
+import random
 from math import comb
 
 import pytest
@@ -12,6 +13,7 @@ from sdcode import (
     erased_columns,
     is_pattern_decodable,
     is_sd,
+    make_field,
     make_ring,
     pattern_from_text,
     pattern_to_text,
@@ -19,7 +21,7 @@ from sdcode import (
 )
 from sdcode.construct import CodeSpec, ParityCheckMatrix
 from sdcode.linalg import Matrix, submatrix, determinant
-from sdcode.sdcheck import validate_pattern, _factor_views, _scan_group_python
+from sdcode.sdcheck import SdReport, validate_pattern
 from sdcode.errors import (
     BadRowCountError,
     PatternInvalidError,
@@ -165,26 +167,107 @@ def test_witness_independent_of_jobs(gf16):
     assert not reports[0].sd
 
 
-def test_python_and_table_scans_agree(gf16):
-    from itertools import combinations
+def _m1_s2(alg, columns):
+    """n = 3, r = 2, m = 1, s = 2 with all-ones local rows, built so that
+    the residual columns (r0, r1) of disk set (0,) are `columns`, in the
+    order of the survivors (0,1), (0,2), (1,1), (1,2)."""
+    n, r = 3, 2
+    it = iter(columns)
+    g0, g1 = [], []
+    for i in range(r):
+        g0.append(1)
+        g1.append(1)
+        for _ in range(1, n):
+            a, b = next(it)
+            g0.append(a ^ 1)
+            g1.append(b ^ 1)
+    local = [[1 if c // n == i else 0 for c in range(r * n)] for i in range(r)]
+    spec = CodeSpec(n=n, m=1, s=2, r=r, algebra=alg, family="generic")
+    return ParityCheckMatrix(spec, Matrix(alg, local + [g0, g1]))
 
-    for hm in (build_h1(3, 5, gf16),
-               corrupt(build_h1(3, 5, gf16), 3, 0, 7),
-               build_h2(3, 5, gf16)):
-        views = _factor_views(hm)
-        report = is_sd(hm)  # uses the vectorized scan for these inputs
-        spec = hm.spec
-        first = None
-        for disks in combinations(range(spec.n), spec.m):
-            res = _scan_group_python(views, spec, disks)
-            if res is None or first is not None:
-                continue
-            survivors = [(i, j) for i in range(spec.r) for j in range(spec.n)
-                         if j not in disks]
-            sectors = (tuple(survivors[:spec.s]) if res == "all"
-                       else tuple(survivors[t] for t in res))
-            first = ErasurePattern(disks, sectors)
-        assert report.witness == first
+
+def _ring7_columns(per_factor):
+    """Ring p=7 residual columns from their residues mod the two factors
+    (0xb, 0xd) of M_7(x)."""
+    ring7 = make_ring(7)
+    assert ring7.factorization.factors == (0xB, 0xD)
+    return [tuple(ring7.crt_bits([f1[k], f2[k]]) for k in (0, 1))
+            for f1, f2 in per_factor]
+
+
+def _random_matrix(alg, n, m, s, r, seed):
+    """Local blocks and global rows over a four-letter alphabet that
+    includes 0, so local blocks can be singular and pairs dependent."""
+    rng = random.Random(seed)
+    alphabet = [0, 1] + [rng.randrange(2, 1 << alg.element_bits) for _ in range(2)]
+    rows = []
+    for i in range(r):
+        for _ in range(m):
+            row = [0] * (r * n)
+            row[i * n:(i + 1) * n] = rng.choices(alphabet, k=n)
+            rows.append(row)
+    rows += [rng.choices(alphabet, k=r * n) for _ in range(s)]
+    spec = CodeSpec(n=n, m=m, s=s, r=r, algebra=alg, family="generic")
+    return ParityCheckMatrix(spec, Matrix(alg, rows))
+
+
+# (name, matrix factory, first failing survivor pair of disk set (0,))
+_CRAFTED = [
+    # column 2 is zero: it fails with every other column
+    ("zero-column", lambda: _m1_s2(make_field(4), [(1, 2), (3, 5), (0, 0), (6, 7)]),
+     (0, 2)),
+    # columns 0 and 3 have r0 = 0 (ratio marker); column 1 has r1 = 0
+    # (ratio 0), which must not pair with them
+    ("infinite-ratio", lambda: _m1_s2(make_field(4), [(0, 3), (5, 0), (2, 4), (0, 7)]),
+     (0, 3)),
+    # ratios 2, 3, 3, 2: both (0, 3) and (1, 2) fail; (0, 3) comes first
+    ("two-pairs", lambda: _m1_s2(make_field(4), [(1, 2), (1, 3), (1, 3), (1, 2)]),
+     (0, 3)),
+    ("two-pairs-gf4", lambda: _m1_s2(make_field(2), [(1, 2), (1, 3), (1, 3), (1, 2)]),
+     (0, 3)),
+    # column 2 is zero mod 0xd only; mod 0xb all four ratios differ
+    ("one-ring-factor", lambda: _m1_s2(make_ring(7), _ring7_columns(
+        [((1, 2), (1, 2)), ((1, 4), (1, 4)), ((1, 1), (0, 0)), ((2, 1), (2, 1))])),
+     (0, 2)),
+    # mod 0xb the first failing pair is (1, 2), mod 0xd it is (0, 3)
+    ("first-pair-across-factors", lambda: _m1_s2(make_ring(7), _ring7_columns(
+        [((1, 2), (1, 2)), ((1, 3), (1, 4)), ((1, 3), (1, 5)), ((1, 6), (1, 2))])),
+     (0, 3)),
+]
+
+
+@pytest.mark.parametrize("build,pair", [c[1:] for c in _CRAFTED],
+                         ids=[c[0] for c in _CRAFTED])
+def test_is_sd_matches_naive_on_crafted_pairs(build, pair):
+    hm = build()
+    rep = is_sd(hm)
+    naive_witness, checked = naive_is_sd(hm)
+    survivors = [(0, 1), (0, 2), (1, 1), (1, 2)]
+    assert naive_witness == ErasurePattern((0,), tuple(survivors[t] for t in pair))
+    assert (rep.sd, rep.witness, rep.patterns_checked) == (False, naive_witness, checked)
+
+
+_ALGEBRAS = {"gf4": lambda: make_field(2), "gf16": lambda: make_field(4),
+             "ring7": lambda: make_ring(7), "ring17": lambda: make_ring(17),
+             "ring31": lambda: make_ring(31)}
+# (n, m, s, r), all with (n - m) r >= s
+_SHAPES = [(3, 1, 0, 2), (3, 1, 1, 2), (3, 1, 2, 2), (4, 1, 2, 2), (4, 2, 2, 1),
+           (3, 1, 3, 2), (4, 2, 3, 2), (4, 3, 2, 2), (4, 1, 3, 1)]
+
+
+@pytest.mark.parametrize("alg_name", sorted(_ALGEBRAS))
+def test_is_sd_matches_naive_on_random_matrices(alg_name):
+    alg = _ALGEBRAS[alg_name]()
+    verdicts = set()
+    for seed in range(8):
+        for n, m, s, r in _SHAPES:
+            hm = _random_matrix(alg, n, m, s, r, seed=f"{alg_name}/{seed}/{n}{m}{s}{r}")
+            rep = is_sd(hm)
+            naive_witness, checked = naive_is_sd(hm)
+            assert rep == SdReport(naive_witness is None, naive_witness, checked), (
+                alg_name, seed, (n, m, s, r))
+            verdicts.add(rep.sd)
+    assert verdicts == {True, False}
 
 
 def test_is_sd_python_path_without_tables():
