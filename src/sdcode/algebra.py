@@ -9,6 +9,12 @@ Two kinds of context are supported:
   zero divisors; unit testing goes through gcd with M_p(x) and bulk linear
   algebra goes through the factorization of M_p(x) into irreducibles.
 
+Both kinds hand linear algebra the same two hooks, so no caller needs to
+know which kind it holds: ``factor_views(rows)`` reduces a matrix into
+each factor field (one view for a field, one per irreducible factor of
+M_p(x) for the ring), and ``crt_bits(residues)`` glues one residue per
+factor back into an element.
+
 Elements are bit vectors packed into ints (bit k = coefficient of x^k),
 wrapped in :class:`Element` so that mixing contexts is detected.  In both
 contexts ``alpha`` is the residue of x; in a field its multiplicative
@@ -142,16 +148,6 @@ class _Gf2mOps:
                 return c
             c += 1
 
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of nonzero a."""
-        if self.has_tables:
-            return self.qm1 // int_gcd(self.qm1, self.log[a])
-        order = self.qm1
-        for q in poly._prime_factors(self.qm1):
-            while order % q == 0 and poly.powmod(a, order // q, self.modulus) == 1:
-                order //= q
-        return order
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -165,16 +161,6 @@ class _Gf2mOps:
         if self.has_tables:
             return self.exp[self.qm1 - self.log[a]]
         return poly.invmod(a, self.modulus)
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        if self.has_tables:
-            return self.exp[(self.log[a] * e) % self.qm1]
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        return poly.powmod(a, e, self.modulus)
 
     def np_tables(self):
         """(exp, log) as int32 numpy arrays, or None when table-less."""
@@ -219,7 +205,6 @@ class Algebra:
     compare by their defining parameters, so independently constructed
     contexts interoperate."""
 
-    kind: str
     element_bits: int
 
     # -- element plumbing ------------------------------------------------
@@ -281,6 +266,18 @@ class Algebra:
     def order_of_alpha(self) -> int:
         raise NotImplementedError
 
+    # -- factor fields ---------------------------------------------------
+
+    def factor_views(self, rows) -> list[tuple[_Gf2mOps, list[list[int]]]]:
+        """(ops, rows reduced into that factor field) per factor field; the
+        rows are fresh lists the caller may mutate."""
+        raise NotImplementedError
+
+    def crt_bits(self, residues) -> int:
+        """The element with these residues, one per factor field, in the
+        order of factor_views."""
+        raise NotImplementedError
+
     # -- text forms ------------------------------------------------------
 
     def descriptor(self) -> str:
@@ -334,8 +331,6 @@ class Algebra:
 class Field(Algebra):
     """GF(2^w) defined by an irreducible polynomial of degree w."""
 
-    kind = "field"
-
     def __init__(self, w: int, modulus: int | None = None):
         if not 2 <= w <= 16:
             raise BadWidthError(f"field width must be in [2, 16], got {w}")
@@ -377,6 +372,12 @@ class Field(Algebra):
     def order_of_alpha(self) -> int:
         return self._alpha_order
 
+    def factor_views(self, rows) -> list[tuple[_Gf2mOps, list[list[int]]]]:
+        return [(self.ops, [list(r) for r in rows])]
+
+    def crt_bits(self, residues) -> int:
+        return residues[0]
+
     def _alpha_exponent_of(self, bits: int) -> int | None:
         lg = self.ops.log[bits]
         la = self._log_alpha
@@ -398,8 +399,6 @@ class Ring(Algebra):
     prime.  Residues have degree <= p-2 and are stored as (p-1)-bit
     vectors; reduction substitutes x^(p-1) <- 1 + x + ... + x^(p-2).
     """
-
-    kind = "ring"
 
     def __init__(self, p: int):
         if p < 3 or p % 2 == 0 or not _is_prime(p):
@@ -461,6 +460,10 @@ class Ring(Algebra):
         if self._factor_ops is None:
             self._factor_ops = [_Gf2mOps(f) for f in self.factorization.factors]
         return self._factor_ops
+
+    def factor_views(self, rows) -> list[tuple[_Gf2mOps, list[list[int]]]]:
+        return [(ops, [[poly.mod(v, f) for v in r] for r in rows])
+                for f, ops in zip(self.factorization.factors, self.factor_ops)]
 
     def project_bits(self, bits: int, k: int) -> int:
         """Residue of bits modulo the k-th irreducible factor of M_p(x)."""

@@ -97,6 +97,26 @@ def _syndrome_bits(hm: ParityCheckMatrix, vec_bits: Sequence[int],
     return out
 
 
+def _solve_at(hm: ParityCheckMatrix, vec: list[int], cols: Sequence[int]) -> str:
+    """Solve H·vec = 0 for the symbols at cols, the other slots held
+    fixed; on "ok" the solution is written into vec.  Returns the
+    solve_bits status."""
+    rhs = _syndrome_bits(hm, vec, skip=frozenset(cols))
+    sub = [[row[c] for c in cols] for row in hm.matrix.bits]
+    status, x = solve_bits(hm.spec.algebra, sub, rhs)
+    if status == "ok":
+        for c, v in zip(cols, x):
+            vec[c] = v
+    return status
+
+
+def _full_stripe(spec: CodeSpec, vec: Sequence[int]) -> Stripe:
+    alg = spec.algebra
+    symbols = [[alg.element(vec[spec.column_of(i, j)]) for j in range(spec.n)]
+               for i in range(spec.r)]
+    return Stripe(spec, symbols, [[True] * spec.n for _ in range(spec.r)])
+
+
 def encode(hm: ParityCheckMatrix, data: Sequence[Element]) -> Stripe:
     """Fill data slots in column order, then solve for the parity slots
     so that H·vec = 0."""
@@ -106,22 +126,13 @@ def encode(hm: ParityCheckMatrix, data: Sequence[Element]) -> Stripe:
     if len(data) != len(dcols):
         raise LengthMismatchError(
             f"code dimension is {len(dcols)} symbols, got {len(data)}")
-    pcols = erased_columns(default_parity_pattern(spec), spec)
     vec = [0] * spec.total_columns
-    for c, e in enumerate(data):
-        vec[dcols[c]] = alg._check(e)
-    rhs = _syndrome_bits(hm, vec)
-    sub = [[hm.matrix.bits[t][c] for c in pcols] for t in range(hm.matrix.rows)]
-    status, x = solve_bits(alg, sub, rhs)
-    if status != "ok":
+    for c, e in zip(dcols, data):
+        vec[c] = alg._check(e)
+    if _solve_at(hm, vec, erased_columns(default_parity_pattern(spec), spec)) != "ok":
         raise SingularParitySupportError(
             "parity support is not decodable for this matrix")
-    for c, v in zip(pcols, x):
-        vec[c] = v
-    symbols = [[alg.element(vec[spec.column_of(i, j)]) for j in range(spec.n)]
-               for i in range(spec.r)]
-    present = [[True] * spec.n for _ in range(spec.r)]
-    return Stripe(spec, symbols, present)
+    return _full_stripe(spec, vec)
 
 
 def _check_compatible(hm: ParityCheckMatrix, st: Stripe) -> None:
@@ -141,31 +152,17 @@ def decode(hm: ParityCheckMatrix, st: Stripe) -> Stripe:
     """
     _check_compatible(hm, st)
     spec = hm.spec
-    alg = spec.algebra
     missing = st.missing_positions()
-    mcols = sorted(spec.column_of(i, j) for i, j in missing)
     vec = [st.symbols[i][j].bits if st.present[i][j] else 0
            for i in range(spec.r) for j in range(spec.n)]
-    rhs = _syndrome_bits(hm, vec, skip=frozenset(mcols))
-    if not mcols:
-        if any(rhs):
-            raise InconsistentSyndromeError("complete stripe violates the parity checks")
-        recovered = [row[:] for row in st.symbols]
-    else:
-        sub = [[hm.matrix.bits[t][c] for c in mcols] for t in range(hm.matrix.rows)]
-        status, x = solve_bits(alg, sub, rhs)
-        if status == "deficient":
-            raise UndecodablePatternError(
-                f"missing set {missing} is not recoverable from this code")
-        if status == "inconsistent":
-            raise InconsistentSyndromeError(
-                "present symbols violate the parity checks on the known rows")
-        fill = dict(zip(mcols, x))
-        recovered = [[alg.element(fill.get(spec.column_of(i, j),
-                                           st.symbols[i][j].bits))
-                      for j in range(spec.n)] for i in range(spec.r)]
-    present = [[True] * spec.n for _ in range(spec.r)]
-    return Stripe(spec, recovered, present)
+    status = _solve_at(hm, vec, sorted(spec.column_of(i, j) for i, j in missing))
+    if status == "deficient":
+        raise UndecodablePatternError(
+            f"missing set {missing} is not recoverable from this code")
+    if status == "inconsistent":
+        raise InconsistentSyndromeError(
+            "present symbols violate the parity checks on the known rows")
+    return _full_stripe(spec, vec)
 
 
 def erase(st: Stripe, p: ErasurePattern) -> Stripe:

@@ -7,7 +7,9 @@ rank, and solving are delegated to the factor fields GF(2)[x]/(f) for
 the irreducible factors f of M_p(x) and glued back together with the
 Chinese remainder theorem.  M_p(x) is squarefree, so the projection onto
 the product of factor fields is an isomorphism and the delegation is
-complete.
+complete.  The algebra supplies both halves (``factor_views`` and
+``crt_bits``; a field is its own single factor), so the routines here
+run one path for fields and rings alike.
 
 The determinant is computed separately by dynamic programming over
 column subsets (in characteristic 2 the signs vanish, so this is the
@@ -19,8 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from . import _gf2poly as poly
-from .algebra import Algebra, Element, Field, Ring, _Gf2mOps
+from .algebra import Algebra, Element, Ring, _Gf2mOps
 from .errors import (
     AlgebraMismatchError,
     IndexOutOfRangeError,
@@ -182,15 +183,8 @@ def factor_ranks(m: Matrix) -> tuple[int, ...]:
     Over the ring this is the complete rank story: one rank per
     irreducible factor of M_p(x).
     """
-    if isinstance(m.algebra, Field):
-        rows = [list(r) for r in m.bits]
-        return (len(eliminate(m.algebra.ops, rows, range(m.cols))),)
-    ring = m.algebra
-    out = []
-    for f, ops in zip(ring.factorization.factors, ring.factor_ops):
-        rows = [[poly.mod(v, f) for v in r] for r in m.bits]
-        out.append(len(eliminate(ops, rows, range(m.cols))))
-    return tuple(out)
+    return tuple(len(eliminate(ops, rows, range(m.cols)))
+                 for ops, rows in m.algebra.factor_views(m.bits))
 
 
 def rank(m: Matrix) -> int:
@@ -213,9 +207,8 @@ def is_invertible(m: Matrix) -> bool:
     return full_column_rank(m)
 
 
-def _solve_field_bits(ops: _Gf2mOps, rows: list[list[int]], b: list[int]):
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [v] for r, v in zip(rows, b)]
+def _solve_field_bits(ops: _Gf2mOps, aug: list[list[int]], ncols: int):
+    """Solve the augmented system [A | b] in one field, mutating aug."""
     pivots = eliminate(ops, aug, range(ncols))
     if len(pivots) < ncols:
         return "deficient", None
@@ -235,7 +228,7 @@ def _solve_field_bits(ops: _Gf2mOps, rows: list[list[int]], b: list[int]):
 
 def solve_bits(algebra: Algebra, rows_bits: Sequence[Sequence[int]],
                b_bits: Sequence[int]):
-    """Solve A·x = b for A with len(rows) >= ncols, on raw bit vectors.
+    """Solve A·x = b on raw bit vectors, one factor field at a time.
 
     Returns (status, x): status "ok" with the unique solution,
     "deficient" when the columns are dependent, "inconsistent" when no
@@ -246,27 +239,13 @@ def solve_bits(algebra: Algebra, rows_bits: Sequence[Sequence[int]],
         raise ShapeMismatchError(
             f"{len(rows_bits)} equations but {len(b_bits)} right-hand values")
     ncols = len(rows_bits[0]) if rows_bits else 0
-    if ncols == 0:
-        return ("ok", []) if not any(b_bits) else ("inconsistent", None)
-    if len(rows_bits) < ncols:
-        return "deficient", None
-    if isinstance(algebra, Field):
-        return _solve_field_bits(algebra.ops, [list(r) for r in rows_bits], list(b_bits))
-    ring = algebra
-    partials = []
-    inconsistent = False
-    for f, ops in zip(ring.factorization.factors, ring.factor_ops):
-        rows = [[poly.mod(v, f) for v in r] for r in rows_bits]
-        rhs = [poly.mod(v, f) for v in b_bits]
-        status, x = _solve_field_bits(ops, rows, rhs)
-        if status == "deficient":
-            return "deficient", None
-        if status == "inconsistent":
-            inconsistent = True
-        partials.append(x)
-    if inconsistent:
-        return "inconsistent", None
-    return "ok", [ring.crt_bits([part[i] for part in partials]) for i in range(ncols)]
+    aug = [(*r, v) for r, v in zip(rows_bits, b_bits)]
+    parts = [_solve_field_bits(ops, rows, ncols)
+             for ops, rows in algebra.factor_views(aug)]
+    for status in ("deficient", "inconsistent"):
+        if any(st == status for st, _ in parts):
+            return status, None
+    return "ok", [algebra.crt_bits(res) for res in zip(*(x for _, x in parts))]
 
 
 def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:

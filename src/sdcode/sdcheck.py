@@ -11,8 +11,9 @@ not tested one by one: a pair is singular exactly when a column is zero
 or both columns have the same ratio of leftover rows, so one pass over
 the columns finds the first failing pair.
 
-Over the ring the same procedure runs once per irreducible factor of
-M_p(x); a pattern fails if it fails in any factor.
+Over the ring the same procedure runs once per factor view the algebra
+supplies, one per irreducible factor of M_p(x); a pattern fails if it
+fails in any factor.
 
 The report is deterministic: all patterns are always counted, the
 witness is the first failing pattern in enumeration order (disk sets in
@@ -29,8 +30,6 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence
 
-from . import _gf2poly as poly
-from .algebra import Field
 from .construct import CodeSpec, ParityCheckMatrix
 from .errors import (
     BadRowCountError,
@@ -113,19 +112,6 @@ def is_pattern_decodable(hm: ParityCheckMatrix, p: ErasurePattern) -> bool:
 
 # -- grouped verification ----------------------------------------------------
 
-def _factor_views(hm: ParityCheckMatrix) -> list[tuple]:
-    """(ops, bits) per factor field: one view for a field, one per
-    irreducible factor of M_p(x) for the ring."""
-    alg = hm.spec.algebra
-    if isinstance(alg, Field):
-        return [(alg.ops, hm.matrix.bits)]
-    views = []
-    for f, ops in zip(alg.factorization.factors, alg.factor_ops):
-        views.append((ops, tuple(tuple(poly.mod(v, f) for v in row)
-                                 for row in hm.matrix.bits)))
-    return views
-
-
 def _subset_singular(ops, residual: list[list[int]], combo: Sequence[int]) -> bool:
     """True iff the s x s submatrix of the residual on these columns is
     singular (s small)."""
@@ -162,11 +148,14 @@ def _first_singular_pair(ops, r0: list[int], r1: list[int]):
 
 def _scan_group(views, spec: CodeSpec, disks: Sequence[int]):
     """First failing sector choice for this disk set, as survivor indices;
-    'all' when the disk columns alone are dependent; None when clean."""
+    'all' when the disk columns alone are dependent; None when clean or
+    when fewer than s sectors survive (the group has no patterns)."""
     mr = spec.m * spec.r
     disk_cols = sorted(spec.column_of(i, d) for i in range(spec.r) for d in disks)
     dset = set(disks)
     survivor_cols = [c for c in range(spec.total_columns) if c % spec.n not in dset]
+    if len(survivor_cols) < spec.s:
+        return None
     residuals = []
     for ops, rows in views:
         work = [list(r) for r in rows]
@@ -194,7 +183,7 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     """
     spec = hm.spec
     total = comb(spec.n, spec.m) * comb((spec.n - spec.m) * spec.r, spec.s)
-    views = _factor_views(hm)
+    views = spec.algebra.factor_views(hm.matrix.bits)
     scan = lambda d: _scan_group(views, spec, d)
     groups = list(combinations(range(spec.n), spec.m))
     if jobs and jobs > 1:

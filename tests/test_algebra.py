@@ -6,6 +6,7 @@ import pytest
 from sdcode import (
     Element,
     Field,
+    Matrix,
     Ring,
     make_field,
     make_ring,
@@ -202,6 +203,44 @@ def test_crt_round_trip(ring17, ring7):
             residues = [ring.project_bits(a, k)
                         for k in range(len(ring.factorization.factors))]
             assert ring.crt_bits(residues) == a
+
+
+# (name, algebra, number of factor views): M_5 and M_37 are irreducible,
+# M_7 and M_17 split; M_37's degree-36 factor field has no tables
+_VIEW_CASES = [("gf4", lambda: make_field(2), 1), ("gf256", lambda: make_field(8), 1),
+               ("ring5", lambda: make_ring(5), 1), ("ring7", lambda: make_ring(7), 2),
+               ("ring17", lambda: make_ring(17), 2), ("ring37", lambda: make_ring(37), 1)]
+
+
+@pytest.mark.parametrize("make,nviews", [c[1:] for c in _VIEW_CASES],
+                         ids=[c[0] for c in _VIEW_CASES])
+def test_factor_views_and_crt_round_trip(make, nviews):
+    alg = make()
+    rng = random.Random(alg.descriptor())
+    m = Matrix(alg, [[rng.getrandbits(alg.element_bits) for _ in range(6)]
+                     for _ in range(5)] + [[0, 1, 2, 3, 0, 1]])
+    views = alg.factor_views(m.bits)
+    assert len(views) == nviews
+    for i in range(m.rows):
+        for j in range(m.cols):
+            residues = [rows[i][j] for _, rows in views]
+            assert all(v < ops.q for (ops, _), v in zip(views, residues))
+            assert alg.crt_bits(residues) == m.bits[i][j]
+
+
+@pytest.mark.parametrize("make", [c[1] for c in _VIEW_CASES],
+                         ids=[c[0] for c in _VIEW_CASES])
+def test_factor_views_are_fresh_copies(make):
+    alg = make()
+    m = Matrix(alg, [[1, 2, 3], [3, 0, 1]])
+    source = [list(r) for r in m.bits]
+    for rows_in in (m.bits, source):
+        for _, rows in alg.factor_views(rows_in):
+            for row in rows:
+                row[0] ^= 1
+                row.append(0)
+    assert m.bits == ((1, 2, 3), (3, 0, 1))
+    assert source == [[1, 2, 3], [3, 0, 1]]
 
 
 # ---------------------------------------------------- tokens and parsing

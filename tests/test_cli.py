@@ -291,10 +291,18 @@ def test_search_depth_beyond_order_exits_1(capsys):
 
 
 def test_module_entry_point_matches_console_script():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import sdcode
+
+    # run the package under test, wherever pytest found it
+    src = str(Path(sdcode.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "sdcode", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "construct" in proc.stdout and "search" in proc.stdout

@@ -177,9 +177,10 @@ def test_vandermonde_full_rank(gf16, ring17):
 
 # -------------------------------------------------------------- solving
 
-def test_solve_round_trip_field_and_ring(gf16, ring17, ring7):
+def test_solve_round_trip_field_and_ring(gf16, ring17, ring7, ring5):
     rng = random.Random(1234)
-    for alg in (gf16, ring17, ring7):
+    # M_5 and M_37 are irreducible; M_37's one factor field has no tables
+    for alg in (gf16, ring17, ring7, ring5, make_ring(37)):
         for _ in range(150):
             k = rng.randrange(1, 5)
             m = random_invertible(alg, rng, k)
@@ -255,8 +256,10 @@ def test_solve_bits_ring_deficient_beats_inconsistent(ring7):
     # the combined verdict must be "deficient" (an erasure-decoding retry
     # cannot fix inconsistency, but deficiency is the stronger statement)
     u = ring7.crt_bits([0, 1])
-    status, _ = solve_bits(ring7, [[u]], [1])
+    status, _ = solve_bits(ring7, [[u], [u]], [1, 0])
     assert status == "deficient"
+    # the same system is inconsistent on its own in factor 1
+    assert solve_bits(make_field(3, 0xD), [[1], [1]], [1, 0])[0] == "inconsistent"
 
 
 def test_mul_vector_shapes(gf16):

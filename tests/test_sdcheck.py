@@ -250,9 +250,10 @@ def test_is_sd_matches_naive_on_crafted_pairs(build, pair):
 _ALGEBRAS = {"gf4": lambda: make_field(2), "gf16": lambda: make_field(4),
              "ring7": lambda: make_ring(7), "ring17": lambda: make_ring(17),
              "ring31": lambda: make_ring(31)}
-# (n, m, s, r), all with (n - m) r >= s
+# (n, m, s, r); the last four have (n - m) r < s, so no pattern exists
 _SHAPES = [(3, 1, 0, 2), (3, 1, 1, 2), (3, 1, 2, 2), (4, 1, 2, 2), (4, 2, 2, 1),
-           (3, 1, 3, 2), (4, 2, 3, 2), (4, 3, 2, 2), (4, 1, 3, 1)]
+           (3, 1, 3, 2), (4, 2, 3, 2), (4, 3, 2, 2), (4, 1, 3, 1),
+           (4, 3, 2, 1), (3, 2, 2, 1), (4, 3, 3, 1), (3, 2, 3, 1)]
 
 
 @pytest.mark.parametrize("alg_name", sorted(_ALGEBRAS))
@@ -268,6 +269,18 @@ def test_is_sd_matches_naive_on_random_matrices(alg_name):
                 alg_name, seed, (n, m, s, r))
             verdicts.add(rep.sd)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("alg_name", ["gf16", "ring7"])
+def test_is_sd_with_dependent_disk_columns_but_no_patterns(alg_name):
+    # (n - m) r = 1 < s: no pattern exists, so the code is SD with 0
+    # patterns checked even though disk columns 0 and 1 are equal
+    alg = _ALGEBRAS[alg_name]()
+    a = alg.alpha_pow_bits
+    spec = CodeSpec(n=4, m=3, s=2, r=1, algebra=alg, family="generic")
+    hm = ParityCheckMatrix(spec, Matrix(alg, [[1, 1, a(k), a(2 * k)] for k in range(1, 6)]))
+    assert naive_is_sd(hm) == (None, 0)
+    assert is_sd(hm) == SdReport(True, None, 0)
 
 
 def test_is_sd_python_path_without_tables():
