@@ -5,11 +5,12 @@ sector failures exactly when the parity-check columns of the erased
 sectors are linearly independent, so the SD property is decided by
 checking every pattern.  Verification groups patterns by their disk set:
 one forward elimination pivoting on the mr disk columns is shared by all
-C((n-m)r, s) sector choices of the group, which each reduce to an s x s
-test against the leftover (non-pivot) rows.  For s = 2 the pairs are
-not tested one by one: a pair is singular exactly when a column is zero
-or both columns have the same ratio of leftover rows, so one pass over
-the columns finds the first failing pair.
+C(N, s) sector choices of the group (N = (n-m)r), each an s x s test on
+the s leftover rows.  Peel and sweep finds the first failing choice: a
+subset led by column i fails exactly when column i is zero or, once one
+pivot row clears column i, the other s-1 rows fail on the rest of it.
+At s = 2 a pair fails exactly when a column is zero or both columns have
+the same ratio, so one pass finds it: O(N^(s-1)) per group and factor.
 
 Over the ring the same procedure runs once per factor view the algebra
 supplies, one per irreducible factor of M_p(x); a pattern fails if it
@@ -25,6 +26,7 @@ worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -112,13 +114,6 @@ def is_pattern_decodable(hm: ParityCheckMatrix, p: ErasurePattern) -> bool:
 
 # -- grouped verification ----------------------------------------------------
 
-def _subset_singular(ops, residual: list[list[int]], combo: Sequence[int]) -> bool:
-    """True iff the s x s submatrix of the residual on these columns is
-    singular (s small)."""
-    rows = [[row[c] for c in combo] for row in residual]
-    return len(eliminate(ops, rows, range(len(combo)))) < len(combo)
-
-
 def _first_singular_pair(ops, r0: list[int], r1: list[int]):
     """First column pair (i, j), i < j in lexicographic order, whose 2 x 2
     submatrix of the rows r0, r1 is singular; None when there is none.
@@ -146,31 +141,44 @@ def _first_singular_pair(ops, r0: list[int], r1: list[int]):
     return first
 
 
-def _scan_group(views, spec: CodeSpec, disks: Sequence[int]):
-    """First failing sector choice for this disk set, as survivor indices;
-    'all' when the disk columns alone are dependent; None when clean or
-    when fewer than s sectors survive (the group has no patterns)."""
+def _first_singular(ops, rows: list[list[int]], s: int):
+    """First s-column subset, in lexicographic order, whose s x s
+    submatrix of the s rows is singular; None when there is none (s = 0)."""
+    if s == 2:
+        return _first_singular_pair(ops, *rows)
+    for i in range(len(rows[0]) - s + 1 if s else 0):
+        if not any(row[i] for row in rows):
+            return tuple(range(i, i + s))
+        if s > 1:
+            work = [row[i:] for row in rows]
+            work.pop(eliminate(ops, work, [0])[0])      # drop the pivot row
+            rest = _first_singular(ops, [r[1:] for r in work], s - 1)
+            if rest is not None:
+                return (i, *(i + 1 + j for j in rest))
+    return None
+
+
+def _scan_group(views, spec: CodeSpec, disks: Sequence[int]) -> Optional[ErasurePattern]:
+    """First failing pattern of this disk set; None when every pattern
+    decodes or when fewer than s sectors survive (the group has none)."""
     mr = spec.m * spec.r
     disk_cols = sorted(spec.column_of(i, d) for i in range(spec.r) for d in disks)
-    dset = set(disks)
-    survivor_cols = [c for c in range(spec.total_columns) if c % spec.n not in dset]
-    if len(survivor_cols) < spec.s:
+    survivors = _survivors(spec, disks)
+    if len(survivors) < spec.s:
         return None
-    residuals = []
+    survivor_cols = [spec.column_of(i, d) for i, d in survivors]
+    firsts = []
     for ops, rows in views:
         work = [list(r) for r in rows]
         used = set(eliminate(ops, work, disk_cols))
-        if len(used) < mr:
-            return "all"
-        residuals.append((ops, [[work[t][c] for c in survivor_cols]
-                                for t in range(len(work)) if t not in used]))
-    if spec.s == 2:
-        pairs = [_first_singular_pair(ops, *res) for ops, res in residuals]
-        return min((p for p in pairs if p is not None), default=None)
-    for combo in combinations(range(len(survivor_cols)), spec.s):
-        if any(_subset_singular(ops, res, combo) for ops, res in residuals):
-            return combo
-    return None
+        if len(used) < mr:          # dependent disk columns: every pattern fails
+            firsts.append(tuple(range(spec.s)))
+            break
+        residual = [[work[t][c] for c in survivor_cols]
+                    for t in range(len(work)) if t not in used]
+        firsts.append(_first_singular(ops, residual, spec.s))
+    first = min((f for f in firsts if f is not None), default=None)
+    return None if first is None else ErasurePattern(disks, [survivors[t] for t in first])
 
 
 def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
@@ -179,30 +187,21 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
 
     Every pattern is counted (no early exit), the witness is the first
     failure in enumeration order, and the outcome is independent of the
-    worker count.
+    worker count.  `progress(done, total)` runs as each disk set is done.
     """
     spec = hm.spec
     total = comb(spec.n, spec.m) * comb((spec.n - spec.m) * spec.r, spec.s)
     views = spec.algebra.factor_views(hm.matrix.bits)
     scan = lambda d: _scan_group(views, spec, d)
     groups = list(combinations(range(spec.n), spec.m))
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan, groups))
-    else:
-        results = [scan(d) for d in groups]
     witness = None
-    for done, (disks, res) in enumerate(zip(groups, results), start=1):
-        if progress is not None:
-            progress(done, len(groups))
-        if res is None or witness is not None:
-            continue
-        survivors = _survivors(spec, disks)
-        if res == "all":
-            sectors = tuple(survivors[:spec.s])
-        else:
-            sectors = tuple(survivors[t] for t in res)
-        witness = ErasurePattern(disks, sectors)
+    with ThreadPoolExecutor(jobs) if jobs and jobs > 1 else nullcontext() as pool:
+        results = map(scan, groups) if pool is None else pool.map(scan, groups)
+        for done, found in enumerate(results, start=1):
+            if progress is not None:
+                progress(done, len(groups))
+            if witness is None:
+                witness = found
     return SdReport(witness is None, witness, total)
 
 

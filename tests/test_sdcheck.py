@@ -19,6 +19,7 @@ from sdcode import (
     pattern_to_text,
     shorten,
 )
+from sdcode import sdcheck
 from sdcode.construct import CodeSpec, ParityCheckMatrix
 from sdcode.linalg import Matrix, submatrix, determinant
 from sdcode.sdcheck import SdReport, validate_pattern
@@ -167,23 +168,23 @@ def test_witness_independent_of_jobs(gf16):
     assert not reports[0].sd
 
 
-def _m1_s2(alg, columns):
-    """n = 3, r = 2, m = 1, s = 2 with all-ones local rows, built so that
-    the residual columns (r0, r1) of disk set (0,) are `columns`, in the
-    order of the survivors (0,1), (0,2), (1,1), (1,2)."""
-    n, r = 3, 2
+def _m1(alg, columns, n=3):
+    """m = 1, s = len(columns[0]), r = len(columns) / (n - 1), with
+    all-ones local rows, built so that the residual columns of disk set
+    (0,) are `columns`, in the order of the survivors (0,1), ..., (0,n-1),
+    (1,1), ..."""
+    s, r = len(columns[0]), len(columns) // (n - 1)
     it = iter(columns)
-    g0, g1 = [], []
+    glob = [[] for _ in range(s)]
     for i in range(r):
-        g0.append(1)
-        g1.append(1)
+        for g in glob:
+            g.append(1)
         for _ in range(1, n):
-            a, b = next(it)
-            g0.append(a ^ 1)
-            g1.append(b ^ 1)
+            for g, v in zip(glob, next(it)):
+                g.append(v ^ 1)
     local = [[1 if c // n == i else 0 for c in range(r * n)] for i in range(r)]
-    spec = CodeSpec(n=n, m=1, s=2, r=r, algebra=alg, family="generic")
-    return ParityCheckMatrix(spec, Matrix(alg, local + [g0, g1]))
+    spec = CodeSpec(n=n, m=1, s=s, r=r, algebra=alg, family="generic")
+    return ParityCheckMatrix(spec, Matrix(alg, local + glob))
 
 
 def _ring7_columns(per_factor):
@@ -191,7 +192,7 @@ def _ring7_columns(per_factor):
     (0xb, 0xd) of M_7(x)."""
     ring7 = make_ring(7)
     assert ring7.factorization.factors == (0xB, 0xD)
-    return [tuple(ring7.crt_bits([f1[k], f2[k]]) for k in (0, 1))
+    return [tuple(ring7.crt_bits([a, b]) for a, b in zip(f1, f2))
             for f1, f2 in per_factor]
 
 
@@ -214,37 +215,73 @@ def _random_matrix(alg, n, m, s, r, seed):
 # (name, matrix factory, first failing survivor pair of disk set (0,))
 _CRAFTED = [
     # column 2 is zero: it fails with every other column
-    ("zero-column", lambda: _m1_s2(make_field(4), [(1, 2), (3, 5), (0, 0), (6, 7)]),
+    ("zero-column", lambda: _m1(make_field(4), [(1, 2), (3, 5), (0, 0), (6, 7)]),
      (0, 2)),
     # columns 0 and 3 have r0 = 0 (ratio marker); column 1 has r1 = 0
     # (ratio 0), which must not pair with them
-    ("infinite-ratio", lambda: _m1_s2(make_field(4), [(0, 3), (5, 0), (2, 4), (0, 7)]),
+    ("infinite-ratio", lambda: _m1(make_field(4), [(0, 3), (5, 0), (2, 4), (0, 7)]),
      (0, 3)),
     # ratios 2, 3, 3, 2: both (0, 3) and (1, 2) fail; (0, 3) comes first
-    ("two-pairs", lambda: _m1_s2(make_field(4), [(1, 2), (1, 3), (1, 3), (1, 2)]),
+    ("two-pairs", lambda: _m1(make_field(4), [(1, 2), (1, 3), (1, 3), (1, 2)]),
      (0, 3)),
-    ("two-pairs-gf4", lambda: _m1_s2(make_field(2), [(1, 2), (1, 3), (1, 3), (1, 2)]),
+    ("two-pairs-gf4", lambda: _m1(make_field(2), [(1, 2), (1, 3), (1, 3), (1, 2)]),
      (0, 3)),
     # column 2 is zero mod 0xd only; mod 0xb all four ratios differ
-    ("one-ring-factor", lambda: _m1_s2(make_ring(7), _ring7_columns(
+    ("one-ring-factor", lambda: _m1(make_ring(7), _ring7_columns(
         [((1, 2), (1, 2)), ((1, 4), (1, 4)), ((1, 1), (0, 0)), ((2, 1), (2, 1))])),
      (0, 2)),
     # mod 0xb the first failing pair is (1, 2), mod 0xd it is (0, 3)
-    ("first-pair-across-factors", lambda: _m1_s2(make_ring(7), _ring7_columns(
+    ("first-pair-across-factors", lambda: _m1(make_ring(7), _ring7_columns(
         [((1, 2), (1, 2)), ((1, 3), (1, 4)), ((1, 3), (1, 5)), ((1, 6), (1, 2))])),
      (0, 3)),
 ]
 
 
+# (name, matrix factory, first failing survivor triple of disk set (0,));
+# n = 4 and r = 2, so disk set (0,) has six survivors
+_CRAFTED_TRIPLES = [
+    # column 0 is zero: the first triple it leads fails
+    ("zero-column", lambda: _m1(make_field(4), [
+        (0, 0, 0), (15, 1, 10), (10, 14, 11), (0, 14, 5), (9, 13, 0), (8, 3, 4)], n=4),
+     (0, 1, 2)),
+    # no two columns are dependent, but the triples (1, 3, 4) and (2, 3, 5) are
+    ("pairwise-independent", lambda: _m1(make_field(4), [
+        (6, 3, 14), (15, 1, 10), (10, 14, 11), (0, 14, 5), (9, 13, 0), (8, 3, 4)], n=4),
+     (1, 3, 4)),
+    # column 0 is nonzero only in row 1 (below: only in row 2), so its
+    # pivot is not row 0
+    ("pivot-in-row-1", lambda: _m1(make_field(4), [
+        (0, 10, 0), (8, 10, 14), (12, 1, 2), (11, 6, 5), (15, 13, 15), (15, 11, 11)], n=4),
+     (0, 2, 5)),
+    ("pivot-in-row-2", lambda: _m1(make_field(4), [
+        (0, 0, 14), (4, 3, 6), (3, 0, 2), (4, 1, 8), (13, 14, 11), (14, 14, 9)], n=4),
+     (0, 3, 4)),
+    # mod 0xb the first failing triple is (1, 2, 4), mod 0xd it is (0, 3, 5)
+    ("first-triple-across-factors", lambda: _m1(make_ring(7), _ring7_columns([
+        ((2, 1, 6), (1, 5, 5)), ((0, 0, 7), (4, 2, 1)), ((0, 6, 2), (5, 3, 3)),
+        ((1, 7, 7), (5, 6, 0)), ((0, 2, 0), (0, 1, 7)), ((5, 0, 6), (3, 2, 3))]), n=4),
+     (0, 3, 5)),
+]
+
+
+def _assert_first_failure(hm, subset):
+    rep = is_sd(hm)
+    naive_witness, checked = naive_is_sd(hm)
+    survivors = [(i, j) for i in range(hm.spec.r) for j in range(1, hm.spec.n)]
+    assert naive_witness == ErasurePattern((0,), tuple(survivors[t] for t in subset))
+    assert (rep.sd, rep.witness, rep.patterns_checked) == (False, naive_witness, checked)
+
+
 @pytest.mark.parametrize("build,pair", [c[1:] for c in _CRAFTED],
                          ids=[c[0] for c in _CRAFTED])
 def test_is_sd_matches_naive_on_crafted_pairs(build, pair):
-    hm = build()
-    rep = is_sd(hm)
-    naive_witness, checked = naive_is_sd(hm)
-    survivors = [(0, 1), (0, 2), (1, 1), (1, 2)]
-    assert naive_witness == ErasurePattern((0,), tuple(survivors[t] for t in pair))
-    assert (rep.sd, rep.witness, rep.patterns_checked) == (False, naive_witness, checked)
+    _assert_first_failure(build(), pair)
+
+
+@pytest.mark.parametrize("build,triple", [c[1:] for c in _CRAFTED_TRIPLES],
+                         ids=[c[0] for c in _CRAFTED_TRIPLES])
+def test_is_sd_matches_naive_on_crafted_triples(build, triple):
+    _assert_first_failure(build(), triple)
 
 
 _ALGEBRAS = {"gf4": lambda: make_field(2), "gf16": lambda: make_field(4),
@@ -253,6 +290,7 @@ _ALGEBRAS = {"gf4": lambda: make_field(2), "gf16": lambda: make_field(4),
 # (n, m, s, r); the last four have (n - m) r < s, so no pattern exists
 _SHAPES = [(3, 1, 0, 2), (3, 1, 1, 2), (3, 1, 2, 2), (4, 1, 2, 2), (4, 2, 2, 1),
            (3, 1, 3, 2), (4, 2, 3, 2), (4, 3, 2, 2), (4, 1, 3, 1),
+           (3, 1, 4, 2), (4, 1, 4, 2),
            (4, 3, 2, 1), (3, 2, 2, 1), (4, 3, 3, 1), (3, 2, 3, 1)]
 
 
@@ -296,22 +334,36 @@ def test_is_sd_python_path_without_tables():
 def test_is_sd_generic_s_values(gf16):
     # s = 0: only whole-disk failures; local rows alone recover them
     g0 = build_h_generic(n=4, m=1, s=0, r=2, global_rows=[], algebra=gf16)
-    rep0 = is_sd(g0)
-    assert rep0.sd and rep0.patterns_checked == 4
+    # s = 0 with a local row that is zero at disk 1: that disk alone fails
+    spec0 = CodeSpec(n=3, m=1, s=0, r=2, algebra=gf16, family="generic")
+    bad0 = ParityCheckMatrix(spec0, Matrix(gf16, [[1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]))
     # s = 1 with the single-exponent global row
     g1 = build_h_generic(n=4, m=1, s=1, r=2,
                          global_rows=[[gf16.alpha_pow(c) for c in range(8)]],
                          algebra=gf16)
-    rep1 = is_sd(g1)
-    assert rep1.patterns_checked == 4 * 6
-    naive_witness, _ = naive_is_sd(g1)
-    assert rep1.sd == (naive_witness is None)
+    # s = 1 with a zero residual column: sector (0, 2) of disk set (0,)
+    bad1 = _m1(gf16, [(3,), (0,), (5,), (7,)])
+    expected = [(g0, SdReport(True, None, 4)),
+                (bad0, SdReport(False, ErasurePattern((1,), ()), 3)),
+                (g1, SdReport(True, None, 4 * 6)),
+                (bad1, SdReport(False, ErasurePattern((0,), ((0, 2),)), 3 * 4))]
+    for hm, report in expected:
+        naive_witness, checked = naive_is_sd(hm)
+        assert is_sd(hm) == SdReport(naive_witness is None, naive_witness, checked) == report
 
 
-def test_is_sd_progress_callback(gf16):
-    seen = []
-    is_sd(build_h1(3, 5, gf16), progress=lambda done, total: seen.append((done, total)))
-    assert seen == [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5)]
+def test_is_sd_progress_callback(gf16, monkeypatch):
+    # each disk set is reported as its scan finishes, not after all of them
+    scans = []
+    scan = sdcheck._scan_group
+    monkeypatch.setattr(sdcheck, "_scan_group", lambda *a: scans.append(a) or scan(*a))
+    hm = build_h1(3, 5, gf16)
+    for jobs in (0, 1):
+        seen = []
+        scans.clear()
+        is_sd(hm, jobs=jobs,
+              progress=lambda done, total: seen.append((done, total, len(scans))))
+        assert seen == [(1, 5, 1), (2, 5, 2), (3, 5, 3), (4, 5, 4), (5, 5, 5)]
 
 
 # ------------------------------------------------------------- shorten
