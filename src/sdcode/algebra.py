@@ -66,28 +66,9 @@ DEFAULT_FIELD_POLY: dict[int, int] = {
 _TABLE_DEGREE_MAX = 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    # deterministic Miller-Rabin for n < 3.3e24 with the bases above
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def _check_odd_prime(p: int) -> None:
+    if p % 2 == 0 or poly._prime_factors(p) != [p]:
+        raise NotPrimeError(f"p must be an odd prime, got {p}")
 
 
 def _order_of_2_mod(p: int) -> int:
@@ -163,7 +144,9 @@ class _Gf2mOps:
         return poly.invmod(a, self.modulus)
 
     def np_tables(self):
-        """(exp, log) as int32 numpy arrays, or None when table-less."""
+        """(exp, log) as int32 numpy arrays, or None when table-less.  Needs
+        numpy; only sdbench calls it, and it goes with the benchmark change
+        that drops ``algebra.np_tables.ms.w16``."""
         if not self.has_tables:
             return None
         if self._exp_np is None:
@@ -401,8 +384,7 @@ class Ring(Algebra):
     """
 
     def __init__(self, p: int):
-        if p < 3 or p % 2 == 0 or not _is_prime(p):
-            raise NotPrimeError(f"p must be an odd prime, got {p}")
+        _check_odd_prime(p)
         self.p = p
         self.modulus = (1 << p) - 1          # M_p(x), degree p-1
         self.element_bits = p - 1
@@ -531,8 +513,7 @@ def mp_factorization(p: int) -> MpFactorization:
     M_p(x) is irreducible exactly when 2 is primitive mod p; otherwise it
     splits into (p-1)/d irreducibles of degree d = order of 2 mod p.
     """
-    if p < 3 or p % 2 == 0 or not _is_prime(p):
-        raise NotPrimeError(f"p must be an odd prime, got {p}")
+    _check_odd_prime(p)
     m = (1 << p) - 1
     d = _order_of_2_mod(p)
     if d == p - 1:

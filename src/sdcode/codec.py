@@ -166,10 +166,10 @@ def decode(hm: ParityCheckMatrix, st: Stripe) -> Stripe:
 
 
 def erase(st: Stripe, p: ErasurePattern) -> Stripe:
-    """Copy of the stripe with the pattern's positions marked missing."""
+    """Copy of the stripe with the pattern's positions marked missing;
+    an invalid pattern raises PatternInvalidError."""
     spec = st.spec
-    gone = {spec.column_of(i, d) for i in range(spec.r) for d in p.disks}
-    gone.update(spec.column_of(row, disk) for row, disk in p.sectors)
+    gone = set(erased_columns(p, spec))
     zero = spec.algebra.zero
     symbols = [[zero if spec.column_of(i, j) in gone else st.symbols[i][j]
                 for j in range(spec.n)] for i in range(spec.r)]

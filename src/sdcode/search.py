@@ -13,14 +13,12 @@ are reproducible and trials are independent regardless of scheduling.
 from __future__ import annotations
 
 import hashlib
+import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .algebra import Algebra, Element
-from .construct import build_h_generic, open_text
-from .errors import OrderTooSmallError
+from .construct import _check_order, build_h_generic, open_text
 from .sdcheck import ErasurePattern, SdReport, is_sd, pattern_to_text
 
 
@@ -39,11 +37,7 @@ class SearchConfig:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         if self.r_max < 1:
             raise ValueError(f"need r_max >= 1, got {self.r_max}")
-        order = self.algebra.order_of_alpha()
-        if self.r_max * self.n > order:
-            raise OrderTooSmallError(
-                f"r_max*n = {self.r_max * self.n} exceeds O(alpha) = {order} "
-                f"in {self.algebra}; search cannot reach that depth")
+        _check_order(self.r_max, self.n, self.algebra)
 
 
 @dataclass(frozen=True)
@@ -55,21 +49,18 @@ class TrialRecord:
     coeff_digest: str
 
 
-def trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """The per-trial random stream (PCG64 keyed on seed and trial id)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, trial])))
+def trial_generator(seed: int, trial: int) -> random.Random:
+    """The per-trial random stream.  A str seed is hashed with SHA-512, so
+    the stream for (seed, trial) is the same on every platform."""
+    return random.Random(f"{seed}:{trial}")
 
 
-def random_nonzero(rng: np.random.Generator, algebra: Algebra) -> Element:
-    """Uniform nonzero element by rejection of zero."""
-    q = 1 << algebra.element_bits
-    while True:
-        v = int(rng.integers(0, q))
-        if v:
-            return algebra.element(v)
+def random_nonzero(rng: random.Random, algebra: Algebra) -> Element:
+    """Uniform nonzero element."""
+    return algebra.element(rng.randrange(1, 1 << algebra.element_bits))
 
 
-def extend_global_rows(rng: np.random.Generator,
+def extend_global_rows(rng: random.Random,
                        rows: Sequence[Sequence[Element]], n: int,
                        algebra: Algebra) -> list[list[Element]]:
     """Append n fresh nonzero entries to each global row, keeping the

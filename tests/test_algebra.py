@@ -116,6 +116,32 @@ def test_ring_requires_prime_exponent():
         assert Ring(p).order_of_alpha() == p
 
 
+def test_odd_prime_check_matches_sieve():
+    from sdcode.algebra import _check_odd_prime
+
+    limit = 20000
+    sieve = [False, False] + [True] * (limit - 2)
+    for i in range(2, int(limit ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    for n in range(-5, limit):
+        odd_prime = n > 2 and sieve[n]
+        try:
+            _check_odd_prime(n)
+            accepted = True
+        except NotPrimeError:
+            accepted = False
+        assert accepted == odd_prime, n
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, 561, 1105])
+def test_non_odd_primes_rejected_by_ring_and_factorization(p):
+    with pytest.raises(NotPrimeError):
+        make_ring(p)
+    with pytest.raises(NotPrimeError):
+        mp_factorization(p)
+
+
 def test_ring_alpha_cycle_and_all_ones(ring17):
     # residues are (p-1)-bit; x^(p-1) is the all-ones residue and x^p = 1
     assert ring17.alpha_pow_bits(16) == (1 << 16) - 1

@@ -290,7 +290,9 @@ def test_search_depth_beyond_order_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_module_entry_point_matches_console_script():
+def _python(*args):
+    """Run a fresh interpreter on the package under test, wherever pytest
+    found it."""
     import os
     import subprocess
     import sys
@@ -298,11 +300,33 @@ def test_module_entry_point_matches_console_script():
 
     import sdcode
 
-    # run the package under test, wherever pytest found it
     src = str(Path(sdcode.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "sdcode", "--help"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_matches_console_script():
+    proc = _python("-m", "sdcode", "--help")
     assert proc.returncode == 0
     assert "construct" in proc.stdout and "search" in proc.stdout
+
+
+def test_import_and_search_leave_numpy_unloaded():
+    # sdcode has no third-party runtime dependency
+    script = "\n".join([
+        "import runpy, sys",
+        "import sdcode",
+        "sys.argv = ['sdcode', 'search', '--n', '4', '--m', '1', '--s', '2',",
+        "            '--rmax', '3', '--trials', '2', '--seed', '1', '--field', 'w=4']",
+        "try:",
+        "    runpy.run_module('sdcode', run_name='__main__')",
+        "except SystemExit as e:",
+        "    assert e.code == 0, e.code",
+        "print('numpy loaded:', 'numpy' in sys.modules)",
+    ])
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[-1] == "numpy loaded: False"

@@ -23,6 +23,7 @@ from sdcode.errors import (
     InconsistentSyndromeError,
     LengthMismatchError,
     ParseError,
+    PatternInvalidError,
     ShapeMismatchError,
     TooManyParitySectorsError,
     UndecodablePatternError,
@@ -145,6 +146,18 @@ def test_partial_patterns_also_decode(gf16):
     for p in (ErasurePattern(), ErasurePattern((2,), ()),
               ErasurePattern((), ((0, 0),)), ErasurePattern((), ((1, 2), (2, 4)))):
         assert decode(hm, erase(st, p)).vec_bits() == st.vec_bits()
+
+
+@pytest.mark.parametrize("p", [
+    ErasurePattern((7,)),                     # disk outside [0, 5)
+    ErasurePattern((0, 1)),                   # more disks than m = 1
+    ErasurePattern((), ((3, 0),)),            # row outside [0, 3)
+    ErasurePattern((2,), ((1, 2),)),          # sector inside the failed disk
+])
+def test_erase_rejects_invalid_patterns(gf16, p):
+    st = encode(build_h1(3, 5, gf16), [gf16.one] * 10)
+    with pytest.raises(PatternInvalidError):
+        erase(st, p)
 
 
 def test_decode_complete_stripe_checks_syndrome(gf16):

@@ -82,6 +82,16 @@ def test_search_is_deterministic_and_jobs_invariant(gf16):
     assert format_report(r1) == format_report(r4)
 
 
+def test_search_report_is_pinned(gf16):
+    # a change to the trial stream or to the draw changes these lines
+    cfg = SearchConfig(n=5, m=1, s=2, r_max=3, trials=4, seed=7, algebra=gf16)
+    assert format_report(run_search(cfg)) == (
+        "0\t1\t2\td=0 s=0:1,1:1\tb93038a11bf9\n"
+        "1\t0\t1\td=2 s=0:3,0:4\t11b3b3c4f3d6\n"
+        "2\t0\t1\td=0 s=0:1,0:3\t9b8b73cdf5a4\n"
+        "3\t0\t1\td=1 s=0:3,0:4\t5008d2765fd6\n")
+
+
 def test_search_results_are_consistent(gf16):
     cfg = config(gf16, trials=8)
     for rec in run_search(cfg):
