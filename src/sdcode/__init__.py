@@ -32,6 +32,7 @@ from .construct import (
     build_h2,
     build_h_generic,
     read_matrix,
+    shorten,
     validate_structure,
     write_matrix,
 )
@@ -46,7 +47,6 @@ from .sdcheck import (
     is_sd,
     pattern_from_text,
     pattern_to_text,
-    shorten,
 )
 from .search import SearchConfig, TrialRecord, extend_global_rows, run_search
 

@@ -33,11 +33,13 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd as int_gcd
+from typing import Sequence
 
 from . import _gf2poly as poly
 from .errors import (
     AlgebraMismatchError,
     BadWidthError,
+    ItemError,
     NotAUnitError,
     NotPrimeError,
     ReducibleModulusError,
@@ -550,23 +552,33 @@ def make_ring(p: int) -> Ring:
     return ctx
 
 
+def key_values(items: Sequence[str], required: Sequence[str],
+               optional: Sequence[str] = ()) -> dict[str, str]:
+    """Map key=value items to a dict: each required key exactly once, each
+    optional key at most once, nothing else (else ItemError)."""
+    kv = {}
+    for i, item in enumerate(items):
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ItemError(f"expected key=value, got {item!r}", i)
+        if key in kv:
+            raise ItemError(f"repeated key {key!r} in {item!r}", i)
+        if key not in required and key not in optional:
+            raise ItemError(f"unknown key {key!r} in {item!r}; expected "
+                            + " ".join(f"{k}=" for k in (*required, *optional)))
+        kv[key] = value
+    missing = [f"{k}=" for k in required if k not in kv]
+    if missing:
+        raise ItemError(f"missing {' '.join(missing)}")
+    return kv
+
+
 def parse_algebra(text: str) -> Algebra:
     """Parse a descriptor token: 'field w=<int> poly=0x<hex>' or 'ring p=<int>'."""
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty algebra descriptor")
-    kv = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ValueError(f"bad algebra descriptor item {part!r}")
-        k, v = part.split("=", 1)
-        kv[k] = v
-    if parts[0] == "field":
-        if set(kv) != {"w", "poly"}:
-            raise ValueError(f"field descriptor needs w= and poly=, got {text!r}")
+    kind, *items = text.split() or [""]
+    if kind == "field":
+        kv = key_values(items, ("w", "poly"))
         return make_field(int(kv["w"]), int(kv["poly"], 16))
-    if parts[0] == "ring":
-        if set(kv) != {"p"}:
-            raise ValueError(f"ring descriptor needs p=, got {text!r}")
-        return make_ring(int(kv["p"]))
-    raise ValueError(f"unknown algebra kind {parts[0]!r}")
+    if kind == "ring":
+        return make_ring(int(key_values(items, ("p",))["p"]))
+    raise ValueError(f"unknown algebra kind {kind!r}")

@@ -10,13 +10,14 @@ import argparse
 import sys
 from typing import Optional
 
-from .algebra import Algebra, make_field, make_ring
+from .algebra import Algebra, key_values, make_field, make_ring
 from .codec import decode, encode, read_stripe, write_stripe
 from .construct import (
     build_h1,
     build_h2,
     parse_token,
     read_matrix,
+    shorten,
     tokens_with_columns,
     write_matrix,
 )
@@ -25,7 +26,7 @@ from .errors import (
     SdCodeError,
     UndecodablePatternError,
 )
-from .sdcheck import is_sd, pattern_to_text, shorten
+from .sdcheck import is_sd, pattern_to_text
 from .search import SearchConfig, format_report, run_search, write_report
 
 
@@ -46,28 +47,11 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
                    help="binary polynomials mod 1+x+...+x^(p-1), p an odd prime")
 
 
-def _key_values(flag: str, text: str) -> dict:
-    kv = {}
-    for item in text.split(","):
-        if "=" not in item:
-            raise ValueError(f"{flag} items must be key=value, got {item!r}")
-        k, v = item.split("=", 1)
-        kv[k] = v
-    return kv
-
-
 def _algebra_of(args) -> Algebra:
     if args.field is not None:
-        kv = _key_values("--field", args.field)
-        if "w" not in kv or not set(kv) <= {"w", "poly"}:
-            raise ValueError("--field takes w=<int> and optional poly=0x<hex>")
-        w = int(kv["w"])
-        modulus = int(kv["poly"], 16) if "poly" in kv else None
-        return make_field(w, modulus)
-    kv = _key_values("--ring", args.ring)
-    if set(kv) != {"p"}:
-        raise ValueError("--ring takes p=<odd prime>")
-    return make_ring(int(kv["p"]))
+        kv = key_values(args.field.split(","), ("w",), ("poly",))
+        return make_field(int(kv["w"]), int(kv["poly"], 16) if "poly" in kv else None)
+    return make_ring(int(key_values(args.ring.split(","), ("p",))["p"]))
 
 
 def _read_tokens(path: str, algebra: Algebra) -> list:

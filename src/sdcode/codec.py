@@ -22,10 +22,8 @@ from .algebra import Element
 from .construct import (
     CodeSpec,
     ParityCheckMatrix,
-    check_row_count,
     parse_token,
     read_text,
-    row_tokens,
     write_text,
 )
 from .errors import (
@@ -193,16 +191,8 @@ def write_stripe(st: Stripe, sink) -> None:
 
 def read_stripe(source) -> Stripe:
     spec, body = read_text(source, STRIPE_MAGIC, with_family=False)
-    check_row_count(body, spec.r, "stripe rows")
-    algebra = spec.algebra
-    symbols = []
-    present = []
-    for lineno, text in enumerate(body, start=4):
-        srow, prow = [], []
-        for tok, col in row_tokens(text, lineno, spec.n):
-            missing = tok == MISSING_TOKEN
-            srow.append(algebra.zero if missing else parse_token(algebra, tok, lineno, col))
-            prow.append(not missing)
-        symbols.append(srow)
-        present.append(prow)
+    alg = spec.algebra
+    symbols = [[alg.zero if tok == MISSING_TOKEN else parse_token(alg, tok, lineno, col)
+                for tok, col in toks] for lineno, toks in enumerate(body, start=4)]
+    present = [[tok != MISSING_TOKEN for tok, _ in toks] for toks in body]
     return Stripe(spec, symbols, present)

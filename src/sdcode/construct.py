@@ -1,4 +1,4 @@
-"""Parity-check matrix construction and the text file format.
+"""Parity-check matrix construction, layout, shortening and the text format.
 
 Codes live on an r × n stripe (r sector rows, n disks); the sector at
 stripe row i of disk j maps to matrix column ni + j.  A parity-check
@@ -13,9 +13,10 @@ Two fixed families are provided, both requiring rn <= O(alpha):
 * construction2 (m=2, s=2): block i contributes two local rows holding 1
   and alpha^j; global rows hold alpha^(3in-j) and alpha^(2(in+j)).
 
-A generic builder takes caller-supplied global rows (used by the random
-search); its local rows put alpha^(tj) at column in + j for parity t of
-block i, which reduces to the two families' local parts at m = 1 and 2.
+All three builders share one local-row builder: parity t of block i puts
+alpha^(tj) at column in + j (the families' local parts at m = 1 and 2).
+The families add two global exponent formulas; the generic builder takes
+caller-supplied global rows (used by the random search).
 """
 
 from __future__ import annotations
@@ -25,9 +26,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .algebra import Algebra, Element, parse_algebra
+from .algebra import Algebra, Element, key_values, parse_algebra
 from .errors import (
     AlgebraMismatchError,
+    BadRowCountError,
+    ItemError,
     OrderTooSmallError,
     ParseError,
     ShapeMismatchError,
@@ -36,6 +39,7 @@ from .errors import (
 from .linalg import Matrix
 
 FAMILIES = ("construction1", "construction2", "generic")
+_FIXED_MS = {"construction1": (1, 2), "construction2": (2, 2)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,36 +90,43 @@ def _check_order(r: int, n: int, algebra: Algebra) -> None:
             f"the construction needs r*n <= O(alpha)")
 
 
+def _local_rows(spec: CodeSpec) -> list[list[int]]:
+    """The mr local rows: parity t of block i puts alpha^(tj) at column in + j."""
+    n, rn = spec.n, spec.total_columns
+    parts = [[spec.algebra.alpha_pow_bits(t * j) for j in range(n)] for t in range(spec.m)]
+    rows = []
+    for i in range(spec.r):
+        for part in parts:
+            row = [0] * rn
+            row[i * n:(i + 1) * n] = part
+            rows.append(row)
+    return rows
+
+
+def _family(family: str, r: int, n: int, algebra: Algebra,
+            *global_exponents: Iterable[int]) -> ParityCheckMatrix:
+    """A fixed family: the local rows, then global row g holding
+    alpha^e for the exponents e of global_exponents[g] in column order."""
+    m, s = _FIXED_MS[family]
+    spec = CodeSpec(n=n, m=m, s=s, r=r, algebra=algebra, family=family)
+    _check_order(r, n, algebra)
+    rows = _local_rows(spec)
+    rows += [list(map(algebra.alpha_pow_bits, exps)) for exps in global_exponents]
+    return ParityCheckMatrix(spec, Matrix(algebra, rows))
+
+
 def build_h1(r: int, n: int, algebra: Algebra) -> ParityCheckMatrix:
     """The m=1, s=2 family: (r+2) × rn."""
-    spec = CodeSpec(n=n, m=1, s=2, r=r, algebra=algebra, family="construction1")
-    _check_order(r, n, algebra)
-    rows = []
-    for i in range(r):
-        row = [0] * (r * n)
-        row[i * n:(i + 1) * n] = [1] * n
-        rows.append(row)
-    rows.append([algebra.alpha_pow_bits(i * n + j) for i in range(r) for j in range(n)])
-    rows.append([algebra.alpha_pow_bits(2 * i * n - j) for i in range(r) for j in range(n)])
-    return ParityCheckMatrix(spec, Matrix(algebra, rows))
+    return _family("construction1", r, n, algebra,
+                   (i * n + j for i in range(r) for j in range(n)),
+                   (2 * i * n - j for i in range(r) for j in range(n)))
 
 
 def build_h2(r: int, n: int, algebra: Algebra) -> ParityCheckMatrix:
     """The m=2, s=2 family: (2r+2) × rn."""
-    spec = CodeSpec(n=n, m=2, s=2, r=r, algebra=algebra, family="construction2")
-    _check_order(r, n, algebra)
-    rows = []
-    for i in range(r):
-        ones = [0] * (r * n)
-        ones[i * n:(i + 1) * n] = [1] * n
-        rows.append(ones)
-        ramp = [0] * (r * n)
-        for j in range(n):
-            ramp[i * n + j] = algebra.alpha_pow_bits(j)
-        rows.append(ramp)
-    rows.append([algebra.alpha_pow_bits(3 * i * n - j) for i in range(r) for j in range(n)])
-    rows.append([algebra.alpha_pow_bits(2 * (i * n + j)) for i in range(r) for j in range(n)])
-    return ParityCheckMatrix(spec, Matrix(algebra, rows))
+    return _family("construction2", r, n, algebra,
+                   (3 * i * n - j for i in range(r) for j in range(n)),
+                   (2 * (i * n + j) for i in range(r) for j in range(n)))
 
 
 def build_h_generic(n: int, m: int, s: int, r: int,
@@ -129,15 +140,7 @@ def build_h_generic(n: int, m: int, s: int, r: int,
         raise ShapeMismatchError(
             f"global rows must form an {s} x {rn} grid, got "
             f"{len(global_rows)} x {[len(row) for row in global_rows]}")
-    rows = []
-    for i in range(r):
-        for t in range(m):
-            row = [0] * rn
-            for j in range(n):
-                row[i * n + j] = algebra.alpha_pow_bits(t * j)
-            rows.append(row)
     for gi, grow in enumerate(global_rows):
-        bits_row = []
         for gj, e in enumerate(grow):
             if not isinstance(e, Element):
                 raise TypeError(f"global entry ({gi}, {gj}) is not an Element")
@@ -146,27 +149,43 @@ def build_h_generic(n: int, m: int, s: int, r: int,
                     f"global entry ({gi}, {gj}) belongs to {e.algebra}, expected {algebra}")
             if e.bits == 0:
                 raise ZeroGlobalEntryError(f"global entry ({gi}, {gj}) is zero")
-            bits_row.append(e.bits)
-        rows.append(bits_row)
+    rows = _local_rows(spec) + [[e.bits for e in grow] for grow in global_rows]
     return ParityCheckMatrix(spec, Matrix(algebra, rows))
 
 
+def _layout_fault(spec: CodeSpec, i: int, row: Sequence[int]) -> tuple[int, str] | None:
+    """The first column where row i breaks the layout, and why; None if it
+    keeps it (local row i nonzero only inside block i // m, global rows
+    nonzero everywhere)."""
+    if i >= spec.m * spec.r:
+        return None if all(row) else (row.index(0), f"zero entry in global row {i}")
+    lo = i // spec.m * spec.n
+    hi = lo + spec.n
+    if any(row[:lo]) or any(row[hi:]):
+        col = next(c for c, v in enumerate(row) if v and not lo <= c < hi)
+        return col, f"nonzero entry outside block {i // spec.m} in local row {i}"
+    return None
+
+
 def validate_structure(pcm: ParityCheckMatrix) -> bool:
-    """True iff the local zero pattern holds and the last s rows are
-    everywhere nonzero."""
+    """True iff the matrix has the spec's shape and every row keeps the layout."""
     spec, h = pcm.spec, pcm.matrix
-    mr = spec.m * spec.r
-    if h.rows != mr + spec.s or h.cols != spec.total_columns:
-        return False
-    for i in range(mr):
-        block = i // spec.m
-        lo, hi = block * spec.n, (block + 1) * spec.n
-        if any(v for c, v in enumerate(h.bits[i]) if not lo <= c < hi):
-            return False
-    for i in range(mr, mr + spec.s):
-        if not all(h.bits[i]):
-            return False
-    return True
+    return (h.rows == spec.parity_rows and h.cols == spec.total_columns
+            and not any(_layout_fault(spec, i, row) for i, row in enumerate(h.bits)))
+
+
+def shorten(hm: ParityCheckMatrix, r_new: int) -> ParityCheckMatrix:
+    """Drop stripe rows >= r_new: their columns vanish, their local parity
+    rows vanish, and the global rows keep their leading r_new*n entries."""
+    spec = hm.spec
+    if not 1 <= r_new < spec.r:
+        raise BadRowCountError(f"need 1 <= r_new < {spec.r}, got {r_new}")
+    keep_cols = r_new * spec.n
+    bits = hm.matrix.bits
+    rows = [row[:keep_cols] for row in bits[:spec.m * r_new] + bits[spec.m * spec.r:]]
+    new_spec = CodeSpec(n=spec.n, m=spec.m, s=spec.s, r=r_new,
+                        algebra=spec.algebra, family=spec.family)
+    return ParityCheckMatrix(new_spec, Matrix(spec.algebra, rows))
 
 
 # -- text format -----------------------------------------------------------
@@ -212,52 +231,51 @@ def parse_token(algebra: Algebra, tok: str, line: int, column: int) -> Element:
         raise ParseError(str(ex), line=line, column=column) from None
 
 
-def row_tokens(text: str, lineno: int, expected: int) -> list[tuple[str, int]]:
-    toks = tokens_with_columns(text)
-    if len(toks) != expected:
-        raise ParseError(f"expected {expected} tokens, found {len(toks)}",
-                         line=lineno, column=1)
-    return toks
-
-
 def _parse_spec(text: str, algebra: Algebra, with_family: bool) -> CodeSpec:
     """The params line (line 3): n, m, s, r, and family if with_family
-    (otherwise the spec is generic)."""
+    (otherwise the spec is generic).  A fixed family must have its (m, s)
+    and rn <= O(alpha)."""
     toks = tokens_with_columns(text)
     if not toks or toks[0][0] != "params":
         raise ParseError("expected a 'params ...' line", line=3, column=1)
-    keys = _SHAPE_KEYS + ("family",) if with_family else _SHAPE_KEYS
-    kv = {}
-    for tok, col in toks[1:]:
-        if "=" not in tok:
-            raise ParseError(f"expected key=value, got {tok!r}", line=3, column=col)
-        k, v = tok.split("=", 1)
-        kv[k] = (v, col)
-    if set(kv) != set(keys):
-        raise ParseError(f"params line must set exactly {', '.join(keys)}",
-                         line=3, column=1)
+    toks = toks[1:]
+    try:
+        kv = key_values([tok for tok, _ in toks],
+                        _SHAPE_KEYS + ("family",) if with_family else _SHAPE_KEYS)
+    except ItemError as ex:
+        raise ParseError(str(ex), line=3,
+                         column=1 if ex.index is None else toks[ex.index][1]) from None
+    column = {tok.partition("=")[0]: col for tok, col in toks}
     shape = {}
     for k in _SHAPE_KEYS:
-        v, col = kv[k]
         try:
-            shape[k] = int(v)
+            shape[k] = int(kv[k])
         except ValueError:
-            raise ParseError(f"{k} must be an integer, got {v!r}",
-                             line=3, column=col) from None
-    family, col = kv.get("family", ("generic", 1))
+            raise ParseError(f"{k} must be an integer, got {kv[k]!r}",
+                             line=3, column=column[k]) from None
+    family = kv.get("family", "generic")
     if family not in FAMILIES:
-        raise ParseError(f"unknown family {family!r}", line=3, column=col)
+        raise ParseError(f"unknown family {family!r}", line=3, column=column["family"])
+    fixed = _FIXED_MS.get(family)
     try:
-        return CodeSpec(**shape, algebra=algebra, family=family)
-    except ValueError as ex:
+        spec = CodeSpec(**shape, algebra=algebra, family=family)
+        if fixed and (spec.m, spec.s) != fixed:
+            raise ParseError(f"family {family} fixes (m, s) = {fixed}, "
+                             f"got ({spec.m}, {spec.s})", line=3, column=1)
+        if fixed:
+            _check_order(spec.r, spec.n, algebra)
+    except (ValueError, OrderTooSmallError) as ex:
         raise ParseError(str(ex), line=3, column=1) from None
+    return spec
 
 
-def read_text(source, magic: str, with_family: bool) -> tuple[CodeSpec, list[str]]:
-    """Parse the header of a matrix or stripe file.
+def read_text(source, magic: str,
+              with_family: bool) -> tuple[CodeSpec, list[list[tuple[str, int]]]]:
+    """Parse a matrix file (with_family) or a stripe file down to its tokens.
 
-    Returns the spec and the body lines (line 4 on), trailing blank
-    lines dropped.
+    Returns the spec and, per body line (line 4 on), its tokens with
+    their columns: parity_rows lines of total_columns tokens in a matrix,
+    r lines of n tokens in a stripe.  Trailing blank lines are dropped.
     """
     with open_text(source) as fh:
         lines = fh.read().split("\n")
@@ -273,14 +291,17 @@ def read_text(source, magic: str, with_family: bool) -> tuple[CodeSpec, list[str
     body = lines[3:]
     while body and not body[-1].strip():
         body.pop()
-    return spec, body
-
-
-def check_row_count(body: Sequence[str], expected: int, what: str) -> None:
-    """Point at the first missing or the first extra body line."""
-    if len(body) != expected:
-        raise ParseError(f"expected {expected} {what}, found {len(body)}",
-                         line=4 + min(len(body), expected), column=1)
+    rows, width, what = ((spec.parity_rows, spec.total_columns, "matrix rows")
+                         if with_family else (spec.r, spec.n, "stripe rows"))
+    if len(body) != rows:
+        raise ParseError(f"expected {rows} {what}, found {len(body)}",
+                         line=4 + min(len(body), rows), column=1)
+    toks = [tokens_with_columns(text) for text in body]
+    for lineno, row in enumerate(toks, start=4):
+        if len(row) != width:
+            raise ParseError(f"expected {width} tokens, found {len(row)}",
+                             line=lineno, column=1)
+    return spec, toks
 
 
 def write_matrix(pcm: ParityCheckMatrix, sink) -> None:
@@ -294,34 +315,11 @@ def read_matrix(source) -> ParityCheckMatrix:
     """Parse the text form back; raises ParseError with line/column."""
     spec, body = read_text(source, MAGIC, with_family=True)
     algebra = spec.algebra
-    expected_ms = {"construction1": (1, 2), "construction2": (2, 2)}.get(spec.family)
-    if expected_ms and (spec.m, spec.s) != expected_ms:
-        raise ParseError(
-            f"family {spec.family} fixes (m, s) = {expected_ms}, "
-            f"got ({spec.m}, {spec.s})", line=3, column=1)
-    if spec.family != "generic":
-        try:
-            _check_order(spec.r, spec.n, algebra)
-        except OrderTooSmallError as ex:
-            raise ParseError(str(ex), line=3, column=1) from None
-    check_row_count(body, spec.parity_rows, "matrix rows")
-
-    mr = spec.m * spec.r
     rows_bits = []
-    for ri, text in enumerate(body):
-        lineno = 4 + ri
-        row = []
-        for ci, (tok, col) in enumerate(row_tokens(text, lineno, spec.total_columns)):
-            e = parse_token(algebra, tok, lineno, col)
-            if ri < mr:
-                block = ri // spec.m
-                if e.bits and not block * spec.n <= ci < (block + 1) * spec.n:
-                    raise ParseError(
-                        f"nonzero entry outside block {block} in local row {ri}",
-                        line=lineno, column=col)
-            elif e.bits == 0:
-                raise ParseError(f"zero entry in global row {ri}",
-                                 line=lineno, column=col)
-            row.append(e.bits)
+    for ri, toks in enumerate(body):
+        row = [parse_token(algebra, tok, 4 + ri, col).bits for tok, col in toks]
+        fault = _layout_fault(spec, ri, row)
+        if fault:
+            raise ParseError(fault[1], line=4 + ri, column=toks[fault[0]][1])
         rows_bits.append(row)
     return ParityCheckMatrix(spec, Matrix(algebra, rows_bits))

@@ -7,6 +7,18 @@ class SdCodeError(Exception):
     """Base class for every error raised by this package."""
 
 
+# text items
+
+class ItemError(SdCodeError, ValueError):
+    """A key=value item is malformed, repeated or unknown, or a required key
+    is missing.  `index` is the position of a malformed or repeated item;
+    None when the key set is wrong (an unknown or a missing key)."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
+
+
 # algebra
 
 class BadWidthError(SdCodeError):

@@ -1,4 +1,4 @@
-"""Erasure patterns, exhaustive SD verification, and stripe shortening.
+"""Erasure patterns and exhaustive SD verification.
 
 A code tolerates a pattern of m whole-disk failures plus s additional
 sector failures exactly when the parity-check columns of the erased
@@ -32,13 +32,10 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence
 
+from .algebra import key_values
 from .construct import CodeSpec, ParityCheckMatrix
-from .errors import (
-    BadRowCountError,
-    PatternInvalidError,
-    TooManyErasuresError,
-)
-from .linalg import Matrix, eliminate, full_column_rank, submatrix
+from .errors import PatternInvalidError, TooManyErasuresError
+from .linalg import eliminate, full_column_rank, submatrix
 
 
 @dataclass(frozen=True)
@@ -205,22 +202,6 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     return SdReport(witness is None, witness, total)
 
 
-def shorten(hm: ParityCheckMatrix, r_new: int) -> ParityCheckMatrix:
-    """Drop stripe rows >= r_new: their columns vanish, their local parity
-    rows vanish, and the global rows keep their leading r_new*n entries."""
-    spec = hm.spec
-    if not 1 <= r_new < spec.r:
-        raise BadRowCountError(f"need 1 <= r_new < {spec.r}, got {r_new}")
-    keep_cols = r_new * spec.n
-    mr_new = spec.m * r_new
-    bits = hm.matrix.bits
-    rows = [row[:keep_cols] for row in bits[:mr_new]]
-    rows += [row[:keep_cols] for row in bits[spec.m * spec.r:]]
-    new_spec = CodeSpec(n=spec.n, m=spec.m, s=spec.s, r=r_new,
-                        algebra=spec.algebra, family=spec.family)
-    return ParityCheckMatrix(new_spec, Matrix(spec.algebra, rows))
-
-
 # -- pattern text form -------------------------------------------------------
 
 def pattern_to_text(p: ErasurePattern) -> str:
@@ -230,23 +211,12 @@ def pattern_to_text(p: ErasurePattern) -> str:
 
 
 def pattern_from_text(text: str) -> ErasurePattern:
-    parts = text.split()
-    kv = {}
-    for part in parts:
-        if "=" not in part:
-            raise ValueError(f"bad pattern item {part!r}")
-        k, v = part.split("=", 1)
-        kv[k] = v
-    if set(kv) != {"d", "s"}:
-        raise ValueError(f"pattern text needs d= and s=, got {text!r}")
-    disks = []
-    if kv["d"] not in ("", "-"):
-        disks = [int(x) for x in kv["d"].split(",")]
+    kv = key_values(text.split(), ("d", "s"))
+    disks = [int(x) for x in kv["d"].split(",")] if kv["d"] not in ("", "-") else []
     sectors = []
-    if kv["s"] not in ("", "-"):
-        for item in kv["s"].split(","):
-            row, _, disk = item.partition(":")
-            if not _:
-                raise ValueError(f"bad sector item {item!r} (want row:disk)")
-            sectors.append((int(row), int(disk)))
+    for item in kv["s"].split(",") if kv["s"] not in ("", "-") else []:
+        row, colon, disk = item.partition(":")
+        if not colon:
+            raise ValueError(f"bad sector item {item!r} (want row:disk)")
+        sectors.append((int(row), int(disk)))
     return ErasurePattern(tuple(disks), tuple(sectors))

@@ -312,7 +312,8 @@ def test_descriptor_round_trip(gf16, gf256, ring17):
 
 def test_parse_algebra_rejects_garbage():
     for bad in ("field", "field w=4 poly=0x15", "ring p=15",
-                "field w=1 poly=0x3", "ring", "group p=17", ""):
+                "field w=1 poly=0x3", "ring", "group p=17", "",
+                "ring p=5 p=7", "field w=4 poly=0x13 poly=0x19"):
         with pytest.raises((ValueError, BadWidthError,
                             ReducibleModulusError, NotPrimeError)):
             parse_algebra(bad)

@@ -270,7 +270,11 @@ def test_read_stripe_errors(gf16):
     assert ei.value.line == 3
     with pytest.raises(ParseError) as ei:
         parse(lines[0], lines[1], "params n=3 m=1 s=2 r=x", *lines[3:])
-    assert ei.value.line == 3
+    assert (ei.value.line, ei.value.column) == (3, len("params n=3 m=1 s=2 ") + 1)
+    params = "params n=3 m=1 s=2 r=2 r=1"  # a repeated key is rejected
+    with pytest.raises(ParseError) as ei:
+        parse(lines[0], lines[1], params, *lines[3:])
+    assert (ei.value.line, ei.value.column) == (3, params.index("r=1") + 1)
     with pytest.raises(ParseError) as ei:
         parse(*lines[:-1])  # one stripe row short
     assert ei.value.line == 5 and ei.value.column == 1

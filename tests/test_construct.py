@@ -281,16 +281,27 @@ def test_read_matrix_error_positions(gf16):
     assert ei.value.line == 2
 
     with pytest.raises(ParseError) as ei:
-        parse_lines(good[0], good[1], "family=construction1 n=3 m=1 s=2", *good[3:])
-    assert ei.value.line == 3  # missing r=
+        parse_lines(good[0], "field w=4 poly=0x13 poly=0x19", *good[2:])
+    assert ei.value.line == 2 and "'poly=0x19'" in str(ei.value)
 
     with pytest.raises(ParseError) as ei:
-        parse_lines(good[0], good[1], "family=construction9 n=3 m=1 s=2 r=2", *good[3:])
-    assert ei.value.line == 3
+        parse_lines(good[0], good[1], "params family=construction1 n=3 m=1 s=2", *good[3:])
+    assert ei.value.line == 3 and "r=" in str(ei.value)  # missing r=
 
     with pytest.raises(ParseError) as ei:
-        parse_lines(good[0], good[1], "family=construction2 n=3 m=1 s=2 r=2", *good[3:])
-    assert ei.value.line == 3  # family contradicts m
+        parse_lines(good[0], good[1], "params family=construction9 n=3 m=1 s=2 r=2", *good[3:])
+    assert (ei.value.line, ei.value.column) == (3, 8)
+    assert "unknown family" in str(ei.value)
+
+    with pytest.raises(ParseError) as ei:
+        parse_lines(good[0], good[1], "params family=construction2 n=3 m=1 s=2 r=2", *good[3:])
+    assert ei.value.line == 3 and "fixes (m, s)" in str(ei.value)  # family contradicts m
+
+    # a repeated key is rejected, not silently overridden
+    params = "params n=3 m=1 s=2 r=2 family=construction1 n=5"
+    with pytest.raises(ParseError) as ei:
+        parse_lines(good[0], good[1], params, *good[3:])
+    assert (ei.value.line, ei.value.column) == (3, params.index("n=5") + 1)
 
     # truncated: one matrix row missing
     with pytest.raises(ParseError):
@@ -325,6 +336,7 @@ def test_read_matrix_error_positions(gf16):
     with pytest.raises(ParseError) as ei:
         parse_lines(*good[:3], " ".join(toks), *good[4:])
     assert ei.value.line == 4
+    assert ei.value.column == len(" ".join(toks[:5])) + 2
 
 
 def test_read_matrix_checks_order_precondition(gf16):
@@ -332,9 +344,10 @@ def test_read_matrix_checks_order_precondition(gf16):
     write_matrix(build_h1(3, 5, gf16), buf)
     lines = buf.getvalue().splitlines()
     # doctor the params to claim r=4, n=4 (rn = 16 > 15) with matching rows
-    with pytest.raises(ParseError):
-        parse_lines(lines[0], lines[1], "family=construction1 n=4 m=1 s=2 r=4",
+    with pytest.raises(ParseError) as ei:
+        parse_lines(lines[0], lines[1], "params family=construction1 n=4 m=1 s=2 r=4",
                     *lines[3:])
+    assert ei.value.line == 3 and "exceeds O(alpha)" in str(ei.value)
 
 
 def test_read_matrix_tolerates_trailing_blank_lines(gf16):
