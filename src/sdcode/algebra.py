@@ -294,17 +294,15 @@ class Algebra:
         if token == "1":
             return self.one
         if token.startswith("a^"):
+            body = token[2:]
             try:
-                k = int(token[2:])
+                k = -read_int(body[1:]) if body.startswith("-") else read_int(body)
             except ValueError:
                 raise ValueError(f"bad exponent in token {token!r}") from None
             return self.alpha_pow(k)
         if token.startswith("x:"):
-            body = token[2:]
-            if body.startswith(("0x", "0X")):
-                body = body[2:]
             try:
-                bits = int(body, 16)
+                bits = read_int(token[2:], 16)
             except ValueError:
                 raise ValueError(f"bad hex in token {token!r}") from None
             if not 0 <= bits < (1 << self.element_bits):
@@ -402,7 +400,11 @@ class Ring(Algebra):
         return hash(("ring", self.p))
 
     def mul_bits(self, a: int, b: int) -> int:
-        return poly.mulmod(a, b, self.modulus)
+        # x^p = 1 mod M_p(x): fold the product (degree <= 2p-4) once at x^p,
+        # then clear bit p-1 by adding M_p(x) itself.
+        t = poly.mul(a, b)
+        t = (t & self.modulus) ^ (t >> self.p)
+        return t ^ self.modulus if t >> (self.p - 1) else t
 
     def inv_bits(self, a: int) -> int:
         d, s, _ = poly.gcdext(a, self.modulus)
@@ -465,7 +467,8 @@ class Ring(Algebra):
             self._crt_basis = basis
         out = 0
         for res, t in zip(residues, self._crt_basis):
-            out ^= poly.mulmod(res, t, self.modulus)
+            if res:
+                out ^= self.mul_bits(res, t)
         return out
 
 
@@ -552,6 +555,21 @@ def make_ring(p: int) -> Ring:
     return ctx
 
 
+def read_int(text: str, base: int = 10) -> int:
+    """A non-negative integer written in ASCII digits: decimal, or hex
+    (base=16) with an optional 0x prefix.  Unlike int(), signs,
+    underscores, whitespace and non-ASCII digits raise ValueError."""
+    if base == 16:
+        digits = text[2:] if text[:2] in ("0x", "0X") else text
+        ok = digits != "" and not digits.strip("0123456789abcdefABCDEF")
+    else:
+        digits = text
+        ok = digits.isascii() and digits.isdigit()
+    if not ok:
+        raise ValueError(f"expected a {'hex' if base == 16 else 'decimal'} number, got {text!r}")
+    return int(digits, base)
+
+
 def key_values(items: Sequence[str], required: Sequence[str],
                optional: Sequence[str] = ()) -> dict[str, str]:
     """Map key=value items to a dict: each required key exactly once, each
@@ -578,7 +596,7 @@ def parse_algebra(text: str) -> Algebra:
     kind, *items = text.split() or [""]
     if kind == "field":
         kv = key_values(items, ("w", "poly"))
-        return make_field(int(kv["w"]), int(kv["poly"], 16))
+        return make_field(read_int(kv["w"]), read_int(kv["poly"], 16))
     if kind == "ring":
-        return make_ring(int(key_values(items, ("p",))["p"]))
+        return make_ring(read_int(key_values(items, ("p",))["p"]))
     raise ValueError(f"unknown algebra kind {kind!r}")

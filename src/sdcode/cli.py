@@ -10,7 +10,7 @@ import argparse
 import sys
 from typing import Optional
 
-from .algebra import Algebra, key_values, make_field, make_ring
+from .algebra import Algebra, key_values, make_field, make_ring, read_int
 from .codec import decode, encode, read_stripe, write_stripe
 from .construct import (
     build_h1,
@@ -50,8 +50,8 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
 def _algebra_of(args) -> Algebra:
     if args.field is not None:
         kv = key_values(args.field.split(","), ("w",), ("poly",))
-        return make_field(int(kv["w"]), int(kv["poly"], 16) if "poly" in kv else None)
-    return make_ring(int(key_values(args.ring.split(","), ("p",))["p"]))
+        return make_field(read_int(kv["w"]), read_int(kv["poly"], 16) if "poly" in kv else None)
+    return make_ring(read_int(key_values(args.ring.split(","), ("p",))["p"]))
 
 
 def _read_tokens(path: str, algebra: Algebra) -> list:

@@ -11,11 +11,19 @@ work, this one is fixed so independent implementations interoperate.
 Decoding treats missing symbols as unknowns of the linear system given
 by the parity checks; present symbols always get a syndrome check, so
 corrupt-but-complete inputs are rejected rather than silently accepted.
+
+Encode and decode reuse one cached factorisation per (matrix, unknown
+columns): the coefficient rows, each known column's nonzero entries for
+the syndrome, and solve_bits' own factorisation of the coefficient
+matrix.  The first call on a missing set (and the first encode with a
+matrix) pays for building it; later calls with the same matrix and
+missing set only apply it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .algebra import Element
@@ -34,7 +42,7 @@ from .errors import (
     TooManyParitySectorsError,
     UndecodablePatternError,
 )
-from .linalg import solve_bits
+from .linalg import Matrix, solve_bits
 from .sdcheck import ErasurePattern, erased_columns
 
 
@@ -74,34 +82,44 @@ def default_parity_pattern(spec: CodeSpec) -> ErasurePattern:
     return ErasurePattern(disks, tuple(sectors))
 
 
+@lru_cache(maxsize=64)
+def _parity_layout(spec: CodeSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(parity slots, data slots), each ascending."""
+    pcols = tuple(erased_columns(default_parity_pattern(spec), spec))
+    pset = set(pcols)
+    return pcols, tuple(c for c in range(spec.total_columns) if c not in pset)
+
+
 def data_columns(spec: CodeSpec) -> list[int]:
     """Non-parity vector slots in ascending order (the data fill order)."""
-    pcols = set(erased_columns(default_parity_pattern(spec), spec))
-    return [c for c in range(spec.total_columns) if c not in pcols]
+    return list(_parity_layout(spec)[1])
 
 
-def _syndrome_bits(hm: ParityCheckMatrix, vec_bits: Sequence[int],
-                   skip: frozenset[int] = frozenset()) -> list[int]:
-    alg = hm.spec.algebra
-    bits = hm.matrix.bits
-    out = [0] * hm.matrix.rows
-    for c, v in enumerate(vec_bits):
-        if not v or c in skip:
-            continue
-        for t in range(hm.matrix.rows):
-            h = bits[t][c]
-            if h:
-                out[t] ^= alg.mul_bits(h, v)
-    return out
+@lru_cache(maxsize=64)
+def _columns_plan(matrix: Matrix, cols: tuple[int, ...]):
+    """What solving for the symbols at cols needs besides solve_bits: the
+    coefficient rows (H at cols) and, for every other slot, its nonzero
+    (row, h) entries of H, which give the syndrome."""
+    unknown = set(cols)
+    coef = tuple(tuple(row[c] for c in cols) for row in matrix.bits)
+    known = tuple((c, tuple((t, row[c]) for t, row in enumerate(matrix.bits) if row[c]))
+                  for c in range(matrix.cols) if c not in unknown)
+    return coef, known
 
 
-def _solve_at(hm: ParityCheckMatrix, vec: list[int], cols: Sequence[int]) -> str:
+def _solve_at(hm: ParityCheckMatrix, vec: list[int], cols: tuple[int, ...]) -> str:
     """Solve H·vec = 0 for the symbols at cols, the other slots held
     fixed; on "ok" the solution is written into vec.  Returns the
     solve_bits status."""
-    rhs = _syndrome_bits(hm, vec, skip=frozenset(cols))
-    sub = [[row[c] for c in cols] for row in hm.matrix.bits]
-    status, x = solve_bits(hm.spec.algebra, sub, rhs)
+    coef, known = _columns_plan(hm.matrix, cols)
+    mul = hm.spec.algebra.mul_bits
+    rhs = [0] * hm.matrix.rows
+    for c, entries in known:
+        v = vec[c]
+        if v:
+            for t, h in entries:
+                rhs[t] ^= mul(h, v)
+    status, x = solve_bits(hm.spec.algebra, coef, rhs)
     if status == "ok":
         for c, v in zip(cols, x):
             vec[c] = v
@@ -120,14 +138,14 @@ def encode(hm: ParityCheckMatrix, data: Sequence[Element]) -> Stripe:
     so that H·vec = 0."""
     spec = hm.spec
     alg = spec.algebra
-    dcols = data_columns(spec)
+    pcols, dcols = _parity_layout(spec)
     if len(data) != len(dcols):
         raise LengthMismatchError(
             f"code dimension is {len(dcols)} symbols, got {len(data)}")
     vec = [0] * spec.total_columns
     for c, e in zip(dcols, data):
         vec[c] = alg._check(e)
-    if _solve_at(hm, vec, erased_columns(default_parity_pattern(spec), spec)) != "ok":
+    if _solve_at(hm, vec, pcols) != "ok":
         raise SingularParitySupportError(
             "parity support is not decodable for this matrix")
     return _full_stripe(spec, vec)
@@ -153,7 +171,7 @@ def decode(hm: ParityCheckMatrix, st: Stripe) -> Stripe:
     missing = st.missing_positions()
     vec = [st.symbols[i][j].bits if st.present[i][j] else 0
            for i in range(spec.r) for j in range(spec.n)]
-    status = _solve_at(hm, vec, sorted(spec.column_of(i, j) for i, j in missing))
+    status = _solve_at(hm, vec, tuple(sorted(spec.column_of(i, j) for i, j in missing)))
     if status == "deficient":
         raise UndecodablePatternError(
             f"missing set {missing} is not recoverable from this code")

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .algebra import Algebra, Element, key_values, parse_algebra
+from .algebra import Algebra, Element, key_values, parse_algebra, read_int
 from .errors import (
     AlgebraMismatchError,
     BadRowCountError,
@@ -249,9 +249,9 @@ def _parse_spec(text: str, algebra: Algebra, with_family: bool) -> CodeSpec:
     shape = {}
     for k in _SHAPE_KEYS:
         try:
-            shape[k] = int(kv[k])
+            shape[k] = read_int(kv[k])
         except ValueError:
-            raise ParseError(f"{k} must be an integer, got {kv[k]!r}",
+            raise ParseError(f"{k} must be a decimal integer, got {kv[k]!r}",
                              line=3, column=column[k]) from None
     family = kv.get("family", "generic")
     if family not in FAMILIES:

@@ -11,6 +11,14 @@ complete.  The algebra supplies both halves (``factor_views`` and
 ``crt_bits``; a field is its own single factor), so the routines here
 run one path for fields and rings alike.
 
+Solving is factor-then-apply.  The factor step eliminates [A | I] in
+each factor field into a left inverse L (L·A = I) and a basis Q of A's
+left kernel, glues both into the algebra, and is cached per (algebra,
+A).  The apply step is two sparse products: b is consistent exactly
+when Q·b = 0, and then x = L·b.  Repeated solves against one
+coefficient matrix (every symbol-stripe of a sector-stripe shares its
+missing set) pay for the elimination once.
+
 The determinant is computed separately by dynamic programming over
 column subsets (in characteristic 2 the signs vanish, so this is the
 permanent-style expansion).  It needs no division, works over the ring
@@ -19,6 +27,7 @@ directly, and serves as an independent cross-check of the CRT route.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .algebra import Algebra, Element, Ring, _Gf2mOps
@@ -35,10 +44,11 @@ class Matrix:
     """Immutable dense matrix of elements from one algebra.
 
     Entries are stored as packed bit vectors (ints); `entry` wraps them
-    back into Elements on demand.
+    back into Elements on demand.  The hash is computed once, so caches
+    keyed on a matrix cost O(1) per lookup.
     """
 
-    __slots__ = ("algebra", "rows", "cols", "bits")
+    __slots__ = ("algebra", "rows", "cols", "bits", "_hash")
 
     def __init__(self, algebra: Algebra, bits: Iterable[Iterable[int]]):
         rows = tuple(tuple(r) for r in bits)
@@ -54,6 +64,7 @@ class Matrix:
         self.rows = len(rows)
         self.cols = ncols
         self.bits = rows
+        self._hash = None
 
     @classmethod
     def from_elements(cls, rows: Sequence[Sequence[Element]]) -> "Matrix":
@@ -82,7 +93,9 @@ class Matrix:
                 and self.bits == other.bits)
 
     def __hash__(self) -> int:
-        return hash((self.algebra, self.bits))
+        if self._hash is None:
+            self._hash = hash((self.algebra, self.bits))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.algebra})"
@@ -207,45 +220,83 @@ def is_invertible(m: Matrix) -> bool:
     return full_column_rank(m)
 
 
-def _solve_field_bits(ops: _Gf2mOps, aug: list[list[int]], ncols: int):
-    """Solve the augmented system [A | b] in one field, mutating aug."""
-    pivots = eliminate(ops, aug, range(ncols))
-    if len(pivots) < ncols:
-        return "deficient", None
-    used = set(pivots)
-    if any(aug[k][ncols] for k in range(len(aug)) if k not in used):
-        return "inconsistent", None
-    x = [0] * ncols
-    for c in reversed(range(ncols)):
-        row = aug[pivots[c]]
-        acc = row[ncols]
-        for j in range(c + 1, ncols):
-            if row[j]:
-                acc ^= ops.mul(row[j], x[j])
-        x[c] = acc
-    return "ok", x
+@lru_cache(maxsize=64)
+def _factor(algebra: Algebra, rows: tuple[tuple[int, ...], ...]):
+    """Factor A = rows once for every right-hand side: (L, Q) with L·A = I
+    and the rows of Q spanning A's left kernel, or None when the columns
+    of A are dependent in some factor field.
+
+    Each factor field eliminates [A | I] and back-substitutes the pivot
+    rows, whose identity parts are then L's rows; the non-pivot rows'
+    identity parts are Q's.  Entries are glued across factor fields with
+    crt_bits and each row keeps only its nonzero (column, value) pairs.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    lefts, kernels = [], []
+    for ops, view in algebra.factor_views(rows):
+        for i, row in enumerate(view):
+            row += [0] * nrows
+            row[ncols + i] = 1
+        pivots = eliminate(ops, view, range(ncols))
+        if len(pivots) < ncols:
+            return None
+        left = [None] * ncols
+        for c in reversed(range(ncols)):
+            row = view[pivots[c]]
+            acc = row[ncols:]
+            for j in range(c + 1, ncols):
+                if row[j]:
+                    for k, v in left[j]:
+                        acc[k] ^= ops.mul(row[j], v)
+            left[c] = [(k, v) for k, v in enumerate(acc) if v]
+        used = set(pivots)
+        lefts.append(left)
+        kernels.append([[(k, v) for k, v in enumerate(view[t][ncols:]) if v]
+                        for t in range(nrows) if t not in used])
+    return _glue(algebra, lefts), _glue(algebra, kernels)
+
+
+def _glue(algebra: Algebra, parts):
+    """Sparse rows, one list per factor view, glued row by row into the
+    algebra with crt_bits (a field's single view passes through)."""
+    out = []
+    for same in zip(*parts):
+        views = [dict(row) for row in same]
+        cols = sorted({k for row in same for k, _ in row})
+        out.append(tuple((k, algebra.crt_bits([d.get(k, 0) for d in views])) for k in cols))
+    return tuple(out)
+
+
+def _dot(mul, row, b_bits: Sequence[int]) -> int:
+    acc = 0
+    for k, v in row:
+        if b_bits[k]:
+            acc ^= mul(v, b_bits[k])
+    return acc
 
 
 def solve_bits(algebra: Algebra, rows_bits: Sequence[Sequence[int]],
                b_bits: Sequence[int]):
-    """Solve A·x = b on raw bit vectors, one factor field at a time.
+    """Solve A·x = b on raw bit vectors: factor A (cached), then apply.
 
     Returns (status, x): status "ok" with the unique solution,
     "deficient" when the columns are dependent, "inconsistent" when no
     solution exists.  Over the ring, deficiency in any factor field wins
-    over inconsistency in another.
+    over inconsistency in another.  With A factored as (L, Q), b is
+    consistent exactly when Q·b = 0, and then x = L·b.
     """
     if len(rows_bits) != len(b_bits):
         raise ShapeMismatchError(
             f"{len(rows_bits)} equations but {len(b_bits)} right-hand values")
-    ncols = len(rows_bits[0]) if rows_bits else 0
-    aug = [(*r, v) for r, v in zip(rows_bits, b_bits)]
-    parts = [_solve_field_bits(ops, rows, ncols)
-             for ops, rows in algebra.factor_views(aug)]
-    for status in ("deficient", "inconsistent"):
-        if any(st == status for st, _ in parts):
-            return status, None
-    return "ok", [algebra.crt_bits(res) for res in zip(*(x for _, x in parts))]
+    plan = _factor(algebra, tuple(map(tuple, rows_bits)))
+    if plan is None:
+        return "deficient", None
+    left, kernel = plan
+    mul = algebra.mul_bits
+    if any(_dot(mul, row, b_bits) for row in kernel):
+        return "inconsistent", None
+    return "ok", [_dot(mul, row, b_bits) for row in left]
 
 
 def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:

@@ -32,7 +32,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence
 
-from .algebra import key_values
+from .algebra import key_values, read_int
 from .construct import CodeSpec, ParityCheckMatrix
 from .errors import PatternInvalidError, TooManyErasuresError
 from .linalg import eliminate, full_column_rank, submatrix
@@ -212,11 +212,11 @@ def pattern_to_text(p: ErasurePattern) -> str:
 
 def pattern_from_text(text: str) -> ErasurePattern:
     kv = key_values(text.split(), ("d", "s"))
-    disks = [int(x) for x in kv["d"].split(",")] if kv["d"] not in ("", "-") else []
+    disks = [read_int(x) for x in kv["d"].split(",")] if kv["d"] not in ("", "-") else []
     sectors = []
     for item in kv["s"].split(",") if kv["s"] not in ("", "-") else []:
         row, colon, disk = item.partition(":")
         if not colon:
             raise ValueError(f"bad sector item {item!r} (want row:disk)")
-        sectors.append((int(row), int(disk)))
+        sectors.append((read_int(row), read_int(disk)))
     return ErasurePattern(tuple(disks), tuple(sectors))

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import sdcode
 from sdcode import make_field, make_ring
 
 
@@ -10,6 +16,18 @@ def report(capsys):
         with capsys.disabled():
             print(line, flush=True)
     return _emit
+
+
+@pytest.fixture
+def python():
+    """Run a fresh interpreter on the package under test, wherever pytest
+    found it."""
+    def _run(*args):
+        src = str(Path(sdcode.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return _run
 
 
 @pytest.fixture(scope="session")

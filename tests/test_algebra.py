@@ -14,7 +14,7 @@ from sdcode import (
     parse_algebra,
 )
 from sdcode import _gf2poly as poly
-from sdcode.algebra import DEFAULT_FIELD_POLY
+from sdcode.algebra import DEFAULT_FIELD_POLY, read_int
 from sdcode.errors import (
     AlgebraMismatchError,
     BadWidthError,
@@ -299,6 +299,38 @@ def test_parse_element_rejects_garbage(gf16):
             gf16.parse_element(bad)
     # negative exponents are legitimate tokens
     assert gf16.parse_element("a^-1") == gf16.inv(gf16.alpha)
+
+
+def test_numbers_are_ascii_digits_only(gf16):
+    assert (read_int("017"), read_int("0x1D", 16), read_int("1d", 16)) == (17, 29, 29)
+    for bad in ("", "\u0662", "1_0", "+1", "-1", " 1", "1 ", "0x1", "1.0"):
+        with pytest.raises(ValueError):
+            read_int(bad)
+    for bad in ("", "0x", "0x1_d", "0x0x5", "g", "-0x1", "\uff11"):
+        with pytest.raises(ValueError):
+            read_int(bad, 16)
+    # int() would read each of these
+    for bad in ("a^0_1", "a^\u0663", "a^+1", "a^-", "a^--1", "x:1_0", "x:0x0x5"):
+        with pytest.raises(ValueError):
+            gf16.parse_element(bad)
+    for bad in ("field w=4 poly=0x1_3", "field w=4 poly=0x1_d", "field w=\u0664 poly=0x13",
+                "ring p=1_7", "ring p=+17"):
+        with pytest.raises(ValueError):
+            parse_algebra(bad)
+
+
+def test_ring_mul_fold_matches_mulmod():
+    rng = random.Random(127)
+    primes = [p for p in range(3, 128, 2) if all(p % d for d in range(3, p, 2))]
+    assert len(primes) == 30 and primes[-1] == 127
+    for p in primes:
+        ring = make_ring(p)
+        top = ring.element_bits
+        operands = [0, 1, 2, ring.all_ones, 1 << (top - 1)]
+        operands += [rng.getrandbits(top) for _ in range(12)]
+        for a in operands:
+            for b in operands:
+                assert ring.mul_bits(a, b) == poly.mulmod(a, b, ring.modulus)
 
 
 def test_descriptor_round_trip(gf16, gf256, ring17):

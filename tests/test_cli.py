@@ -91,7 +91,10 @@ def test_bad_algebra_value_exits_1(tmp_path, capsys):
     for flag, value, item in (("--field", "w=4,bogus", "'bogus'"),
                               ("--ring", "p=17,bogus", "'bogus'"),
                               ("--field", "w=4,w=8", "'w=8'"),
-                              ("--ring", "p=5,p=7", "'p=7'")):
+                              ("--ring", "p=5,p=7", "'p=7'"),
+                              ("--field", "w=4,poly=0x1_3", "'0x1_3'"),
+                              ("--field", "w=\u0664", "'\u0664'"),
+                              ("--ring", "p=1_7", "'1_7'")):
         assert run("construct", "--family", "construction1", "--r", "3", "--n", "5",
                    flag, value, "-o", str(tmp_path / "x")) == 1
         assert item in capsys.readouterr().err
@@ -293,29 +296,13 @@ def test_search_depth_beyond_order_exits_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def _python(*args):
-    """Run a fresh interpreter on the package under test, wherever pytest
-    found it."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import sdcode
-
-    src = str(Path(sdcode.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
-
-
-def test_module_entry_point_matches_console_script():
-    proc = _python("-m", "sdcode", "--help")
+def test_module_entry_point_matches_console_script(python):
+    proc = python("-m", "sdcode", "--help")
     assert proc.returncode == 0
     assert "construct" in proc.stdout and "search" in proc.stdout
 
 
-def test_import_and_search_leave_numpy_unloaded():
+def test_import_and_search_leave_numpy_unloaded(python):
     # sdcode has no third-party runtime dependency
     script = "\n".join([
         "import runpy, sys",
@@ -328,7 +315,7 @@ def test_import_and_search_leave_numpy_unloaded():
         "    assert e.code == 0, e.code",
         "print('numpy loaded:', 'numpy' in sys.modules)",
     ])
-    proc = _python("-c", script)
+    proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 3

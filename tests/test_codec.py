@@ -1,5 +1,6 @@
 """Systematic encoding, erasure decoding, and the stripe text format."""
 import io
+import json
 import random
 
 import pytest
@@ -18,7 +19,9 @@ from sdcode import (
     read_stripe,
     write_stripe,
 )
-from sdcode.codec import STRIPE_MAGIC, data_columns, _syndrome_bits
+from sdcode import codec, linalg
+from sdcode.codec import STRIPE_MAGIC, data_columns
+from sdcode.linalg import mul_vector
 from sdcode.errors import (
     InconsistentSyndromeError,
     LengthMismatchError,
@@ -74,7 +77,8 @@ def test_encode_zero_syndrome_and_systematic_fill(gf16):
     rng = random.Random(42)
     data = random_data(gf16, 10, rng)
     st = encode(hm, data)
-    assert not any(_syndrome_bits(hm, st.vec_bits()))
+    vec = [st.symbols[i][j] for i in range(hm.spec.r) for j in range(hm.spec.n)]
+    assert not any(mul_vector(hm.matrix, vec))
     flat = st.vec_bits()
     for c, e in zip(data_columns(hm.spec), data):
         assert flat[c] == e.bits
@@ -167,6 +171,47 @@ def test_decode_complete_stripe_checks_syndrome(gf16):
     st.symbols[0][0] = gf16.add(st.symbols[0][0], gf16.one)  # silent corruption
     with pytest.raises(InconsistentSyndromeError):
         decode(hm, st)
+
+
+def test_corruption_detected_on_cache_miss_and_hit(gf16, ring17):
+    for hm in (build_h2(3, 5, gf16), build_h1(4, 4, ring17)):
+        alg = hm.spec.algebra
+        rng = random.Random(str(alg))
+        pattern = ErasurePattern((1,), ((0, 0),))   # redundancy left: s - 1 rows
+        codec._columns_plan.cache_clear()
+        linalg._factor.cache_clear()
+        for _ in range(3):
+            st = encode(hm, random_data(alg, len(data_columns(hm.spec)), rng))
+            damaged = erase(st, pattern)
+            assert decode(hm, damaged).vec_bits() == st.vec_bits()
+            damaged.symbols[2][3] = alg.add(damaged.symbols[2][3], alg.one)
+            with pytest.raises(InconsistentSyndromeError):
+                decode(hm, damaged)
+        assert linalg._factor.cache_info().misses == 2    # parity support, pattern
+
+
+def _round_trips(fresh: bool) -> list[list[int]]:
+    """L = 2 encode/decode calls per pattern of a field and a ring code,
+    as flat vectors (decoded, then encoded); with fresh set, each
+    pattern's first call starts from empty caches."""
+    out = []
+    for hm in (build_h1(3, 5, Field(4)), build_h1(3, 4, make_ring(17))):
+        alg = hm.spec.algebra
+        rng = random.Random(str(alg))
+        for p in enumerate_patterns(hm.spec):
+            if fresh:
+                codec._columns_plan.cache_clear()
+                linalg._factor.cache_clear()
+            for _ in range(2):
+                st = encode(hm, random_data(alg, len(data_columns(hm.spec)), rng))
+                out.append(decode(hm, erase(st, p)).vec_bits() + st.vec_bits())
+    return out
+
+
+def test_cached_round_trips_match_a_fresh_process(python):
+    proc = python(__file__)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == _round_trips(fresh=False)
 
 
 def test_decode_undecodable_pattern(gf16):
@@ -303,3 +348,7 @@ def test_decode_accepts_stripe_read_from_file(gf16):
     write_stripe(damaged, buf)
     back = read_stripe(io.StringIO(buf.getvalue()))
     assert decode(hm, back).vec_bits() == st.vec_bits()
+
+
+if __name__ == "__main__":
+    print(json.dumps(_round_trips(fresh=True)))

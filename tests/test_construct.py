@@ -303,6 +303,16 @@ def test_read_matrix_error_positions(gf16):
         parse_lines(good[0], good[1], params, *good[3:])
     assert (ei.value.line, ei.value.column) == (3, params.index("n=5") + 1)
 
+    # numbers are ASCII decimal: int() would read each of these
+    for item in ("r=\u0662", "r=0_2", "r=+2"):
+        params = f"params n=3 m=1 s=2 {item} family=construction1"
+        with pytest.raises(ParseError) as ei:
+            parse_lines(good[0], good[1], params, *good[3:])
+        assert (ei.value.line, ei.value.column) == (3, params.index(item) + 1)
+    with pytest.raises(ParseError) as ei:
+        parse_lines(*good[:5], good[5].replace("a^1 ", "a^0_1 ", 1), *good[6:])
+    assert (ei.value.line, ei.value.column) == (6, good[5].index("a^1 ") + 1)
+
     # truncated: one matrix row missing
     with pytest.raises(ParseError):
         parse_lines(*good[:-1])

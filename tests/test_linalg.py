@@ -13,7 +13,15 @@ from sdcode import (
     solve,
     submatrix,
 )
-from sdcode.linalg import factor_ranks, full_column_rank, identity, mul_vector, solve_bits
+from sdcode import linalg
+from sdcode.linalg import (
+    eliminate,
+    factor_ranks,
+    full_column_rank,
+    identity,
+    mul_vector,
+    solve_bits,
+)
 from sdcode.errors import (
     AlgebraMismatchError,
     IndexOutOfRangeError,
@@ -268,3 +276,98 @@ def test_mul_vector_shapes(gf16):
         mul_vector(m, [gf16.one])
     with pytest.raises(ShapeMismatchError):
         solve(m, [gf16.one])
+
+
+# ------------------------------------------------- cached factorisation
+
+def _oracle_field(ops, aug, ncols):
+    """Solve the augmented system [A | b] in one field by elimination and
+    back-substitution from scratch (the solver before factorisations
+    were cached)."""
+    pivots = eliminate(ops, aug, range(ncols))
+    if len(pivots) < ncols:
+        return "deficient", None
+    used = set(pivots)
+    if any(aug[k][ncols] for k in range(len(aug)) if k not in used):
+        return "inconsistent", None
+    x = [0] * ncols
+    for c in reversed(range(ncols)):
+        row = aug[pivots[c]]
+        acc = row[ncols]
+        for j in range(c + 1, ncols):
+            if row[j]:
+                acc ^= ops.mul(row[j], x[j])
+        x[c] = acc
+    return "ok", x
+
+
+def oracle_solve_bits(alg, rows, b):
+    ncols = len(rows[0]) if rows else 0
+    aug = [(*r, v) for r, v in zip(rows, b)]
+    parts = [_oracle_field(ops, view, ncols) for ops, view in alg.factor_views(aug)]
+    for status in ("deficient", "inconsistent"):
+        if any(st == status for st, _ in parts):
+            return status, None
+    return "ok", [alg.crt_bits(res) for res in zip(*(x for _, x in parts))]
+
+
+def random_entry(alg, rng):
+    """Zero a quarter of the time; over a ring, often a zero divisor (some
+    residues zero) or a unit."""
+    if rng.random() < 0.25:
+        return 0
+    views = getattr(alg, "factor_ops", None)
+    if views and rng.random() < 0.5:
+        res = [rng.randrange(ops.q) if rng.random() < 0.6 else 0 for ops in views]
+        return alg.crt_bits(res)
+    return rng.getrandbits(alg.element_bits)
+
+
+def random_system(alg, rng, nrows, ncols):
+    rows = [[random_entry(alg, rng) for _ in range(ncols)] for _ in range(nrows)]
+    if ncols >= 2 and rng.random() < 0.3:   # a dependent column
+        c = rng.getrandbits(alg.element_bits)
+        for row in rows:
+            row[-1] = alg.mul_bits(c, row[0])
+    return rows
+
+
+@pytest.mark.parametrize("alg", [make_field(4), make_field(8), make_field(16), make_ring(5),
+                                 make_ring(7), make_ring(31)], ids=str)
+def test_cached_solve_matches_uncached_oracle(alg):
+    rng = random.Random(f"solve:{alg}")
+    shapes = [(0, 0), (3, 0), (1, 1), (2, 2), (3, 3), (5, 3), (6, 4), (2, 4), (3, 5), (7, 7)]
+    seen = set()
+    for nrows, ncols in shapes * 6:
+        rows = random_system(alg, rng, nrows, ncols)
+        for _ in range(4):
+            x = [rng.getrandbits(alg.element_bits) for _ in range(ncols)]
+            b = [0] * nrows
+            for i, row in enumerate(rows):
+                for a, v in zip(row, x):
+                    b[i] ^= alg.mul_bits(a, v)
+            if nrows and rng.random() < 0.5:
+                b[rng.randrange(nrows)] ^= 1 + rng.getrandbits(alg.element_bits - 1)
+            want = oracle_solve_bits(alg, rows, b)
+            assert solve_bits(alg, rows, b) == want
+            assert solve_bits(alg, tuple(map(tuple, rows)), b) == want
+            seen.add(want[0])
+    assert seen == {"ok", "inconsistent", "deficient"}
+
+
+def test_cached_statuses_on_cache_hits(gf16, ring7):
+    linalg._factor.cache_clear()
+    tall = [[1], [2]]
+    assert solve_bits(gf16, tall, [3, 7]) == ("inconsistent", None)
+    assert solve_bits(gf16, tall, [3, 6]) == ("ok", [3])
+    assert solve_bits(gf16, tall, [3, 7]) == ("inconsistent", None)
+    wide = [[1, 2]]
+    assert solve_bits(gf16, wide, [3]) == ("deficient", None)
+    assert solve_bits(gf16, wide, [0]) == ("deficient", None)
+    # deficient in factor 0, and inconsistent in factor 1 for b = (1, 0):
+    # deficiency still wins when the factorisation comes from the cache
+    u = ring7.crt_bits([0, 1])
+    for b in ([1, 0], [0, 0], [1, 0]):
+        assert solve_bits(ring7, [[u], [u]], b) == ("deficient", None)
+    info = linalg._factor.cache_info()
+    assert (info.misses, info.hits) == (3, 5)

@@ -102,7 +102,7 @@ def test_pattern_text_round_trip():
     assert pattern_to_text(empty) == "d=- s=-"
     assert pattern_from_text("d=- s=-") == empty
     for bad in ("", "d=1", "s=0:1", "d=1 s=0", "d=x s=-", "d=1 s=0:1 extra=2",
-                "d=0 s=0:2 d=1"):
+                "d=0 s=0:2 d=1", "d=\u0660 s=1_0:2", "d=+0 s=-", "d=- s=0:-1"):
         with pytest.raises(ValueError):
             pattern_from_text(bad)
 
