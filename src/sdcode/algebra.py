@@ -210,6 +210,8 @@ class Algebra:
         return Element(self, 2)
 
     def _check(self, a: Element) -> int:
+        if type(a) is Element and a.algebra is self:
+            return a.bits
         if not isinstance(a, Element):
             raise TypeError(f"expected Element, got {type(a).__name__}")
         if a.algebra != self:
@@ -275,31 +277,24 @@ class Algebra:
         """k with alpha^k == bits, or None if bits is not a power of alpha."""
         raise NotImplementedError
 
-    def element_token(self, e: Element) -> str:
-        """Render an element: 0, 1, a^k for powers of alpha, x:<hex> otherwise."""
-        bits = self._check(e)
-        if bits == 0:
-            return "0"
-        if bits == 1:
-            return "1"
+    def token(self, bits: int) -> str:
+        """Render element bits: 0, 1, a^k for powers of alpha, x:<hex> otherwise."""
+        if bits < 2:
+            return str(bits)
         k = self._alpha_exponent_of(bits)
-        if k is not None:
-            return f"a^{k}"
-        return f"x:{bits:x}"
+        return f"x:{bits:x}" if k is None else f"a^{k}"
 
-    def parse_element(self, token: str) -> Element:
-        """Inverse of element_token; raises ValueError on bad tokens."""
-        if token == "0":
-            return self.zero
-        if token == "1":
-            return self.one
+    def read_token(self, token: str) -> int:
+        """Inverse of token; raises ValueError on bad tokens."""
+        if token in ("0", "1"):
+            return int(token)
         if token.startswith("a^"):
             body = token[2:]
             try:
                 k = -read_int(body[1:]) if body.startswith("-") else read_int(body)
             except ValueError:
                 raise ValueError(f"bad exponent in token {token!r}") from None
-            return self.alpha_pow(k)
+            return self.alpha_pow_bits(k)
         if token.startswith("x:"):
             try:
                 bits = read_int(token[2:], 16)
@@ -307,8 +302,14 @@ class Algebra:
                 raise ValueError(f"bad hex in token {token!r}") from None
             if not 0 <= bits < (1 << self.element_bits):
                 raise ValueError(f"token {token!r} out of range for {self}")
-            return self.element(bits)
+            return bits
         raise ValueError(f"unrecognized element token {token!r}")
+
+    def element_token(self, e: Element) -> str:
+        return self.token(self._check(e))
+
+    def parse_element(self, token: str) -> Element:
+        return self.element(self.read_token(token))
 
 
 class Field(Algebra):
@@ -328,8 +329,12 @@ class Field(Algebra):
         self.modulus = modulus
         self.element_bits = w
         self.ops = _Gf2mOps(modulus)
+        # alpha = g^la: alpha^k = g^lg iff d = gcd(la, q-1) divides lg, and
+        # then k = (lg/d) * (la/d)^-1 mod O(alpha), where O(alpha) = (q-1)/d
         self._log_alpha = self.ops.log[2]
-        self._alpha_order = self.ops.qm1 // int_gcd(self.ops.qm1, self._log_alpha)
+        self._log_gcd = int_gcd(self.ops.qm1, self._log_alpha)
+        self._alpha_order = self.ops.qm1 // self._log_gcd
+        self._log_alpha_inv = pow(self._log_alpha // self._log_gcd, -1, self._alpha_order)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and (self.w, self.modulus) == (other.w, other.modulus)
@@ -362,16 +367,8 @@ class Field(Algebra):
         return residues[0]
 
     def _alpha_exponent_of(self, bits: int) -> int | None:
-        lg = self.ops.log[bits]
-        la = self._log_alpha
-        # alpha^k = g^(k*la): solvable iff gcd(la, q-1) divides lg
-        d = int_gcd(la, self.ops.qm1)
-        if lg % d:
-            return None
-        # solve k*la == lg (mod q-1)
-        m = self.ops.qm1 // d
-        k = (lg // d) * pow(la // d, -1, m) % m
-        return k
+        lg, d = self.ops.log[bits], self._log_gcd
+        return None if lg % d else lg // d * self._log_alpha_inv % self._alpha_order
 
     def descriptor(self) -> str:
         return f"field w={self.w} poly=0x{self.modulus:x}"

@@ -57,7 +57,7 @@ def _algebra_of(args) -> Algebra:
 def _read_tokens(path: str, algebra: Algebra) -> list:
     with open(path) as fh:
         lines = fh.read().split("\n")
-    return [parse_token(algebra, tok, lineno, col)
+    return [algebra.element(parse_token(algebra, tok, lineno, col))
             for lineno, line in enumerate(lines, start=1)
             for tok, col in tokens_with_columns(line)]
 

@@ -12,12 +12,13 @@ Decoding treats missing symbols as unknowns of the linear system given
 by the parity checks; present symbols always get a syndrome check, so
 corrupt-but-complete inputs are rejected rather than silently accepted.
 
-Encode and decode reuse one cached factorisation per (matrix, unknown
-columns): the coefficient rows, each known column's nonzero entries for
-the syndrome, and solve_bits' own factorisation of the coefficient
-matrix.  The first call on a missing set (and the first encode with a
-matrix) pays for building it; later calls with the same matrix and
-missing set only apply it.
+Three bounded caches (64 entries each) serve encode and decode:
+_parity_layout, keyed on the CodeSpec; _columns_plan, keyed on (H,
+unknown columns), which holds the coefficient Matrix and each row's
+nonzero entries over the known slots for the syndrome; and linalg's
+factorisation, keyed on that coefficient Matrix.  The first call on a
+missing set (and the first encode with a matrix) pays for building
+them; later calls with the same matrix and missing set only apply them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     TooManyParitySectorsError,
     UndecodablePatternError,
 )
-from .linalg import Matrix, solve_bits
+from .linalg import Matrix, dot, solve_bits
 from .sdcheck import ErasurePattern, erased_columns
 
 
@@ -97,13 +98,13 @@ def data_columns(spec: CodeSpec) -> list[int]:
 
 @lru_cache(maxsize=64)
 def _columns_plan(matrix: Matrix, cols: tuple[int, ...]):
-    """What solving for the symbols at cols needs besides solve_bits: the
-    coefficient rows (H at cols) and, for every other slot, its nonzero
-    (row, h) entries of H, which give the syndrome."""
+    """What solving for the symbols at cols needs: the coefficient matrix
+    (H at cols), and per row of H its sparse (column, h) entries over the
+    other slots, which give the syndrome."""
     unknown = set(cols)
-    coef = tuple(tuple(row[c] for c in cols) for row in matrix.bits)
-    known = tuple((c, tuple((t, row[c]) for t, row in enumerate(matrix.bits) if row[c]))
-                  for c in range(matrix.cols) if c not in unknown)
+    coef = Matrix(matrix.algebra, [[row[c] for c in cols] for row in matrix.bits])
+    known = tuple(tuple((c, h) for c, h in enumerate(row) if h and c not in unknown)
+                  for row in matrix.bits)
     return coef, known
 
 
@@ -113,13 +114,7 @@ def _solve_at(hm: ParityCheckMatrix, vec: list[int], cols: tuple[int, ...]) -> s
     solve_bits status."""
     coef, known = _columns_plan(hm.matrix, cols)
     mul = hm.spec.algebra.mul_bits
-    rhs = [0] * hm.matrix.rows
-    for c, entries in known:
-        v = vec[c]
-        if v:
-            for t, h in entries:
-                rhs[t] ^= mul(h, v)
-    status, x = solve_bits(hm.spec.algebra, coef, rhs)
+    status, x = solve_bits(coef, [dot(mul, row, vec) for row in known])
     if status == "ok":
         for c, v in zip(cols, x):
             vec[c] = v
@@ -157,6 +152,9 @@ def _check_compatible(hm: ParityCheckMatrix, st: Stripe) -> None:
         raise ShapeMismatchError(
             f"stripe parameters (n={b.n} m={b.m} s={b.s} r={b.r}, {b.algebra}) "
             f"do not match the matrix (n={a.n} m={a.m} s={a.s} r={a.r}, {a.algebra})")
+    if (len(st.symbols) != a.r or len(st.present) != a.r
+            or any(len(row) != a.n for row in (*st.symbols, *st.present))):
+        raise ShapeMismatchError(f"stripe symbols and flags must form {a.r} x {a.n} grids")
 
 
 def decode(hm: ParityCheckMatrix, st: Stripe) -> Stripe:
@@ -164,12 +162,14 @@ def decode(hm: ParityCheckMatrix, st: Stripe) -> Stripe:
 
     Missing slots become unknowns of H·vec = 0; a solvable-but-violated
     system raises InconsistentSyndrome, an unsolvable missing set raises
-    UndecodablePattern (rank deficiency wins when both apply).
+    UndecodablePattern (rank deficiency wins when both apply).  A grid of
+    the wrong shape, or a present symbol of another algebra, is rejected.
     """
     _check_compatible(hm, st)
     spec = hm.spec
     missing = st.missing_positions()
-    vec = [st.symbols[i][j].bits if st.present[i][j] else 0
+    check = spec.algebra._check
+    vec = [check(st.symbols[i][j]) if st.present[i][j] else 0
            for i in range(spec.r) for j in range(spec.n)]
     status = _solve_at(hm, vec, tuple(sorted(spec.column_of(i, j) for i, j in missing)))
     if status == "deficient":
@@ -210,7 +210,7 @@ def write_stripe(st: Stripe, sink) -> None:
 def read_stripe(source) -> Stripe:
     spec, body = read_text(source, STRIPE_MAGIC, with_family=False)
     alg = spec.algebra
-    symbols = [[alg.zero if tok == MISSING_TOKEN else parse_token(alg, tok, lineno, col)
+    symbols = [[alg.element(0 if tok == MISSING_TOKEN else parse_token(alg, tok, lineno, col))
                 for tok, col in toks] for lineno, toks in enumerate(body, start=4)]
     present = [[tok != MISSING_TOKEN for tok, _ in toks] for toks in body]
     return Stripe(spec, symbols, present)

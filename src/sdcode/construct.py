@@ -224,9 +224,10 @@ def tokens_with_columns(text: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
 
 
-def parse_token(algebra: Algebra, tok: str, line: int, column: int) -> Element:
+def parse_token(algebra: Algebra, tok: str, line: int, column: int) -> int:
+    """The bits of one element token; a bad token raises ParseError there."""
     try:
-        return algebra.parse_element(tok)
+        return algebra.read_token(tok)
     except ValueError as ex:
         raise ParseError(str(ex), line=line, column=column) from None
 
@@ -307,7 +308,7 @@ def read_text(source, magic: str,
 def write_matrix(pcm: ParityCheckMatrix, sink) -> None:
     """Write the line-oriented text form (path or text file object)."""
     alg = pcm.spec.algebra
-    rows = ([alg.element_token(alg.element(v)) for v in row] for row in pcm.matrix.bits)
+    rows = ([alg.token(v) for v in row] for row in pcm.matrix.bits)
     write_text(sink, MAGIC, pcm.spec, rows, with_family=True)
 
 
@@ -317,7 +318,7 @@ def read_matrix(source) -> ParityCheckMatrix:
     algebra = spec.algebra
     rows_bits = []
     for ri, toks in enumerate(body):
-        row = [parse_token(algebra, tok, 4 + ri, col).bits for tok, col in toks]
+        row = [parse_token(algebra, tok, 4 + ri, col) for tok, col in toks]
         fault = _layout_fault(spec, ri, row)
         if fault:
             raise ParseError(fault[1], line=4 + ri, column=toks[fault[0]][1])

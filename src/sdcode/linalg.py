@@ -11,10 +11,13 @@ complete.  The algebra supplies both halves (``factor_views`` and
 ``crt_bits``; a field is its own single factor), so the routines here
 run one path for fields and rings alike.
 
-Solving is factor-then-apply.  The factor step eliminates [A | I] in
-each factor field into a left inverse L (L·A = I) and a basis Q of A's
-left kernel, glues both into the algebra, and is cached per (algebra,
-A).  The apply step is two sparse products: b is consistent exactly
+Every elimination runs through ``eliminate``.  Solving is
+factor-then-apply.  The factor step reduces [A | I] in each factor field
+by Gauss-Jordan (``eliminate`` forward, then again over the pivot rows
+in reverse) into a left inverse L (L·A = I) and a basis Q of A's left
+kernel, and glues both into the algebra.  It is cached on the Matrix A,
+whose hash is computed once, so a cache hit costs one dict lookup.  The
+apply step is two sparse products (``dot``): b is consistent exactly
 when Q·b = 0, and then x = L·b.  Repeated solves against one
 coefficient matrix (every symbol-stripe of a sector-stripe shares its
 missing set) pay for the elimination once.
@@ -221,40 +224,36 @@ def is_invertible(m: Matrix) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _factor(algebra: Algebra, rows: tuple[tuple[int, ...], ...]):
-    """Factor A = rows once for every right-hand side: (L, Q) with L·A = I
-    and the rows of Q spanning A's left kernel, or None when the columns
-    of A are dependent in some factor field.
+def _factor(a: Matrix):
+    """Factor A once for every right-hand side: (L, Q) with L·A = I and
+    the rows of Q spanning A's left kernel, or None when the columns of A
+    are dependent in some factor field.
 
-    Each factor field eliminates [A | I] and back-substitutes the pivot
-    rows, whose identity parts are then L's rows; the non-pivot rows'
-    identity parts are Q's.  Entries are glued across factor fields with
-    crt_bits and each row keeps only its nonzero (column, value) pairs.
+    Each factor field runs Gauss-Jordan on [A | I]: eliminate forward,
+    then again over the pivot rows in reverse order with reversed columns
+    (pivot row k is zero in the pivot columns before the k-th, so each
+    reverse step picks pivot row k).  The pivot rows' identity parts are
+    then L's rows and the non-pivot rows' are Q's, glued across factor
+    fields with crt_bits, each row keeping only its nonzero pairs.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    n = a.cols
     lefts, kernels = [], []
-    for ops, view in algebra.factor_views(rows):
+    for ops, view in a.algebra.factor_views(a.bits):
         for i, row in enumerate(view):
-            row += [0] * nrows
-            row[ncols + i] = 1
-        pivots = eliminate(ops, view, range(ncols))
-        if len(pivots) < ncols:
+            row += [0] * a.rows
+            row[n + i] = 1
+        pivots = eliminate(ops, view, range(n))
+        if len(pivots) < n:
             return None
-        left = [None] * ncols
-        for c in reversed(range(ncols)):
-            row = view[pivots[c]]
-            acc = row[ncols:]
-            for j in range(c + 1, ncols):
-                if row[j]:
-                    for k, v in left[j]:
-                        acc[k] ^= ops.mul(row[j], v)
-            left[c] = [(k, v) for k, v in enumerate(acc) if v]
+        eliminate(ops, [view[p] for p in reversed(pivots)], reversed(range(n)))
         used = set(pivots)
-        lefts.append(left)
-        kernels.append([[(k, v) for k, v in enumerate(view[t][ncols:]) if v]
-                        for t in range(nrows) if t not in used])
-    return _glue(algebra, lefts), _glue(algebra, kernels)
+        lefts.append([_sparse(view[p][n:]) for p in pivots])
+        kernels.append([_sparse(view[t][n:]) for t in range(a.rows) if t not in used])
+    return _glue(a.algebra, lefts), _glue(a.algebra, kernels)
+
+
+def _sparse(row: Sequence[int]) -> list[tuple[int, int]]:
+    return [(k, v) for k, v in enumerate(row) if v]
 
 
 def _glue(algebra: Algebra, parts):
@@ -268,16 +267,16 @@ def _glue(algebra: Algebra, parts):
     return tuple(out)
 
 
-def _dot(mul, row, b_bits: Sequence[int]) -> int:
+def dot(mul, row: Iterable[tuple[int, int]], vec: Sequence[int]) -> int:
+    """The sum of v·vec[k] over a sparse row of (k, v) pairs."""
     acc = 0
     for k, v in row:
-        if b_bits[k]:
-            acc ^= mul(v, b_bits[k])
+        if vec[k]:
+            acc ^= mul(v, vec[k])
     return acc
 
 
-def solve_bits(algebra: Algebra, rows_bits: Sequence[Sequence[int]],
-               b_bits: Sequence[int]):
+def solve_bits(a: Matrix, b_bits: Sequence[int]):
     """Solve A·x = b on raw bit vectors: factor A (cached), then apply.
 
     Returns (status, x): status "ok" with the unique solution,
@@ -286,17 +285,17 @@ def solve_bits(algebra: Algebra, rows_bits: Sequence[Sequence[int]],
     over inconsistency in another.  With A factored as (L, Q), b is
     consistent exactly when Q·b = 0, and then x = L·b.
     """
-    if len(rows_bits) != len(b_bits):
+    if a.rows != len(b_bits):
         raise ShapeMismatchError(
-            f"{len(rows_bits)} equations but {len(b_bits)} right-hand values")
-    plan = _factor(algebra, tuple(map(tuple, rows_bits)))
+            f"{a.rows} equations but {len(b_bits)} right-hand values")
+    plan = _factor(a)
     if plan is None:
         return "deficient", None
     left, kernel = plan
-    mul = algebra.mul_bits
-    if any(_dot(mul, row, b_bits) for row in kernel):
+    mul = a.algebra.mul_bits
+    if any(dot(mul, row, b_bits) for row in kernel):
         return "inconsistent", None
-    return "ok", [_dot(mul, row, b_bits) for row in left]
+    return "ok", [dot(mul, row, b_bits) for row in left]
 
 
 def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:
@@ -304,7 +303,7 @@ def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:
     if m.rows != m.cols:
         raise NotSquareError(f"solve needs a square matrix, got {m.rows}x{m.cols}")
     b_bits = [m.algebra._check(e) for e in b]
-    status, x = solve_bits(m.algebra, m.bits, b_bits)
+    status, x = solve_bits(m, b_bits)
     if status != "ok":
         raise SingularSystemError(f"coefficient matrix is singular ({status})")
     return [m.algebra.element(v) for v in x]
@@ -314,13 +313,6 @@ def mul_vector(m: Matrix, vec: Sequence[Element]) -> list[Element]:
     """M·x as a list of Elements."""
     if len(vec) != m.cols:
         raise ShapeMismatchError(f"vector length {len(vec)} != {m.cols} columns")
-    xb = [m.algebra._check(e) for e in vec]
-    mul = m.algebra.mul_bits
-    out = []
-    for row in m.bits:
-        acc = 0
-        for a, x in zip(row, xb):
-            if a and x:
-                acc ^= mul(a, x)
-        out.append(m.algebra.element(acc))
-    return out
+    alg = m.algebra
+    xb = [alg._check(e) for e in vec]
+    return [alg.element(dot(alg.mul_bits, _sparse(row), xb)) for row in m.bits]

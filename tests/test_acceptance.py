@@ -277,8 +277,8 @@ def test_criterion_09_ring_field_cross_check(report):
         b = [rng.getrandbits(4) for _ in range(nrows)]
         if systems % 5 == 4 and nrows == k:
             rows[-1] = list(rows[0])  # force singular systems regularly
-        rs, rx = solve_bits(ring5, rows, b)
-        fs, fx = solve_bits(f16alt, rows, b)
+        rs, rx = solve_bits(Matrix(ring5, rows), b)
+        fs, fx = solve_bits(Matrix(f16alt, rows), b)
         systems += 1
         status_counts[rs] = status_counts.get(rs, 0) + 1
         if rs != fs or rx != fx:

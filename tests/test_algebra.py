@@ -285,6 +285,24 @@ def test_element_tokens_round_trip(gf16, ring17):
         assert alg.parse_element("0") == alg.zero
 
 
+def test_every_element_token_round_trips():
+    # alpha has order 5 under modulus 0x1F, so 10 of GF(16)'s 15 nonzero
+    # elements are not powers of alpha; in the ring p=7 the all-ones
+    # residue is alpha^6 and 57 of 63 nonzero residues are not powers
+    for alg, powers in ((make_field(4, 0x1F), 5), (make_ring(7), 7)):
+        toks = [alg.token(v) for v in range(1 << alg.element_bits)]
+        assert [alg.read_token(t) for t in toks] == list(range(1 << alg.element_bits))
+        assert toks[:2] == ["0", "1"]
+        assert sum(t.startswith("a^") for t in toks) == powers - 1
+        assert sum(t.startswith("x:") for t in toks) == len(toks) - 1 - powers
+        for v, t in enumerate(toks):
+            assert alg.element_token(alg.element(v)) == t
+            assert alg.parse_element(t) == alg.element(v)
+    ring7 = make_ring(7)
+    assert ring7.token(ring7.all_ones) == "a^6"
+    assert ring7.read_token("a^6") == ring7.all_ones
+
+
 def test_hex_tokens_for_non_powers(ring17):
     # sums of two alpha powers are usually not powers themselves
     e = ring17.add(ring17.alpha_pow(3), ring17.one)

@@ -8,21 +8,27 @@ import pytest
 from sdcode import (
     ErasurePattern,
     Field,
+    Stripe,
     build_h1,
     build_h2,
+    build_h_generic,
     decode,
     default_parity_pattern,
     encode,
     enumerate_patterns,
     erase,
+    make_field,
     make_ring,
+    read_matrix,
     read_stripe,
+    write_matrix,
     write_stripe,
 )
 from sdcode import codec, linalg
 from sdcode.codec import STRIPE_MAGIC, data_columns
 from sdcode.linalg import mul_vector
 from sdcode.errors import (
+    AlgebraMismatchError,
     InconsistentSyndromeError,
     LengthMismatchError,
     ParseError,
@@ -214,6 +220,50 @@ def test_cached_round_trips_match_a_fresh_process(python):
     assert json.loads(proc.stdout) == _round_trips(fresh=False)
 
 
+def test_one_solve_per_encode_and_decode(monkeypatch, gf16, ring17):
+    # sdbench's traced run times the solve by patching codec.solve_bits:
+    # every encode and decode must call it once through that name, on a
+    # cache miss and on a hit
+    for hm in (build_h2(3, 5, gf16), build_h1(4, 4, ring17)):
+        alg = hm.spec.algebra
+        data = random_data(alg, len(data_columns(hm.spec)), random.Random(str(alg)))
+        pattern = ErasurePattern((1,), ((0, 0),))
+        want = encode(hm, data)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return linalg.solve_bits(*args)
+
+        monkeypatch.setattr(codec, "solve_bits", counting)
+        codec._columns_plan.cache_clear()
+        linalg._factor.cache_clear()
+        for hits in (0, 1):
+            assert encode(hm, data) == want and len(calls) == 2 * hits + 1
+            assert decode(hm, erase(want, pattern)) == want and len(calls) == 2 * hits + 2
+            assert linalg._factor.cache_info().hits == 2 * hits
+        monkeypatch.undo()
+
+
+def test_decode_rejects_foreign_symbols_and_ragged_grids(gf16, gf256):
+    # a disk and both sectors are missing, so no redundancy is left and
+    # the syndrome alone cannot catch a symbol from another algebra
+    hm = build_h1(3, 5, gf16)
+    st = encode(hm, random_data(gf16, 10, random.Random(13)))
+    pattern = ErasurePattern((1,), ((0, 0), (2, 3)))
+    assert decode(hm, erase(st, pattern)) == st
+    for bits in (200, 9):   # out of GF(16)'s range, and in it
+        foreign = erase(st, pattern)
+        foreign.symbols[0][2] = gf256.element(bits)
+        with pytest.raises(AlgebraMismatchError):
+            decode(hm, foreign)
+    for short in ("symbols", "present", "row"):
+        bad = erase(st, pattern)
+        (bad.symbols[1] if short == "row" else getattr(bad, short)).pop()
+        with pytest.raises(ShapeMismatchError):
+            decode(hm, bad)
+
+
 def test_decode_undecodable_pattern(gf16):
     # mr + s + 1 = 6 erasures can never be independent on 5 parity rows
     hm = build_h1(3, 5, gf16)
@@ -293,6 +343,27 @@ def test_stripe_file_round_trip_on_disk(tmp_path, ring17):
     write_stripe(st, path)
     back = read_stripe(path)
     assert back.vec_bits() == st.vec_bits()
+
+
+def test_every_token_survives_matrix_and_stripe_files():
+    # global rows and stripe symbols hold every element, including the
+    # non-powers of alpha that are written as x:<hex>
+    for alg, r, n in ((make_field(4, 0x1F), 4, 5), (make_ring(7), 11, 7)):
+        size = 1 << alg.element_bits
+        nonzero = [alg.element(1 + k % (size - 1)) for k in range(r * n)]
+        hm = build_h_generic(n, 1, 2, r, [nonzero, nonzero[::-1]], alg)
+        buf = io.StringIO()
+        write_matrix(hm, buf)
+        assert "x:" in buf.getvalue() and read_matrix(io.StringIO(buf.getvalue())) == hm
+        present = [[(i * n + j) % 7 != 3 for j in range(n)] for i in range(r)]
+        values = iter(range(r * n))
+        symbols = [[alg.element(next(values) % size) if present[i][j] else alg.zero
+                    for j in range(n)] for i in range(r)]
+        st = Stripe(hm.spec, symbols, present)
+        assert {e.bits for row in symbols for e in row} == set(range(size))
+        buf = io.StringIO()
+        write_stripe(st, buf)
+        assert read_stripe(io.StringIO(buf.getvalue())) == st
 
 
 def test_read_stripe_errors(gf16):

@@ -220,9 +220,9 @@ def test_solve_rejects_singular(gf16, ring7):
 
 def test_solve_bits_statuses(gf16, ring7):
     # tall consistent, tall inconsistent, wide (deficient)
-    status, x = solve_bits(gf16, [[1], [2]], [3, 6])
+    status, x = solve_bits(Matrix(gf16, [[1], [2]]), [3, 6])
     assert status == "ok" and gf16.mul_bits(2, x[0]) == 6 and x[0] == 3
-    status, _ = solve_bits(gf16, [[1], [2]], [3, 7])
+    status, _ = solve_bits(Matrix(gf16, [[1], [2]]), [3, 7])
     assert status == "inconsistent"
     # column 0 is zero in row 0, so row 1 pivots column 0 and row 0
     # column 1: back-substitution has to follow the pivot rows, not row order
@@ -232,12 +232,12 @@ def test_solve_bits_statuses(gf16, ring7):
              [1, alg.alpha_pow_bits(3)]]
         x = [alg.alpha_pow_bits(4), alg.alpha_pow_bits(5)]
         b = [alg.mul_bits(row[0], x[0]) ^ alg.mul_bits(row[1], x[1]) for row in a]
-        assert solve_bits(alg, a, b) == ("ok", x)
+        assert solve_bits(Matrix(alg, a), b) == ("ok", x)
         b[2] ^= 1
-        assert solve_bits(alg, a, b) == ("inconsistent", None)
-    status, _ = solve_bits(gf16, [[1, 2]], [3])
+        assert solve_bits(Matrix(alg, a), b) == ("inconsistent", None)
+    status, _ = solve_bits(Matrix(gf16, [[1, 2]]), [3])
     assert status == "deficient"
-    status, x = solve_bits(gf16, [], [])
+    status, x = solve_bits(Matrix(gf16, []), [])
     assert status == "ok" and x == []
 
 
@@ -255,7 +255,7 @@ def test_solve_bits_ring_all_zero_divisor_entries(ring7):
         x = [rng.getrandbits(6), rng.getrandbits(6)]
         b = [ring7.add_bits(ring7.mul_bits(m.bits[i][0], x[0]),
                             ring7.mul_bits(m.bits[i][1], x[1])) for i in range(2)]
-        status, got = solve_bits(ring7, m.bits, b)
+        status, got = solve_bits(m, b)
         assert status == "ok" and got == x
 
 
@@ -264,10 +264,10 @@ def test_solve_bits_ring_deficient_beats_inconsistent(ring7):
     # the combined verdict must be "deficient" (an erasure-decoding retry
     # cannot fix inconsistency, but deficiency is the stronger statement)
     u = ring7.crt_bits([0, 1])
-    status, _ = solve_bits(ring7, [[u], [u]], [1, 0])
+    status, _ = solve_bits(Matrix(ring7, [[u], [u]]), [1, 0])
     assert status == "deficient"
     # the same system is inconsistent on its own in factor 1
-    assert solve_bits(make_field(3, 0xD), [[1], [1]], [1, 0])[0] == "inconsistent"
+    assert solve_bits(Matrix(make_field(3, 0xD), [[1], [1]]), [1, 0])[0] == "inconsistent"
 
 
 def test_mul_vector_shapes(gf16):
@@ -349,8 +349,8 @@ def test_cached_solve_matches_uncached_oracle(alg):
             if nrows and rng.random() < 0.5:
                 b[rng.randrange(nrows)] ^= 1 + rng.getrandbits(alg.element_bits - 1)
             want = oracle_solve_bits(alg, rows, b)
-            assert solve_bits(alg, rows, b) == want
-            assert solve_bits(alg, tuple(map(tuple, rows)), b) == want
+            assert solve_bits(Matrix(alg, rows), b) == want
+            assert solve_bits(Matrix(alg, tuple(map(tuple, rows))), b) == want
             seen.add(want[0])
     assert seen == {"ok", "inconsistent", "deficient"}
 
@@ -358,16 +358,16 @@ def test_cached_solve_matches_uncached_oracle(alg):
 def test_cached_statuses_on_cache_hits(gf16, ring7):
     linalg._factor.cache_clear()
     tall = [[1], [2]]
-    assert solve_bits(gf16, tall, [3, 7]) == ("inconsistent", None)
-    assert solve_bits(gf16, tall, [3, 6]) == ("ok", [3])
-    assert solve_bits(gf16, tall, [3, 7]) == ("inconsistent", None)
+    assert solve_bits(Matrix(gf16, tall), [3, 7]) == ("inconsistent", None)
+    assert solve_bits(Matrix(gf16, tall), [3, 6]) == ("ok", [3])
+    assert solve_bits(Matrix(gf16, tall), [3, 7]) == ("inconsistent", None)
     wide = [[1, 2]]
-    assert solve_bits(gf16, wide, [3]) == ("deficient", None)
-    assert solve_bits(gf16, wide, [0]) == ("deficient", None)
+    assert solve_bits(Matrix(gf16, wide), [3]) == ("deficient", None)
+    assert solve_bits(Matrix(gf16, wide), [0]) == ("deficient", None)
     # deficient in factor 0, and inconsistent in factor 1 for b = (1, 0):
     # deficiency still wins when the factorisation comes from the cache
     u = ring7.crt_bits([0, 1])
     for b in ([1, 0], [0, 0], [1, 0]):
-        assert solve_bits(ring7, [[u], [u]], b) == ("deficient", None)
+        assert solve_bits(Matrix(ring7, [[u], [u]]), b) == ("deficient", None)
     info = linalg._factor.cache_info()
     assert (info.misses, info.hits) == (3, 5)
