@@ -138,6 +138,17 @@ class _Gf2mOps:
             return self.exp[self.log[a] + self.log[b]]
         return poly.mulmod(a, b, self.modulus)
 
+    def mul_sum(self, xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> list[int]:
+        """The entrywise sum of x·y over the pairs of vectors x, y of xs, ys."""
+        acc = [0] * len(xs[0])
+        for x, y in zip(xs, ys):
+            if self.has_tables:
+                exp, log = self.exp, self.log
+                acc = [a ^ exp[log[u] + log[v]] if u and v else a for a, u, v in zip(acc, x, y)]
+            else:
+                acc = [a ^ self.mul(u, v) for a, u, v in zip(acc, x, y)]
+        return acc
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("zero has no inverse")

@@ -15,10 +15,9 @@ from .codec import decode, encode, read_stripe, write_stripe
 from .construct import (
     build_h1,
     build_h2,
-    parse_token,
     read_matrix,
+    read_row,
     shorten,
-    tokens_with_columns,
     write_matrix,
 )
 from .errors import (
@@ -57,9 +56,8 @@ def _algebra_of(args) -> Algebra:
 def _read_tokens(path: str, algebra: Algebra) -> list:
     with open(path) as fh:
         lines = fh.read().split("\n")
-    return [algebra.element(parse_token(algebra, tok, lineno, col))
-            for lineno, line in enumerate(lines, start=1)
-            for tok, col in tokens_with_columns(line)]
+    return [algebra.element(v) for lineno, line in enumerate(lines, start=1)
+            for v in read_row(algebra, line, line.split(), lineno)]
 
 
 def _cmd_construct(args) -> int:

@@ -31,7 +31,7 @@ from .algebra import Element
 from .construct import (
     CodeSpec,
     ParityCheckMatrix,
-    parse_token,
+    read_row,
     read_text,
     write_text,
 )
@@ -210,7 +210,7 @@ def write_stripe(st: Stripe, sink) -> None:
 def read_stripe(source) -> Stripe:
     spec, body = read_text(source, STRIPE_MAGIC, with_family=False)
     alg = spec.algebra
-    symbols = [[alg.element(0 if tok == MISSING_TOKEN else parse_token(alg, tok, lineno, col))
-                for tok, col in toks] for lineno, toks in enumerate(body, start=4)]
-    present = [[tok != MISSING_TOKEN for tok, _ in toks] for toks in body]
+    symbols = [[alg.element(v) for v in read_row(alg, text, toks, lineno, MISSING_TOKEN)]
+               for lineno, (text, toks) in enumerate(body, start=4)]
+    present = [[tok != MISSING_TOKEN for tok in toks] for _, toks in body]
     return Stripe(spec, symbols, present)

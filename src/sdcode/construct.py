@@ -224,12 +224,16 @@ def tokens_with_columns(text: str) -> list[tuple[str, int]]:
     return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", text)]
 
 
-def parse_token(algebra: Algebra, tok: str, line: int, column: int) -> int:
-    """The bits of one element token; a bad token raises ParseError there."""
+def read_row(algebra: Algebra, text: str, toks: list[str], line: int, missing=None) -> list[int]:
+    """The bits of one line's tokens (`missing` reads as 0); a bad token
+    raises ParseError at its column, located only then."""
+    read, row = algebra.read_token, []
     try:
-        return algebra.read_token(tok)
+        for tok in toks:
+            row.append(0 if tok == missing else read(tok))
     except ValueError as ex:
-        raise ParseError(str(ex), line=line, column=column) from None
+        raise ParseError(str(ex), line, tokens_with_columns(text)[len(row)][1]) from None
+    return row
 
 
 def _parse_spec(text: str, algebra: Algebra, with_family: bool) -> CodeSpec:
@@ -271,12 +275,12 @@ def _parse_spec(text: str, algebra: Algebra, with_family: bool) -> CodeSpec:
 
 
 def read_text(source, magic: str,
-              with_family: bool) -> tuple[CodeSpec, list[list[tuple[str, int]]]]:
+              with_family: bool) -> tuple[CodeSpec, list[tuple[str, list[str]]]]:
     """Parse a matrix file (with_family) or a stripe file down to its tokens.
 
-    Returns the spec and, per body line (line 4 on), its tokens with
-    their columns: parity_rows lines of total_columns tokens in a matrix,
-    r lines of n tokens in a stripe.  Trailing blank lines are dropped.
+    Returns the spec and, per body line (line 4 on), its text and tokens:
+    parity_rows lines of total_columns tokens in a matrix, r lines of n
+    tokens in a stripe.  Trailing blank lines are dropped.
     """
     with open_text(source) as fh:
         lines = fh.read().split("\n")
@@ -297,12 +301,12 @@ def read_text(source, magic: str,
     if len(body) != rows:
         raise ParseError(f"expected {rows} {what}, found {len(body)}",
                          line=4 + min(len(body), rows), column=1)
-    toks = [tokens_with_columns(text) for text in body]
+    toks = [text.split() for text in body]
     for lineno, row in enumerate(toks, start=4):
         if len(row) != width:
             raise ParseError(f"expected {width} tokens, found {len(row)}",
                              line=lineno, column=1)
-    return spec, toks
+    return spec, list(zip(body, toks))
 
 
 def write_matrix(pcm: ParityCheckMatrix, sink) -> None:
@@ -317,10 +321,10 @@ def read_matrix(source) -> ParityCheckMatrix:
     spec, body = read_text(source, MAGIC, with_family=True)
     algebra = spec.algebra
     rows_bits = []
-    for ri, toks in enumerate(body):
-        row = [parse_token(algebra, tok, 4 + ri, col) for tok, col in toks]
+    for ri, (text, toks) in enumerate(body):
+        row = read_row(algebra, text, toks, 4 + ri)
         fault = _layout_fault(spec, ri, row)
         if fault:
-            raise ParseError(fault[1], line=4 + ri, column=toks[fault[0]][1])
+            raise ParseError(fault[1], line=4 + ri, column=tokens_with_columns(text)[fault[0]][1])
         rows_bits.append(row)
     return ParityCheckMatrix(spec, Matrix(algebra, rows_bits))

@@ -22,10 +22,10 @@ when Q·b = 0, and then x = L·b.  Repeated solves against one
 coefficient matrix (every symbol-stripe of a sector-stripe shares its
 missing set) pay for the elimination once.
 
-The determinant is computed separately by dynamic programming over
-column subsets (in characteristic 2 the signs vanish, so this is the
-permanent-style expansion).  It needs no division, works over the ring
-directly, and serves as an independent cross-check of the CRT route.
+``det_bits`` computes a determinant by dynamic programming over column
+subsets (in characteristic 2 the signs vanish).  It needs no division and
+works over the ring directly: ``determinant`` is the cross-check of the
+CRT route, and the SD scan takes the local blocks' minors from it.
 """
 
 from __future__ import annotations
@@ -127,32 +127,29 @@ def submatrix(m: Matrix, row_ids: Sequence[int], col_ids: Sequence[int]) -> Matr
 
 
 def determinant(m: Matrix) -> Element:
-    """Exact determinant by subset dynamic programming, dimension <= 8.
-
-    Division-free, hence valid over the ring.  Larger invertibility
-    questions go through is_invertible instead.
-    """
+    """Exact determinant by det_bits, dimension <= 8, valid over the ring.
+    Larger invertibility questions go through is_invertible instead."""
     if m.rows != m.cols:
         raise NotSquareError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    k = m.rows
-    if k == 0:
-        return m.algebra.one
-    if k > 8:
+    if m.rows > 8:
         raise ValueError("determinant is limited to dimension 8; use is_invertible")
-    mul = m.algebra.mul_bits
-    full = (1 << k) - 1
-    acc = [0] * (full + 1)
-    acc[0] = 1
+    return m.algebra.element(det_bits(m.algebra.mul_bits, m.bits))
+
+
+def det_bits(mul, rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of square bit rows under mul, by subset DP (division-free)."""
+    full = (1 << len(rows)) - 1
+    acc = [1] + [0] * full
     for mask in range(full):
         v = acc[mask]
         if not v:
             continue
-        row = m.bits[mask.bit_count()]
-        for c in range(k):
+        row = rows[mask.bit_count()]
+        for c in range(len(row)):
             b = 1 << c
             if not mask & b and row[c]:
                 acc[mask | b] ^= mul(v, row[c])
-    return m.algebra.element(acc[full])
+    return acc[full]
 
 
 def eliminate(ops: _Gf2mOps, rows: list[list[int]], pivot_cols: Iterable[int]) -> list[int]:

@@ -3,14 +3,19 @@
 A code tolerates a pattern of m whole-disk failures plus s additional
 sector failures exactly when the parity-check columns of the erased
 sectors are linearly independent, so the SD property is decided by
-checking every pattern.  Verification groups patterns by their disk set:
-one forward elimination pivoting on the mr disk columns is shared by all
-C(N, s) sector choices of the group (N = (n-m)r), each an s x s test on
-the s leftover rows.  Peel and sweep finds the first failing choice: a
-subset led by column i fails exactly when column i is zero or, once one
-pivot row clears column i, the other s-1 rows fail on the rest of it.
-At s = 2 a pair fails exactly when a column is zero or both columns have
-the same ratio, so one pass finds it: O(N^(s-1)) per group and factor.
+checking every pattern.  Verification groups patterns by their disk set
+D: its C(N, s) sector choices (N = (n-m)r) are s x s tests on the rows
+left once the mr disk columns are eliminated.  Stripe row i's local rows
+B_i touch only its n columns, so with V_i = B_i at D this is a Schur step
+per stripe row: global row g leaves g[i,j] - g[i,D] V_i^-1 B_i[:, j] at
+survivor (i, j), scaled by det(V_i), which keeps every subset's
+singularity and, as det(V_i) V_i^-1 = adj(V_i), needs no division.  A
+view where some V_i is singular eliminates all mr + s rows instead.
+Peel and sweep finds the first failing choice: a subset led by column i
+fails exactly when column i is zero or, once one pivot row clears column
+i, the other s-1 rows fail on the rest of it.  At s = 2 a pair fails
+exactly when a column is zero or both columns have the same ratio, so
+one pass finds it: O(N^(s-1)) per group and factor.
 
 Over the ring the same procedure runs once per factor view the algebra
 supplies, one per irreducible factor of M_p(x); a pattern fails if it
@@ -35,7 +40,7 @@ from typing import Callable, Optional, Sequence
 from .algebra import key_values, read_int
 from .construct import CodeSpec, ParityCheckMatrix
 from .errors import PatternInvalidError, TooManyErasuresError
-from .linalg import eliminate, full_column_rank, submatrix
+from .linalg import det_bits, eliminate, full_column_rank, submatrix
 
 
 @dataclass(frozen=True)
@@ -155,24 +160,54 @@ def _first_singular(ops, rows: list[list[int]], s: int):
     return None
 
 
+def _local_blocks(spec: CodeSpec, views):
+    """Per factor view (ops, rows, distinct local blocks, each stripe row's block index)."""
+    m, n, out = spec.m, spec.n, []
+    for ops, rows in views:
+        per_row = [tuple(tuple(row[i * n:(i + 1) * n]) for row in rows[i * m:(i + 1) * m])
+                   for i in range(spec.r)]
+        blocks = list(dict.fromkeys(per_row))
+        out.append((ops, rows, blocks, [blocks.index(b) for b in per_row]))
+    return out
+
+
+def _schur_residual(spec: CodeSpec, ops, rows, blocks, kind, disks: Sequence[int]):
+    """The global rows after the Schur step at these disks; None if a V_i is singular."""
+    m, n, r = spec.m, spec.n, spec.r
+    alive = [j for j in range(n) if j not in disks]
+    w, coefs = len(alive), []   # per block: det(V), then adj(V) B, on the alive disks
+    for block in blocks:
+        v = [[row[d] for d in disks] for row in block]
+        det = det_bits(ops.mul, v)
+        if not det:
+            return None
+        minor = lambda t, k: det_bits(ops.mul, [vr[:k] + vr[k + 1:] for vr in v[:t] + v[t + 1:]])
+        bs = [[row[j] for j in alive] for row in block]
+        coefs.append([[det] * w] + [ops.mul_sum([[minor(t, k)] * w for t in range(m)], bs)
+                                    for k in range(m)])
+    # column (i, j): g[i,j] det(V) + sum over d of g[i,d] (adj(V) B)[d][j], V = block kind[i]
+    factors = [[c for t in kind for c in coefs[t][k]] for k in range(m + 1)]
+    at = [[i * n + j for i in range(r) for j in js] for js in [alive] + [[d] * w for d in disks]]
+    return [ops.mul_sum(factors, [[g[c] for c in cols] for cols in at]) for g in rows[m * r:]]
+
+
 def _scan_group(views, spec: CodeSpec, disks: Sequence[int]) -> Optional[ErasurePattern]:
     """First failing pattern of this disk set; None when every pattern
     decodes or when fewer than s sectors survive (the group has none)."""
-    mr = spec.m * spec.r
-    disk_cols = sorted(spec.column_of(i, d) for i in range(spec.r) for d in disks)
     survivors = _survivors(spec, disks)
     if len(survivors) < spec.s:
         return None
-    survivor_cols = [spec.column_of(i, d) for i, d in survivors]
     firsts = []
-    for ops, rows in views:
-        work = [list(r) for r in rows]
-        used = set(eliminate(ops, work, disk_cols))
-        if len(used) < mr:          # dependent disk columns: every pattern fails
-            firsts.append(tuple(range(spec.s)))
-            break
-        residual = [[work[t][c] for c in survivor_cols]
-                    for t in range(len(work)) if t not in used]
+    for ops, rows, blocks, kind in views:
+        residual = _schur_residual(spec, ops, rows, blocks, kind, disks)
+        if residual is None:
+            work = [list(r) for r in rows]
+            used = eliminate(ops, work, [c for c in range(len(rows[0])) if c % spec.n in disks])
+            if len(used) < spec.m * spec.r:     # dependent disk columns: every pattern fails
+                firsts.append(tuple(range(spec.s)))
+                break
+            residual = [[work[t][spec.column_of(i, d)] for i, d in survivors]
+                        for t in range(len(work)) if t not in used]
         firsts.append(_first_singular(ops, residual, spec.s))
     first = min((f for f in firsts if f is not None), default=None)
     return None if first is None else ErasurePattern(disks, [survivors[t] for t in first])
@@ -188,7 +223,7 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     """
     spec = hm.spec
     total = comb(spec.n, spec.m) * comb((spec.n - spec.m) * spec.r, spec.s)
-    views = spec.algebra.factor_views(hm.matrix.bits)
+    views = _local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits))
     scan = lambda d: _scan_group(views, spec, d)
     groups = list(combinations(range(spec.n), spec.m))
     witness = None

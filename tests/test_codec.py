@@ -407,6 +407,10 @@ def test_read_stripe_errors(gf16):
         parse(*lines[:3], " ".join(toks), *lines[4:])
     assert ei.value.line == 4
     assert ei.value.column == len(toks[0]) + 2
+    mixed = "?\t\u00a0" + toks[1]     # a missing symbol, then Unicode spacing
+    with pytest.raises(ParseError) as ei:
+        parse(*lines[:3], mixed + " " + toks[2], *lines[4:])
+    assert (ei.value.line, ei.value.column) == (4, 4)
 
 
 def test_decode_accepts_stripe_read_from_file(gf16):

@@ -348,6 +348,22 @@ def test_read_matrix_error_positions(gf16):
     assert ei.value.line == 4
     assert ei.value.column == len(" ".join(toks[:5])) + 2
 
+    # columns count every character of any whitespace run, Unicode
+    # spaces included; the message is the token reader's own
+    toks = good[4].split()
+    toks[2] = "a^x"
+    mixed = "\t" + " \u00a0".join(toks[:2]) + "\x0b\u3000 " + " ".join(toks[2:])
+    with pytest.raises(ParseError) as ei:
+        parse_lines(*good[:4], mixed, *good[5:])
+    assert (ei.value.line, ei.value.column) == (5, mixed.index("a^x") + 1)
+    assert str(ei.value) == "line 5, column 9: bad exponent in token 'a^x'"
+    toks = good[3].split()
+    toks[5] = "1"
+    mixed = "\u2003".join(toks[:5]) + "\t\t" + " ".join(toks[5:])
+    with pytest.raises(ParseError) as ei:
+        parse_lines(*good[:3], mixed, *good[4:])
+    assert (ei.value.line, ei.value.column) == (4, len("\u2003".join(toks[:5])) + 3)
+
 
 def test_read_matrix_checks_order_precondition(gf16):
     buf = io.StringIO()

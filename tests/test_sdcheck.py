@@ -1,5 +1,6 @@
 """Exhaustive SD verification, erasure patterns, and shortening."""
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -20,8 +21,9 @@ from sdcode import (
     shorten,
 )
 from sdcode import sdcheck
+from sdcode.search import random_nonzero
 from sdcode.construct import CodeSpec, ParityCheckMatrix
-from sdcode.linalg import Matrix, submatrix, determinant
+from sdcode.linalg import Matrix, determinant, eliminate, submatrix
 from sdcode.sdcheck import SdReport, validate_pattern
 from sdcode.errors import (
     BadRowCountError,
@@ -365,6 +367,163 @@ def test_is_sd_progress_callback(gf16, monkeypatch):
         is_sd(hm, jobs=jobs,
               progress=lambda done, total: seen.append((done, total, len(scans))))
         assert seen == [(1, 5, 1), (2, 5, 2), (3, 5, 3), (4, 5, 4), (5, 5, 5)]
+
+
+# ------------------------------------------ Schur residual against eliminate
+
+def _eliminate_scan_group(views, spec, disks):
+    """The group scan as it was before the Schur residual, kept as the
+    oracle: per factor view, copy all mr + s rows, eliminate the mr disk
+    columns, and sweep the s rows left."""
+    mr = spec.m * spec.r
+    disk_cols = sorted(spec.column_of(i, d) for i in range(spec.r) for d in disks)
+    survivors = sdcheck._survivors(spec, disks)
+    if len(survivors) < spec.s:
+        return None
+    survivor_cols = [spec.column_of(i, d) for i, d in survivors]
+    firsts = []
+    for ops, rows in views:
+        work = [list(r) for r in rows]
+        used = set(eliminate(ops, work, disk_cols))
+        if len(used) < mr:
+            firsts.append(tuple(range(spec.s)))
+            break
+        residual = [[work[t][c] for c in survivor_cols]
+                    for t in range(len(work)) if t not in used]
+        firsts.append(sdcheck._first_singular(ops, residual, spec.s))
+    first = min((f for f in firsts if f is not None), default=None)
+    return None if first is None else ErasurePattern(disks, [survivors[t] for t in first])
+
+
+def _assert_groups_match_oracle(hm):
+    """Every disk set's witness equals the oracle's; returns the number
+    of groups that fail."""
+    spec, plain = hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits)
+    views = sdcheck._local_blocks(spec, plain)
+    failing = 0
+    for disks in combinations(range(spec.n), spec.m):
+        want = _eliminate_scan_group(plain, spec, disks)
+        assert sdcheck._scan_group(views, spec, disks) == want, (spec, disks)
+        failing += want is not None
+    return failing
+
+
+def _random_generic(alg, n, m, s, r, rng):
+    return build_h_generic(n, m, s, r, [[random_nonzero(rng, alg) for _ in range(r * n)]
+                                        for _ in range(s)], alg)
+
+
+_DIFF_ALGEBRAS = {"gf4": lambda: make_field(2), "gf16": lambda: make_field(4),
+                  "gf256": lambda: make_field(8), "ring5": lambda: make_ring(5),
+                  "ring7": lambda: make_ring(7), "ring17": lambda: make_ring(17)}
+
+
+@pytest.mark.parametrize("alg_name", sorted(_DIFF_ALGEBRAS))
+def test_schur_scan_matches_eliminate_on_random_generic_codes(alg_name):
+    # GF(4) and ring p=5 have O(alpha) <= 5, so n = m + 3 repeats an
+    # alpha power and some Vandermonde blocks are singular (the fallback)
+    alg = _DIFF_ALGEBRAS[alg_name]()
+    rng = random.Random(alg_name)
+    verdicts = set()
+    for m in (1, 2, 3):
+        for s in range(4):
+            for _ in range(2):
+                n, r = m + rng.randint(1, 3), rng.randint(1, 4)
+                hm = _random_generic(alg, n, m, s, r, rng)
+                failing = _assert_groups_match_oracle(hm)
+                if comb(n, m) * comb((n - m) * r, s) <= 300:     # small enough for naive
+                    naive_witness, checked = naive_is_sd(hm)
+                    assert is_sd(hm) == SdReport(naive_witness is None, naive_witness, checked)
+                verdicts.add(failing == 0)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_h2(2, 16, make_field(16)), lambda: build_h1(3, 16, make_field(16)),
+    lambda: build_h2(2, 16, make_field(8)), lambda: build_h2(3, 5, make_ring(127)),
+    lambda: _random_generic(make_field(16), 6, 1, 3, 2, random.Random(7919)),
+    lambda: build_h2(2, 5, make_ring(101)), lambda: build_h2(2, 5, make_ring(41))],
+    ids=["c2_r2_n16_gf65536", "c1_r3_n16_gf65536", "c2_r2_n16_gf256", "c2_r3_n5_ring127",
+         "generic_m1_s3_r2_n6_gf65536", "c2_r2_n5_ring101", "c2_r2_n5_ring41"])
+def test_schur_scan_matches_eliminate_on_small_ladder_shapes(build):
+    hm = build()
+    assert _assert_groups_match_oracle(hm) == 0
+    # H column 1 copied onto column 2: disk sets holding both disks have a
+    # singular block in stripe row 0, the others fail on sectors (0, 1), (0, 2)
+    rows = [list(r) for r in hm.matrix.bits]
+    for row in rows:
+        row[2] = row[1]
+    twin = ParityCheckMatrix(hm.spec, Matrix(hm.spec.algebra, rows))
+    assert _assert_groups_match_oracle(twin) == comb(hm.spec.n, hm.spec.m)
+
+
+def _hand_made(alg, n, m, s, blocks, global_rows):
+    """Local block i of `blocks` (m rows of n entries) on stripe row i."""
+    r = len(blocks)
+    rows = []
+    for i, block in enumerate(blocks):
+        for part in block:
+            row = [0] * (r * n)
+            row[i * n:(i + 1) * n] = part
+            rows.append(row)
+    spec = CodeSpec(n=n, m=m, s=s, r=r, algebra=alg, family="generic")
+    return ParityCheckMatrix(spec, Matrix(alg, rows + [list(g) for g in global_rows]))
+
+
+def _fallback_cases():
+    gf16, ring7 = make_field(4), make_ring(7)
+    rng = random.Random(11)
+    glob = lambda alg, s, cols: [[rng.randrange(1, 1 << alg.element_bits) for _ in range(cols)]
+                                 for _ in range(s)]
+    return {
+        # stripe rows whose blocks differ from row 0's (no block is singular)
+        "differing-blocks": (_hand_made(gf16, 4, 2, 2, [
+            [[1, 1, 1, 1], [1, 2, 4, 8]], [[3, 5, 7, 9], [1, 1, 1, 1]],
+            [[1, 2, 3, 4], [5, 6, 7, 8]]], glob(gf16, 2, 12)), False),
+        # zeros inside blocks, so some disk sets have a singular block
+        "zeros-in-blocks": (_hand_made(gf16, 4, 2, 2, [
+            [[1, 0, 1, 1], [0, 1, 1, 2]], [[0, 0, 3, 1], [1, 1, 0, 5]]],
+            glob(gf16, 2, 8)), True),
+        # stripe row 1's block is singular at disk set (0, 2) in the field
+        "singular-in-field": (_hand_made(gf16, 4, 2, 3, [
+            [[1, 1, 1, 1], [1, 2, 4, 8]], [[1, 1, 1, 1], [6, 1, 6, 3]]],
+            glob(gf16, 3, 8)), True),
+        # det V at disk set (0, 1) is 0xa + 1 = x^3 + x + 1: zero mod the
+        # factor 0xb of M_7(x) only, so one factor view falls back
+        "ring7-one-factor": (_hand_made(ring7, 4, 2, 2, [
+            [[1, 1, 1, 1], [0xA, 1, 4, 8]], [[1, 1, 1, 1], [0xA, 1, 2, 0x10]]],
+            glob(ring7, 2, 8)), True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fallback_cases()))
+def test_schur_scan_fallback_on_hand_made_blocks(case, monkeypatch):
+    hm, singular = _fallback_cases()[case]
+    residuals = []
+    schur = sdcheck._schur_residual
+    monkeypatch.setattr(sdcheck, "_schur_residual",
+                        lambda *a: residuals.append(schur(*a)) or residuals[-1])
+    _assert_groups_match_oracle(hm)
+    assert (None in residuals) == singular     # some view fell back to eliminate
+    naive_witness, checked = naive_is_sd(hm)
+    assert is_sd(hm) == SdReport(naive_witness is None, naive_witness, checked)
+
+
+def test_ring7_block_singular_in_one_factor_view_only():
+    hm, _ = _fallback_cases()["ring7-one-factor"]
+    views = sdcheck._local_blocks(hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits))
+    assert [sdcheck._schur_residual(hm.spec, *v, (0, 1)) is None for v in views] == [True, False]
+
+
+def test_construction_scan_runs_no_elimination_and_one_block(gf256, monkeypatch):
+    # every stripe row shares one Vandermonde block, invertible on every
+    # disk set, so the s = 2 scan never calls eliminate
+    hm = build_h2(6, 8, gf256)
+    views = sdcheck._local_blocks(hm.spec, gf256.factor_views(hm.matrix.bits))
+    assert [len(v[2]) for v in views] == [1]
+    calls = []
+    monkeypatch.setattr(sdcheck, "eliminate", lambda *a: calls.append(a) or eliminate(*a))
+    assert is_sd(hm).sd and not calls
 
 
 # ------------------------------------------------------------- shorten
