@@ -65,22 +65,14 @@ class Stripe:
 
 
 def default_parity_pattern(spec: CodeSpec) -> ErasurePattern:
-    """The fixed parity support: last m disks, then s sectors walking
-    leftward from (r-1, n-m-1) and wrapping up a row as needed."""
-    if spec.s > (spec.n - spec.m) * spec.r:
+    """The fixed parity support: last m disks, then the last s data-disk
+    sectors in row-major order."""
+    data = [(i, j) for i in range(spec.r) for j in range(spec.n - spec.m)]
+    if spec.s > len(data):
         raise TooManyParitySectorsError(
-            f"s={spec.s} parity sectors exceed the {(spec.n - spec.m) * spec.r} "
-            f"data-disk sectors")
-    disks = tuple(range(spec.n - spec.m, spec.n))
-    sectors = []
-    row, disk = spec.r - 1, spec.n - spec.m - 1
-    for _ in range(spec.s):
-        sectors.append((row, disk))
-        disk -= 1
-        if disk < 0:
-            row -= 1
-            disk = spec.n - spec.m - 1
-    return ErasurePattern(disks, tuple(sectors))
+            f"s={spec.s} parity sectors exceed the {len(data)} data-disk sectors")
+    return ErasurePattern(tuple(range(spec.n - spec.m, spec.n)),
+                          tuple(data[len(data) - spec.s:]))
 
 
 @lru_cache(maxsize=64)

@@ -14,13 +14,13 @@ run one path for fields and rings alike.
 Every elimination runs through ``eliminate``.  Solving is
 factor-then-apply.  The factor step reduces [A | I] in each factor field
 by Gauss-Jordan (``eliminate`` forward, then again over the pivot rows
-in reverse) into a left inverse L (L·A = I) and a basis Q of A's left
-kernel, and glues both into the algebra.  It is cached on the Matrix A,
-whose hash is computed once, so a cache hit costs one dict lookup.  The
-apply step is two sparse products (``dot``): b is consistent exactly
-when Q·b = 0, and then x = L·b.  Repeated solves against one
-coefficient matrix (every symbol-stripe of a sector-stripe shares its
-missing set) pay for the elimination once.
+in reverse) into a left inverse L (L·A = I) glued into the algebra, and
+keeps as checks the rows of A that some factor field did not pivot on.
+It is cached on the Matrix A, whose hash is computed once, so a cache
+hit costs one dict lookup.  The apply step is x = L·b by sparse products
+(``dot``), and b is consistent exactly when x satisfies every check row.
+Repeated solves against one coefficient matrix (every symbol-stripe of a
+sector-stripe shares its missing set) pay for the elimination once.
 
 ``det_bits`` computes a determinant by dynamic programming over column
 subsets (in characteristic 2 the signs vanish).  It needs no division and
@@ -222,19 +222,20 @@ def is_invertible(m: Matrix) -> bool:
 
 @lru_cache(maxsize=64)
 def _factor(a: Matrix):
-    """Factor A once for every right-hand side: (L, Q) with L·A = I and
-    the rows of Q spanning A's left kernel, or None when the columns of A
-    are dependent in some factor field.
+    """Factor A once for every right-hand side: (L, checks) with L·A = I
+    and checks the sparse rows (t, A_t) of A that some factor field did
+    not pivot on, or None when the columns of A are dependent in some
+    factor field.
 
     Each factor field runs Gauss-Jordan on [A | I]: eliminate forward,
     then again over the pivot rows in reverse order with reversed columns
     (pivot row k is zero in the pivot columns before the k-th, so each
     reverse step picks pivot row k).  The pivot rows' identity parts are
-    then L's rows and the non-pivot rows' are Q's, glued across factor
-    fields with crt_bits, each row keeping only its nonzero pairs.
+    that field's L, supported on its pivot rows; glued entrywise with
+    crt_bits and sparsified, they are L.
     """
     n = a.cols
-    lefts, kernels = [], []
+    lefts, unpivoted = [], set()
     for ops, view in a.algebra.factor_views(a.bits):
         for i, row in enumerate(view):
             row += [0] * a.rows
@@ -243,25 +244,15 @@ def _factor(a: Matrix):
         if len(pivots) < n:
             return None
         eliminate(ops, [view[p] for p in reversed(pivots)], reversed(range(n)))
-        used = set(pivots)
-        lefts.append([_sparse(view[p][n:]) for p in pivots])
-        kernels.append([_sparse(view[t][n:]) for t in range(a.rows) if t not in used])
-    return _glue(a.algebra, lefts), _glue(a.algebra, kernels)
+        lefts.append([view[p][n:] for p in pivots])
+        unpivoted.update(set(range(a.rows)).difference(pivots))
+    crt = a.algebra.crt_bits
+    left = tuple(_sparse([crt(col) for col in zip(*rows)]) for rows in zip(*lefts))
+    return left, tuple((t, _sparse(a.bits[t])) for t in sorted(unpivoted))
 
 
 def _sparse(row: Sequence[int]) -> list[tuple[int, int]]:
     return [(k, v) for k, v in enumerate(row) if v]
-
-
-def _glue(algebra: Algebra, parts):
-    """Sparse rows, one list per factor view, glued row by row into the
-    algebra with crt_bits (a field's single view passes through)."""
-    out = []
-    for same in zip(*parts):
-        views = [dict(row) for row in same]
-        cols = sorted({k for row in same for k, _ in row})
-        out.append(tuple((k, algebra.crt_bits([d.get(k, 0) for d in views])) for k in cols))
-    return tuple(out)
 
 
 def dot(mul, row: Iterable[tuple[int, int]], vec: Sequence[int]) -> int:
@@ -279,8 +270,9 @@ def solve_bits(a: Matrix, b_bits: Sequence[int]):
     Returns (status, x): status "ok" with the unique solution,
     "deficient" when the columns are dependent, "inconsistent" when no
     solution exists.  Over the ring, deficiency in any factor field wins
-    over inconsistency in another.  With A factored as (L, Q), b is
-    consistent exactly when Q·b = 0, and then x = L·b.
+    over inconsistency in another.  With A factored as (L, checks),
+    x = L·b solves each factor field's pivot rows, so b is consistent
+    exactly when x also satisfies every check row.
     """
     if a.rows != len(b_bits):
         raise ShapeMismatchError(
@@ -288,11 +280,12 @@ def solve_bits(a: Matrix, b_bits: Sequence[int]):
     plan = _factor(a)
     if plan is None:
         return "deficient", None
-    left, kernel = plan
+    left, checks = plan
     mul = a.algebra.mul_bits
-    if any(dot(mul, row, b_bits) for row in kernel):
+    x = [dot(mul, row, b_bits) for row in left]
+    if any(dot(mul, row, x) != b_bits[t] for t, row in checks):
         return "inconsistent", None
-    return "ok", [dot(mul, row, b_bits) for row in left]
+    return "ok", x
 
 
 def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:

@@ -26,6 +26,7 @@ from sdcode import (
 )
 from sdcode import codec, linalg
 from sdcode.codec import STRIPE_MAGIC, data_columns
+from sdcode.construct import ParityCheckMatrix
 from sdcode.linalg import mul_vector
 from sdcode.errors import (
     AlgebraMismatchError,
@@ -34,6 +35,7 @@ from sdcode.errors import (
     ParseError,
     PatternInvalidError,
     ShapeMismatchError,
+    SingularParitySupportError,
     TooManyParitySectorsError,
     UndecodablePatternError,
 )
@@ -97,6 +99,14 @@ def test_encode_length_check(gf16):
         encode(hm, random_data(gf16, 9, random.Random(0)))
     with pytest.raises(LengthMismatchError):
         encode(hm, random_data(gf16, 11, random.Random(0)))
+    # a hand-made H whose parity slot (0, 4) has an all-zero column: the
+    # parity support is not decodable
+    rows = [list(r) for r in hm.matrix.bits]
+    for row in rows:
+        row[4] = 0
+    singular = ParityCheckMatrix(hm.spec, linalg.Matrix(gf16, rows))
+    with pytest.raises(SingularParitySupportError):
+        encode(singular, random_data(gf16, 10, random.Random(0)))
 
 
 def test_encode_is_linear(gf16):

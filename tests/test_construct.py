@@ -175,6 +175,9 @@ def test_generic_validates_global_rows(gf16):
     with pytest.raises(ZeroGlobalEntryError):
         build_h_generic(n=5, m=1, s=2, r=3,
                         global_rows=[ok_row, bad], algebra=gf16)
+    with pytest.raises(TypeError):
+        build_h_generic(n=5, m=1, s=2, r=3,
+                        global_rows=[ok_row, ok_row[:-1] + [1]], algebra=gf16)
     other = make_ring(17)
     with pytest.raises(AlgebraMismatchError):
         build_h_generic(n=5, m=1, s=2, r=3,
@@ -283,6 +286,17 @@ def test_read_matrix_error_positions(gf16):
     with pytest.raises(ParseError) as ei:
         parse_lines(good[0], "field w=4 poly=0x13 poly=0x19", *good[2:])
     assert ei.value.line == 2 and "'poly=0x19'" in str(ei.value)
+
+    for short in ([good[0]], good[:1] + [""]):
+        with pytest.raises(ParseError) as ei:
+            read_matrix(io.StringIO("\n".join(short)))
+        assert "truncated file" in str(ei.value)
+
+    for params in ("", "n=3 m=1 s=2 r=2 family=construction1", "param n=3"):
+        with pytest.raises(ParseError) as ei:
+            parse_lines(good[0], good[1], params, *good[3:])
+        assert (ei.value.line, ei.value.column) == (3, 1)
+        assert "expected a 'params ...' line" in str(ei.value)
 
     with pytest.raises(ParseError) as ei:
         parse_lines(good[0], good[1], "params family=construction1 n=3 m=1 s=2", *good[3:])

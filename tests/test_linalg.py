@@ -73,6 +73,9 @@ def test_from_elements_checks_algebra(gf16, gf256):
     assert m.algebra == gf16
     with pytest.raises(AlgebraMismatchError):
         Matrix.from_elements([[a, b]])
+    for empty in ([], [[]]):
+        with pytest.raises(ShapeMismatchError):
+            Matrix.from_elements(empty)
 
 
 def test_submatrix_requires_strictly_increasing(gf16):
@@ -235,10 +238,29 @@ def test_solve_bits_statuses(gf16, ring7):
         assert solve_bits(Matrix(alg, a), b) == ("ok", x)
         b[2] ^= 1
         assert solve_bits(Matrix(alg, a), b) == ("inconsistent", None)
+    # over ring p=7 the factor fields pivot on different rows
+    for a, b, want in split_pivot_systems(ring7):
+        assert solve_bits(Matrix(ring7, a), b) == want
     status, _ = solve_bits(Matrix(gf16, [[1, 2]]), [3])
     assert status == "deficient"
     status, x = solve_bits(Matrix(gf16, []), [])
     assert status == "ok" and x == []
+
+
+def split_pivot_systems(ring7):
+    """(A, b, result) for A = [[u], [1]] over ring p=7, u zero modulo the
+    first factor of M_7 only: the first factor field pivots on row 1 and
+    the second on row 0, so each row goes unpivoted in one of them.  w is
+    nonzero modulo the first factor only, so b_0 = u·b_1 + w is
+    inconsistent there alone."""
+    u = ring7.crt_bits([0, 1])
+    w = ring7.crt_bits([1, 0])
+    out = []
+    for b1 in (1, ring7.alpha_pow_bits(3), u, w):
+        ub1 = ring7.mul_bits(u, b1)
+        out.append(([[u], [1]], [ub1, b1], ("ok", [b1])))
+        out.append(([[u], [1]], [ub1 ^ w, b1], ("inconsistent", None)))
+    return out
 
 
 def test_solve_bits_ring_all_zero_divisor_entries(ring7):
@@ -276,6 +298,11 @@ def test_mul_vector_shapes(gf16):
         mul_vector(m, [gf16.one])
     with pytest.raises(ShapeMismatchError):
         solve(m, [gf16.one])
+    wide = Matrix(gf16, [[1, 2]])
+    with pytest.raises(NotSquareError):
+        solve(wide, [gf16.one])
+    with pytest.raises(NotSquareError):
+        is_invertible(wide)
 
 
 # ------------------------------------------------- cached factorisation
@@ -352,6 +379,10 @@ def test_cached_solve_matches_uncached_oracle(alg):
             assert solve_bits(Matrix(alg, rows), b) == want
             assert solve_bits(Matrix(alg, tuple(map(tuple, rows))), b) == want
             seen.add(want[0])
+    if alg == make_ring(7):
+        for a, b, want in split_pivot_systems(alg):
+            assert oracle_solve_bits(alg, a, b) == want
+            assert solve_bits(Matrix(alg, a), b) == want
     assert seen == {"ok", "inconsistent", "deficient"}
 
 

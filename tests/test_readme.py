@@ -49,6 +49,13 @@ def test_stripe_file_sample_is_what_write_stripe_emits(quick_start):
     assert _block_after("Stripe file") == buf.getvalue()
 
 
+def test_layout_block_names_every_module():
+    layout = _block_after("## Layout")
+    modules = {p.name for p in (README.parent / "src" / "sdcode").glob("*.py")}
+    named = set(re.findall(r"^  (\S+\.py)\s", layout, re.M))
+    assert modules <= named, sorted(modules - named)
+
+
 def test_library_use_block_runs(capsys):
     exec(compile(_block_after("## Library use"), str(README), "exec"), {})
     assert capsys.readouterr().out == \

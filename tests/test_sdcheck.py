@@ -66,6 +66,7 @@ def test_validate_pattern_errors(gf16):
         ErasurePattern((0,), ((3, 1),)),        # row out of range
         ErasurePattern((0,), ((1, 5),)),        # sector disk out of range
         ErasurePattern((0,), ((1, 0),)),        # sector inside the failed disk
+        ErasurePattern((2, 2), ()),             # duplicate disk
     ]
     for p in cases:
         with pytest.raises(PatternInvalidError):
