@@ -14,15 +14,18 @@ def degree(a: int) -> int:
 
 
 def mul(a: int, b: int) -> int:
-    """Carry-less (polynomial) product of a and b."""
+    """Carry-less (polynomial) product of a and b, four bits of b at a time."""
     if a < b:
         a, b = b, a
-    out = 0
+    a2, a4, a8 = a << 1, a << 2, a << 3
+    a3, a12 = a2 ^ a, a8 ^ a4
+    window = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+              a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
+    out = k = 0
     while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
+        out ^= window[b & 15] << k
+        b >>= 4
+        k += 4
     return out
 
 
@@ -30,26 +33,25 @@ def divmod_(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of a divided by b, for b != 0."""
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
-    db = degree(b)
-    q = 0
-    while True:
-        shift = degree(a) - db
-        if shift < 0:
-            return q, a
+    nb, q = b.bit_length(), 0
+    shift = a.bit_length() - nb
+    while shift >= 0:
         q ^= 1 << shift
         a ^= b << shift
+        shift = a.bit_length() - nb
+    return q, a
 
 
 def mod(a: int, b: int) -> int:
     """Remainder of a modulo b, for b != 0."""
     if b == 0:
         raise ZeroDivisionError("division by the zero polynomial")
-    db = degree(b)
-    while True:
-        shift = degree(a) - db
-        if shift < 0:
-            return a
+    nb = b.bit_length()
+    shift = a.bit_length() - nb
+    while shift >= 0:
         a ^= b << shift
+        shift = a.bit_length() - nb
+    return a
 
 
 def gcd(a: int, b: int) -> int:
@@ -59,14 +61,18 @@ def gcd(a: int, b: int) -> int:
 
 
 def gcdext(a: int, b: int) -> tuple[int, int, int]:
-    """Return (d, s, t) with s*a + t*b = d = gcd(a, b)."""
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
+    """Return (d, s, t) with s*a + t*b = d = gcd(a, b), by Euclid's algorithm
+    taking one quotient term (three shift-XORs) at a time."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
     while b:
-        q, r = divmod_(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 ^ mul(q, s1)
-        t0, t1 = t1, t0 ^ mul(q, t1)
+        nb = b.bit_length()
+        j = a.bit_length() - nb
+        while j >= 0:
+            a ^= b << j
+            s0 ^= s1 << j
+            t0 ^= t1 << j
+            j = a.bit_length() - nb
+        a, b, s0, s1, t0, t1 = b, a, s1, s0, t1, t0
     return a, s0, t0
 
 

@@ -23,8 +23,9 @@ identity alpha^(p-1) = 1 + alpha + ... + alpha^(p-2).
 
 Field multiplication uses log/antilog tables built on a primitive element
 (found by search, since the residue of x need not generate the whole
-multiplicative group); verification workloads perform millions of
-multiplications, so the table path matters.
+multiplicative group).  Ring factor fields of degree above 16 have none: a
+product there is a 4-bit-window carry-less multiply reduced one byte at a
+time, and ``_Gf2mOps.ratios`` takes one inverse per sweep, not per column.
 """
 
 from __future__ import annotations
@@ -85,13 +86,14 @@ def _order_of_2_mod(p: int) -> int:
 class _Gf2mOps:
     """Arithmetic in GF(2)[x]/(f) for irreducible f, on raw ints.
 
-    Log/antilog tables are built for degrees up to 16; beyond that the
-    carry-less fallback is used (only reachable through ring factor
-    fields for large p).
+    Log/antilog tables are built for degrees up to 16.  Beyond that (only
+    ring factor fields for large p) a product is the windowed carry-less
+    ``poly.mul`` followed by ``reduce``, which folds the bits above the
+    degree one byte at a time through lazily built tables.
     """
 
     __slots__ = ("modulus", "degree", "q", "qm1", "has_tables", "exp", "log",
-                 "_exp_np", "_log_np")
+                 "_fold", "_exp_np", "_log_np")
 
     def __init__(self, modulus: int):
         self.modulus = modulus
@@ -99,6 +101,7 @@ class _Gf2mOps:
         self.q = 1 << self.degree
         self.qm1 = self.q - 1
         self.has_tables = self.degree <= _TABLE_DEGREE_MAX
+        self._fold: list[list[int]] = []
         self._exp_np = None
         self._log_np = None
         if self.has_tables:
@@ -131,23 +134,50 @@ class _Gf2mOps:
                 return c
             c += 1
 
+    def reduce(self, a: int) -> int:
+        """a mod f, for any a >= 0: one table lookup per byte above the degree."""
+        top = a >> self.degree
+        if not top:
+            return a
+        nbytes = (top.bit_length() + 7) >> 3
+        fold = self._fold
+        if len(fold) < nbytes:
+            fold = self._fold = self._fold_tables(nbytes)
+        out = a & self.qm1
+        for table, byte in zip(fold, top.to_bytes(nbytes, "little")):
+            out ^= table[byte]
+        return out
+
+    def _fold_tables(self, nbytes: int) -> list[list[int]]:
+        """Fold tables for nbytes bytes, table k mapping c to c x^(degree+8k) mod f,
+        as a new list: other threads may be reading the old one."""
+        fold = list(self._fold)
+        v = poly.mod(1 << (self.degree + 8 * len(fold)), self.modulus)
+        while len(fold) < nbytes:
+            table = [0]
+            for _ in range(8):          # table[c + 2^i] = table[c] + x^i x^(degree + 8k)
+                table += [t ^ v for t in table]
+                v = poly.mod(v << 1, self.modulus)
+            fold.append(table)
+        return fold
+
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         if self.has_tables:
             return self.exp[self.log[a] + self.log[b]]
-        return poly.mulmod(a, b, self.modulus)
+        return self.reduce(poly.mul(a, b))
 
     def mul_sum(self, xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> list[int]:
         """The entrywise sum of x·y over the pairs of vectors x, y of xs, ys."""
         acc = [0] * len(xs[0])
+        exp, log = self.exp, self.log
         for x, y in zip(xs, ys):
             if self.has_tables:
-                exp, log = self.exp, self.log
                 acc = [a ^ exp[log[u] + log[v]] if u and v else a for a, u, v in zip(acc, x, y)]
-            else:
-                acc = [a ^ self.mul(u, v) for a, u, v in zip(acc, x, y)]
-        return acc
+            else:           # reduction is linear: reduce each sum once, below
+                acc = [a ^ poly.mul(u, v) if u and v else a for a, u, v in zip(acc, x, y)]
+        return acc if self.has_tables else [self.reduce(a) for a in acc]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -155,6 +185,24 @@ class _Gf2mOps:
         if self.has_tables:
             return self.exp[self.qm1 - self.log[a]]
         return poly.invmod(a, self.modulus)
+
+    def ratios(self, xs: Sequence[int], ys: Sequence[int]) -> list:
+        """One key per column: equal keys mean equal ratios y/x, and -1 marks
+        x = 0.  With tables the key is log y - log x mod q-1 (q-1 for y = 0);
+        without, y/x itself, from one inverse for the whole sweep."""
+        if self.has_tables:
+            log, qm1 = self.log, self.qm1
+            return [-1 if not x else (log[y] - log[x]) % qm1 if y else qm1 for x, y in zip(xs, ys)]
+        prefix, acc = [], 1             # prefix[i] = product of the nonzero xs before i
+        for x in xs:
+            prefix.append(acc)
+            acc = self.mul(acc, x) if x else acc
+        inv, keys = self.inv(acc), [-1] * len(xs)   # inv: of the nonzero xs up to i
+        for i in range(len(xs) - 1, -1, -1):
+            if xs[i]:
+                keys[i] = self.mul(ys[i], self.mul(inv, prefix[i]))
+                inv = self.mul(inv, xs[i])
+        return keys
 
     def np_tables(self):
         """(exp, log) as int32 numpy arrays, or None when table-less.  Needs
@@ -456,12 +504,11 @@ class Ring(Algebra):
         return self._factor_ops
 
     def factor_views(self, rows) -> list[tuple[_Gf2mOps, list[list[int]]]]:
-        return [(ops, [[poly.mod(v, f) for v in r] for r in rows])
-                for f, ops in zip(self.factorization.factors, self.factor_ops)]
+        return [(ops, [[ops.reduce(v) for v in r] for r in rows]) for ops in self.factor_ops]
 
     def project_bits(self, bits: int, k: int) -> int:
         """Residue of bits modulo the k-th irreducible factor of M_p(x)."""
-        return poly.mod(bits, self.factorization.factors[k])
+        return self.factor_ops[k].reduce(bits)
 
     def crt_bits(self, residues: list[int]) -> int:
         """Unique residue mod M_p(x) matching one residue per factor."""

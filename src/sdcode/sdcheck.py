@@ -15,7 +15,8 @@ Peel and sweep finds the first failing choice: a subset led by column i
 fails exactly when column i is zero or, once one pivot row clears column
 i, the other s-1 rows fail on the rest of it.  At s = 2 a pair fails
 exactly when a column is zero or both columns have the same ratio, so
-one pass finds it: O(N^(s-1)) per group and factor.
+one pass over the keys of ``ops.ratios`` (one inverse per sweep in a
+tableless field) finds it: O(N^(s-1)) per group and factor.
 
 Over the ring the same procedure runs once per factor view the algebra
 supplies, one per irreducible factor of M_p(x); a pattern fails if it
@@ -121,19 +122,20 @@ def _first_singular_pair(ops, r0: list[int], r1: list[int]):
     submatrix of the rows r0, r1 is singular; None when there is none.
 
     A pair is singular exactly when one of its columns is zero or both
-    columns have the same ratio r1/r0 (a marker when r0 is zero).  One
-    backward pass finds, for each i, the smallest later j failing with it.
+    columns have the same ratio r1/r0, whose key ``ops.ratios`` gives (-1
+    when r0 is zero; a tableless field inverts once for all the columns).
+    One backward pass finds, for each i, the smallest later j failing with it.
     """
     first = None
     zero = None         # leftmost zero column right of i
     nearest = {}        # ratio -> leftmost column right of i with that ratio
+    keys = ops.ratios(r0, r1)
     for i in range(len(r0) - 1, -1, -1):
-        a, b = r0[i], r1[i]
-        if not (a or b):
+        if not (r0[i] or r1[i]):
             j = i + 1 if i + 1 < len(r0) else None
             zero = i
         else:
-            key = ops.mul(b, ops.inv(a)) if a else -1
+            key = keys[i]
             j = nearest.get(key)
             if zero is not None and (j is None or zero < j):
                 j = zero

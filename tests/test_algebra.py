@@ -1,5 +1,7 @@
 """Field GF(2^w) and ring GF(2)[x]/(M_p) arithmetic."""
 import random
+import sys
+import threading
 
 import pytest
 
@@ -349,6 +351,98 @@ def test_ring_mul_fold_matches_mulmod():
         for a in operands:
             for b in operands:
                 assert ring.mul_bits(a, b) == poly.mulmod(a, b, ring.modulus)
+
+
+@pytest.mark.parametrize("p", [7, 17, 31, 41, 101, 127])
+def test_reduce_matches_mod_on_every_factor(p):
+    # a fresh ring, so each factor's fold tables start empty and grow as
+    # longer inputs arrive
+    ring = Ring(p)
+    rng = random.Random(p)
+    for f, ops in zip(ring.factorization.factors, ring.factor_ops):
+        top = 2 * max(p - 1, 2 * ops.degree)
+        lengths = list(range(top + 1)) + [rng.randrange(top + 1) for _ in range(60)]
+        rng.shuffle(lengths)
+        for n in lengths:
+            v = rng.getrandbits(n) | (1 << n >> 1)
+            assert ops.reduce(v) == poly.mod(v, f), (p, hex(f), n)
+        assert ops.reduce(0) == 0 and ops.reduce(f) == 0 and ops.reduce(1 << top) == poly.mod(1 << top, f)
+        assert ring.project_bits(ring.all_ones, ring.factor_ops.index(ops)) == poly.mod(ring.all_ones, f)
+
+
+def test_fold_tables_are_race_free():
+    # four threads reduce 199-bit products in a cold GF(2^100), switching
+    # every microsecond, so they interleave inside the table builds
+    rng = random.Random(101)
+    values = [rng.getrandbits(199) for _ in range(50)]
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            ops, barrier = Ring(101).factor_ops[0], threading.Barrier(4)
+
+            def work():
+                barrier.wait()
+                results.append([ops.reduce(v) for v in values])
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    want = [poly.mod(v, ops.modulus) for v in values]
+    assert len(results) == 80 and all(r == want for r in results)
+
+
+def _tableless_ops():
+    ops = [make_ring(41).factor_ops[1], make_ring(101).factor_ops[0], make_ring(37).factor_ops[0]]
+    assert [o.degree for o in ops] == [20, 100, 36] and not any(o.has_tables for o in ops)
+    return ops
+
+
+def test_tableless_mul_inv_and_mul_sum_match_poly():
+    rng = random.Random(41)
+    for ops in _tableless_ops():
+        f, d = ops.modulus, ops.degree
+        operands = [0, 1, 2, ops.qm1, 1 << (d - 1)] + [rng.getrandbits(d) for _ in range(20)]
+        for a in operands:
+            for b in operands:
+                assert ops.mul(a, b) == poly.mulmod(a, b, f)
+            if a:
+                assert ops.inv(a) == poly.invmod(a, f)
+        xs = [rng.choices(operands, k=9) for _ in range(4)]
+        ys = [rng.choices(operands, k=9) for _ in range(4)]
+        want = [0] * 9
+        for x, y in zip(xs, ys):
+            want = [w ^ poly.mulmod(u, v, f) for w, u, v in zip(want, x, y)]
+        assert ops.mul_sum(xs, ys) == want
+
+
+def test_ratios_key_each_column_by_its_ratio(gf16):
+    rng = random.Random(16)
+    # every (x, y) of GF(16), then the tableless ring41 and ring101 fields
+    pairs = [(x, y) for x in range(16) for y in range(16)]
+    cases = [(gf16.ops, [x for x, _ in pairs], [y for _, y in pairs])]
+    for ops in _tableless_ops()[:2]:
+        alphabet = [0, 1] + [rng.getrandbits(ops.degree) for _ in range(4)]
+        xs = rng.choices(alphabet, k=60) + [0, 0, 5, 5]
+        ys = rng.choices(alphabet, k=60) + [0, 7, 0, 7]
+        cases.append((ops, xs, ys))
+    for ops, xs, ys in cases:
+        keys = ops.ratios(xs, ys)
+        want = [ops.mul(y, ops.inv(x)) if x else None for x, y in zip(xs, ys)]
+        assert [k == -1 for k in keys] == [x == 0 for x in xs]
+        if not ops.has_tables:
+            assert keys == [-1 if w is None else w for w in want]
+        # equal keys exactly when equal ratios; ratio 0 keeps its own key
+        for i in range(len(xs)):
+            for j in range(len(xs)):
+                if xs[i] and xs[j]:
+                    assert (keys[i] == keys[j]) == (want[i] == want[j])
+        zero_keys = {k for k, x, y in zip(keys, xs, ys) if x and not y}
+        assert len(zero_keys) == 1 and -1 not in zero_keys
 
 
 def test_descriptor_round_trip(gf16, gf256, ring17):

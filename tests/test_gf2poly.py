@@ -38,6 +38,14 @@ def test_mul_matches_schoolbook():
         a = rng.getrandbits(12)
         b = rng.getrandbits(12)
         assert poly.mul(a, b) == naive_mul(a, b)
+    # the 4-bit window: zero, one, and lengths up to 300 bits, multiples
+    # of 4 or not, in both argument orders
+    lengths = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 99, 100, 101, 299, 300]
+    operands = [0, 1] + [rng.getrandbits(n) | 1 << (n - 1) for n in lengths]
+    operands += [rng.getrandbits(rng.randrange(301)) for _ in range(40)]
+    for a in operands:
+        for b in operands:
+            assert poly.mul(a, b) == naive_mul(a, b) == poly.mul(b, a)
     # multiplication is carry-less: (x+1)^2 = x^2+1
     assert poly.mul(0b11, 0b11) == 0b101
 
@@ -50,7 +58,16 @@ def test_divmod_identity():
         q, r = poly.divmod_(a, b)
         assert poly.mul(q, b) ^ r == a
         assert poly.degree(r) < poly.degree(b)
+        assert poly.mod(a, b) == r
+    for _ in range(300):
+        a = rng.getrandbits(rng.randrange(260))
+        b = rng.getrandbits(rng.randrange(1, 130)) | 1
+        q, r = poly.divmod_(a, b)
+        assert poly.mul(q, b) ^ r == a
+        assert poly.degree(r) < poly.degree(b)
+        assert poly.mod(a, b) == r
     assert poly.mod(0b10011, 0b10011) == 0
+    assert poly.divmod_(0, 0b101) == (0, 0) and poly.divmod_(0b11, 0b101) == (0, 0b11)
 
 
 def test_gcd_and_ext():
@@ -67,6 +84,17 @@ def test_gcd_and_ext():
         g, s, t = poly.gcdext(a, b)
         assert g == d
         assert poly.mul(s, a) ^ poly.mul(t, b) == g
+    # 100-bit pairs, half of them sharing a random common factor
+    for k in range(200):
+        common = rng.getrandbits(rng.randrange(2, 30)) | 1 if k % 2 else 1
+        a = poly.mul(rng.getrandbits(100), common)
+        b = poly.mul(rng.getrandbits(100), common)
+        g, s, t = poly.gcdext(a, b)
+        assert g == poly.gcd(a, b) and poly.mod(g, common) == 0
+        assert poly.mod(a, g) == poly.mod(b, g) == 0
+        assert poly.mul(s, a) ^ poly.mul(t, b) == g
+    assert poly.gcdext(0, 0b1011) == (0b1011, 0, 1)
+    assert poly.gcdext(0b1011, 0) == (0b1011, 1, 0)
 
 
 def test_invmod():

@@ -7,6 +7,7 @@ import pytest
 
 from sdcode import (
     ErasurePattern,
+    Ring,
     build_h1,
     build_h2,
     build_h_generic,
@@ -170,6 +171,20 @@ def test_witness_independent_of_jobs(gf16):
     reports = [is_sd(bad, jobs=j) for j in (1, 2, 4)]
     assert len({(r.sd, r.witness, r.patterns_checked) for r in reports}) == 1
     assert not reports[0].sd
+
+
+@pytest.mark.parametrize("p,r", [(29, 5), (41, 4), (127, 3)])
+def test_jobs_invariant_on_cold_factor_tables(p, r):
+    # fresh rings, not the make_ring cache, so the factor fields' fold
+    # tables start empty; M_29 is irreducible (one tableless GF(2^28)), and
+    # its elements need no folding, so the threads of jobs=4 build the
+    # tables for products while they scan
+    def reports(jobs):
+        h = build_h2(r, 5, Ring(p))
+        bad = corrupt(h, 2 * r + 1, 2, h.matrix.bits[2 * r + 1][0])
+        return [is_sd(hm, jobs=jobs) for hm in (h, bad)]
+    assert reports(4) == reports(1)
+    assert [rep.sd for rep in reports(1)] == [True, False]
 
 
 def _m1(alg, columns, n=3):
