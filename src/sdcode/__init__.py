@@ -47,6 +47,7 @@ from .sdcheck import (
     is_sd,
     pattern_from_text,
     pattern_to_text,
+    sd_depth,
 )
 from .search import SearchConfig, TrialRecord, extend_global_rows, run_search
 
@@ -90,6 +91,7 @@ __all__ = [
     "read_matrix",
     "read_stripe",
     "run_search",
+    "sd_depth",
     "shorten",
     "solve",
     "submatrix",

@@ -14,9 +14,19 @@ def degree(a: int) -> int:
 
 
 def mul(a: int, b: int) -> int:
-    """Carry-less (polynomial) product of a and b, four bits of b at a time."""
+    """Carry-less (polynomial) product of a and b.  The shorter operand is
+    the multiplier: one of at most five bits adds a shifted copy of the
+    other per set bit, a longer one goes four bits at a time through a
+    16-entry window of the other's multiples."""
     if a < b:
         a, b = b, a
+    if b < 32:
+        out = 0
+        while b:
+            low = b & -b        # lowest set bit; a * low is a shifted left
+            out ^= a * low
+            b ^= low
+        return out
     a2, a4, a8 = a << 1, a << 2, a << 3
     a3, a12 = a2 ^ a, a8 ^ a4
     window = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,

@@ -25,7 +25,7 @@ from .errors import (
     SdCodeError,
     UndecodablePatternError,
 )
-from .sdcheck import is_sd, pattern_to_text
+from .sdcheck import is_sd, pattern_to_text, sd_depth
 from .search import SearchConfig, format_report, run_search, write_report
 
 
@@ -82,7 +82,8 @@ def _cmd_verify(args) -> int:
         print(f"patterns={report.patterns_checked} sd=yes")
         return 0
     print(f"patterns={report.patterns_checked} sd=no "
-          f"witness={pattern_to_text(report.witness)}")
+          f"witness={pattern_to_text(report.witness)} "
+          f"sd_up_to={sd_depth(hm, jobs=args.jobs)[0]}")
     return 2
 
 

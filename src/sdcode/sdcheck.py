@@ -22,6 +22,11 @@ Over the ring the same procedure runs once per factor view the algebra
 supplies, one per irreducible factor of M_p(x); a pattern fails if it
 fails in any factor.
 
+``sd_depth`` finds the largest depth r' at which the code is SD in one
+pass.  The residual at survivor (i, j) depends only on stripe row i, so
+the code shortened to r' stripe rows has the first r'(n-m) residual
+columns: one residual per disk set and factor answers every depth.
+
 The report is deterministic: all patterns are always counted, the
 witness is the first failing pattern in enumeration order (disk sets in
 lexicographic order, then sector subsets in lexicographic order over
@@ -39,7 +44,7 @@ from math import comb
 from typing import Callable, Optional, Sequence
 
 from .algebra import key_values, read_int
-from .construct import CodeSpec, ParityCheckMatrix
+from .construct import CodeSpec, ParityCheckMatrix, shorten
 from .errors import PatternInvalidError, TooManyErasuresError
 from .linalg import det_bits, eliminate, full_column_rank, submatrix
 
@@ -215,6 +220,26 @@ def _scan_group(views, spec: CodeSpec, disks: Sequence[int]) -> Optional[Erasure
     return None if first is None else ErasurePattern(disks, [survivors[t] for t in first])
 
 
+def _patterns(spec: CodeSpec, r: int) -> int:
+    """Patterns of the code shortened to r stripe rows."""
+    return comb(spec.n, spec.m) * comb((spec.n - spec.m) * r, spec.s)
+
+
+def _map_groups(spec: CodeSpec, scan: Callable, jobs: int,
+                progress: Optional[Callable[[int, int], None]]) -> list:
+    """scan(disks) for every disk set, in lexicographic order, on `jobs`
+    threads; `progress(done, total)` runs as each disk set is done."""
+    groups = list(combinations(range(spec.n), spec.m))
+    out = []
+    with ThreadPoolExecutor(jobs) if jobs and jobs > 1 else nullcontext() as pool:
+        results = map(scan, groups) if pool is None else pool.map(scan, groups)
+        for done, found in enumerate(results, start=1):
+            if progress is not None:
+                progress(done, len(groups))
+            out.append(found)
+    return out
+
+
 def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
           progress: Optional[Callable[[int, int], None]] = None) -> SdReport:
     """Exhaustively decide the SD property.
@@ -224,19 +249,67 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     worker count.  `progress(done, total)` runs as each disk set is done.
     """
     spec = hm.spec
-    total = comb(spec.n, spec.m) * comb((spec.n - spec.m) * spec.r, spec.s)
     views = _local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits))
-    scan = lambda d: _scan_group(views, spec, d)
-    groups = list(combinations(range(spec.n), spec.m))
-    witness = None
-    with ThreadPoolExecutor(jobs) if jobs and jobs > 1 else nullcontext() as pool:
-        results = map(scan, groups) if pool is None else pool.map(scan, groups)
-        for done, found in enumerate(results, start=1):
-            if progress is not None:
-                progress(done, len(groups))
-            if witness is None:
-                witness = found
-    return SdReport(witness is None, witness, total)
+    found = _map_groups(spec, lambda d: _scan_group(views, spec, d), jobs, progress)
+    witness = next((w for w in found if w is not None), None)
+    return SdReport(witness is None, witness, _patterns(spec, spec.r))
+
+
+def _depth_group(hm: ParityCheckMatrix, views, disks: Sequence[int]):
+    """(smallest depth whose shortened code fails at this disk set, its
+    first failing pattern there); (r + 1, None) when no depth fails."""
+    spec = hm.spec
+    residuals = [_schur_residual(spec, *view, disks) for view in views]
+    if None in residuals:
+        # a singular V_i: whether the disk columns are independent can
+        # change with depth, so scan the shortened codes one by one
+        for depth in range(1, spec.r + 1):
+            short = hm if depth == spec.r else shorten(hm, depth)
+            sviews = _local_blocks(short.spec, spec.algebra.factor_views(short.matrix.bits))
+            found = _scan_group(sviews, short.spec, disks)
+            if found is not None:
+                return depth, found
+        return spec.r + 1, None
+    w, s = spec.n - spec.m, spec.s
+
+    def first_at(depth: int):
+        firsts = (_first_singular(view[0], [row[:depth * w] for row in residual], s)
+                  for view, residual in zip(views, residuals))
+        return min((f for f in firsts if f is not None), default=None)
+
+    first = first_at(spec.r)
+    if first is None:
+        return spec.r + 1, None
+    # the first failing subset fails from the depth of its last column on,
+    # and every failing subset starts at or after its first column
+    lo, hi = (first[0] + s - 1) // w, first[-1] // w + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        found = first_at(mid)
+        if found is None:
+            lo = mid
+        else:
+            first, hi = found, mid
+    survivors = _survivors(spec, disks)
+    return hi, ErasurePattern(disks, [survivors[t] for t in first])
+
+
+def sd_depth(hm: ParityCheckMatrix, jobs: int = 1) -> tuple[int, SdReport]:
+    """The largest depth r' <= r at which the code is SD, and the report
+    that is_sd(shorten(hm, r' + 1)) gives (is_sd(hm) when r' + 1 = r; an
+    SD report for hm when r' = r).
+
+    Per disk set, a bisection over prefixes of its one residual finds the
+    smallest depth that fails; the code's depth is the minimum over disk
+    sets, the witness the first failure of the first disk set that
+    reaches it.  `jobs` is as in is_sd.
+    """
+    spec = hm.spec
+    views = _local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits))
+    found = _map_groups(spec, lambda d: _depth_group(hm, views, d), jobs, None)
+    failed_at, witness = min(found, key=lambda f: f[0])
+    return failed_at - 1, SdReport(witness is None, witness,
+                                   _patterns(spec, min(failed_at, spec.r)))
 
 
 # -- pattern text form -------------------------------------------------------

@@ -1,10 +1,13 @@
 """Monte Carlo discovery of SD codes with shortening-based pruning.
 
-Each trial draws random nonzero global rows and tests r = 1, 2, ... in
-order.  The rows for r+1 extend the rows for r (the prefix property), so
-a failure at some r implies failure at every larger r by the shortening
-argument, and the trial stops at its first non-SD r without building the
-larger matrices.
+Each trial draws random nonzero global rows for every depth up to r_max.
+The rows for r+1 extend the rows for r (the prefix property), and
+shortening keeps the SD property, so a failure at some r implies failure
+at every larger r: a trial's result is its largest SD depth, which one
+Schur scan of the r_max matrix finds (``sdcheck.sd_depth``).  An
+explicit ``check=`` instead tests r = 1, 2, ... in order with a
+rebuilt matrix each and stops at the first non-SD r; that per-depth loop
+is the oracle the one-scan path is tested against.
 
 Generators are per-trial streams derived from (seed, trial id), so runs
 are reproducible and trials are independent regardless of scheduling.
@@ -19,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import Algebra, Element
 from .construct import _check_order, build_h_generic, open_text
-from .sdcheck import ErasurePattern, SdReport, is_sd, pattern_to_text
+from .sdcheck import ErasurePattern, SdReport, pattern_to_text, sd_depth
 
 
 @dataclass(frozen=True)
@@ -80,28 +83,34 @@ def run_search(cfg: SearchConfig,
                jobs: int = 1) -> list[TrialRecord]:
     """One TrialRecord per trial, in trial order.
 
-    check and extend are injection points for instrumentation; they
-    default to is_sd and extend_global_rows.
+    extend defaults to extend_global_rows.  With check None, a trial
+    draws all r_max depths and scans once with sd_depth; a check (such
+    as is_sd) is called on the matrix of each depth in turn instead, up
+    to the first non-SD one.  Both give the same records.
     """
-    if check is None:
-        check = lambda hm: is_sd(hm, jobs=jobs)
     if extend is None:
         extend = extend_global_rows
     records = []
     for t in range(cfg.trials):
         rng = trial_generator(cfg.seed, t)
         rows: list[list[Element]] = [[] for _ in range(cfg.s)]
-        achieved, failed_at, witness = 0, None, None
-        for r in range(1, cfg.r_max + 1):
-            rows = extend(rng, rows, cfg.n, cfg.algebra)
-            hm = build_h_generic(cfg.n, cfg.m, cfg.s, r, rows, cfg.algebra)
-            report = check(hm)
-            if report.sd:
+        if check is None:
+            for _ in range(cfg.r_max):
+                rows = extend(rng, rows, cfg.n, cfg.algebra)
+            hm = build_h_generic(cfg.n, cfg.m, cfg.s, cfg.r_max, rows, cfg.algebra)
+            achieved, report = sd_depth(hm, jobs=jobs)
+            failed_at = None if report.sd else achieved + 1
+            rows = [row[:(failed_at or cfg.r_max) * cfg.n] for row in rows]
+        else:
+            achieved, failed_at = 0, None
+            for r in range(1, cfg.r_max + 1):
+                rows = extend(rng, rows, cfg.n, cfg.algebra)
+                report = check(build_h_generic(cfg.n, cfg.m, cfg.s, r, rows, cfg.algebra))
+                if not report.sd:
+                    failed_at = r
+                    break
                 achieved = r
-            else:
-                failed_at, witness = r, report.witness
-                break
-        records.append(TrialRecord(t, achieved, failed_at, witness,
+        records.append(TrialRecord(t, achieved, failed_at, report.witness,
                                    _digest(rows, cfg.algebra)))
     return records
 

@@ -122,7 +122,12 @@ def test_verify_not_sd_exits_2_with_witness(tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "-H", str(bad)) == 2
     out = capsys.readouterr().out
-    assert "sd=no" in out and "witness=d=" in out and "patterns=330" in out
+    assert out == "patterns=330 sd=no witness=d=0 s=0:2,1:4 sd_up_to=1\n"
+    # sd_up_to: the matrix shortened to one stripe row is SD, to two is not
+    for r2, code in (("1", 0), ("2", 2)):
+        short = tmp_path / f"bad{r2}.txt"
+        assert run("shorten", "-H", str(bad), "--r2", r2, "-o", str(short)) == 0
+        assert run("verify", "-H", str(short)) == code
 
 
 def test_verify_jobs_do_not_change_output(tmp_path, capsys):

@@ -38,8 +38,9 @@ def test_mul_matches_schoolbook():
         a = rng.getrandbits(12)
         b = rng.getrandbits(12)
         assert poly.mul(a, b) == naive_mul(a, b)
-    # the 4-bit window: zero, one, and lengths up to 300 bits, multiples
-    # of 4 or not, in both argument orders
+    # zero, one, the shift-and-add multipliers of 2 to 5 bits, and the
+    # 4-bit window's lengths up to 300 bits, multiples of 4 or not, in
+    # both argument orders
     lengths = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 99, 100, 101, 299, 300]
     operands = [0, 1] + [rng.getrandbits(n) | 1 << (n - 1) for n in lengths]
     operands += [rng.getrandbits(rng.randrange(301)) for _ in range(40)]

@@ -1,4 +1,5 @@
 """Exhaustive SD verification, erasure patterns, and shortening."""
+import io
 import random
 from itertools import combinations
 from math import comb
@@ -19,6 +20,8 @@ from sdcode import (
     make_ring,
     pattern_from_text,
     pattern_to_text,
+    read_matrix,
+    sd_depth,
     shorten,
 )
 from sdcode import sdcheck
@@ -171,6 +174,7 @@ def test_witness_independent_of_jobs(gf16):
     reports = [is_sd(bad, jobs=j) for j in (1, 2, 4)]
     assert len({(r.sd, r.witness, r.patterns_checked) for r in reports}) == 1
     assert not reports[0].sd
+    assert len({sd_depth(bad, jobs=j) for j in (1, 2, 4)}) == 1
 
 
 @pytest.mark.parametrize("p,r", [(29, 5), (41, 4), (127, 3)])
@@ -540,6 +544,101 @@ def test_construction_scan_runs_no_elimination_and_one_block(gf256, monkeypatch)
     calls = []
     monkeypatch.setattr(sdcheck, "eliminate", lambda *a: calls.append(a) or eliminate(*a))
     assert is_sd(hm).sd and not calls
+
+
+# ------------------------------------------- sd_depth against per-depth is_sd
+
+def per_depth_sd_depth(hm):
+    """The loop sd_depth replaces, kept as its oracle: is_sd on the code
+    shortened to 1, 2, ... stripe rows, up to the first that is not SD."""
+    for r in range(1, hm.spec.r + 1):
+        report = is_sd(hm if r == hm.spec.r else shorten(hm, r))
+        if not report.sd:
+            return r - 1, report
+    return hm.spec.r, report
+
+
+def _depth_kind(hm, depth):
+    return "none" if depth == 0 else "all" if depth == hm.spec.r else "some"
+
+
+_DEPTH_ALGEBRAS = {"gf16": lambda: make_field(4), "gf256": lambda: make_field(8),
+                   "ring7": lambda: make_ring(7), "ring17": lambda: make_ring(17)}
+
+
+@pytest.mark.parametrize("alg_name", sorted(_DEPTH_ALGEBRAS))
+def test_sd_depth_matches_per_depth_is_sd_on_random_generic_codes(alg_name):
+    # 48 codes per algebra; over ring p=17 (two GF(2^8) factors) none
+    # fails at depth 1, over the others some do
+    alg = _DEPTH_ALGEBRAS[alg_name]()
+    rng = random.Random(f"sd_depth/{alg_name}")
+    kinds = set()
+    for m in (1, 2, 3):
+        for s in (1, 2, 3, 4):
+            for _ in range(4):
+                n, r = m + rng.randint(1, 3), rng.randint(1, 5)
+                hm = _random_generic(alg, n, m, s, r, rng)
+                got = sd_depth(hm)
+                assert got == per_depth_sd_depth(hm), (alg_name, n, m, s, r)
+                kinds.add(_depth_kind(hm, got[0]))
+    assert kinds == {"some", "all"} | ({"none"} if alg_name != "ring17" else set())
+
+
+@pytest.mark.parametrize("alg_name", sorted(_ALGEBRAS))
+def test_sd_depth_matches_per_depth_is_sd_on_random_matrices(alg_name, monkeypatch):
+    # zeros in the local blocks make some V_i singular: those disk sets
+    # take the depth-by-depth fallback
+    residuals = []
+    schur = sdcheck._schur_residual
+    monkeypatch.setattr(sdcheck, "_schur_residual",
+                        lambda *a: residuals.append(schur(*a)) or residuals[-1])
+    alg = _ALGEBRAS[alg_name]()
+    kinds = set()
+    for seed in range(3):
+        for n, m, s, _ in _SHAPES:
+            hm = _random_matrix(alg, n, m, s, 3, seed=f"depth/{alg_name}/{seed}/{n}{m}{s}")
+            got = sd_depth(hm)
+            assert got == per_depth_sd_depth(hm), (alg_name, seed, (n, m, s))
+            kinds.add(_depth_kind(hm, got[0]))
+    assert kinds == {"none", "some", "all"}
+    assert None in residuals
+
+
+# Stripe row 1's block has det(V) = 0xa + 1 = 0xb = x^3 + x + 1 at disk set
+# (0, 1): zero modulo the factor 0xb of M_7(x) only, and no other block
+# or disk set is singular in either factor view.
+_RING7_ONE_FACTOR_SINGULAR = """\
+SDCODE-H v1
+ring p=7
+params n=4 m=2 s=2 r=3 family=generic
+1 1 1 1 0 0 0 0 0 0 0 0
+1 a^1 a^2 a^3 0 0 0 0 0 0 0 0
+0 0 0 0 1 1 1 1 0 0 0 0
+0 0 0 0 x:a 1 a^2 a^3 0 0 0 0
+0 0 0 0 0 0 0 0 1 1 1 1
+0 0 0 0 0 0 0 0 1 a^1 a^2 a^3
+x:3e x:38 x:3d x:37 a^2 x:6 x:6 x:18 x:36 x:b x:30 x:34
+x:2b x:37 x:14 x:11 x:27 x:e x:27 x:3 x:26 x:2c x:b x:1c
+"""
+
+
+def test_sd_depth_falls_back_where_one_ring_factor_has_a_singular_block(monkeypatch):
+    hm = read_matrix(io.StringIO(_RING7_ONE_FACTOR_SINGULAR))
+    views = sdcheck._local_blocks(hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits))
+    assert [[sdcheck._schur_residual(hm.spec, *v, d) is None for v in views]
+            for d in combinations(range(4), 2)] == [[True, False]] + [[False, False]] * 5
+    shortened = []
+    monkeypatch.setattr(sdcheck, "shorten", lambda h, r: shortened.append(r) or shorten(h, r))
+    got = sd_depth(hm)
+    # only disk set (0, 1) goes depth by depth, and it fails at depth 2
+    assert shortened == [1, 2]
+    assert got == per_depth_sd_depth(hm) == (
+        1, SdReport(False, ErasurePattern((0, 1), ((0, 2), (0, 3))), comb(4, 2) * comb(4, 2)))
+
+
+def test_sd_depth_of_codes_sd_at_every_depth(gf16, ring17):
+    for hm in (build_h1(3, 5, gf16), build_h2(4, 4, ring17), build_h2(1, 5, gf16)):
+        assert sd_depth(hm) == per_depth_sd_depth(hm) == (hm.spec.r, is_sd(hm))
 
 
 # ------------------------------------------------------------- shorten

@@ -9,6 +9,8 @@ from sdcode import (
     build_h1,
     extend_global_rows,
     is_sd,
+    make_field,
+    make_ring,
     run_search,
 )
 from sdcode.search import (
@@ -142,6 +144,42 @@ def test_pruning_stops_at_first_failure(gf16):
             assert sd == (expect_r <= rec.achieved_r)
             i += 1
     assert i == len(calls)
+
+
+@pytest.mark.parametrize("alg_name,n,m,s,r_max", [
+    ("gf16", 5, 1, 2, 3), ("gf16", 4, 1, 1, 3), ("gf256", 6, 2, 2, 6),
+    ("gf256", 5, 1, 3, 5), ("gf256", 6, 2, 4, 4), ("ring7", 5, 2, 2, 1),
+    ("ring7", 4, 1, 3, 1), ("ring17", 6, 2, 2, 2), ("ring17", 5, 3, 4, 3)])
+def test_one_scan_search_matches_the_per_depth_loop(alg_name, n, m, s, r_max):
+    alg = {"gf16": make_field(4), "gf256": make_field(8),
+           "ring7": make_ring(7), "ring17": make_ring(17)}[alg_name]
+    for seed in (1, 7919, "x"):
+        cfg = SearchConfig(n=n, m=m, s=s, r_max=r_max, trials=6, seed=seed, algebra=alg)
+        oracle = format_report(run_search(cfg, check=is_sd))
+        assert format_report(run_search(cfg)) == oracle
+        assert format_report(run_search(cfg, jobs=2)) == oracle
+
+
+def test_one_scan_search_draws_every_depth_in_trial_order(gf16):
+    # the default path draws all r_max depths of a trial before scanning,
+    # from the same stream in the same order as the per-depth loop
+    cfg = config(gf16, trials=6)
+    calls = []
+
+    def recording(rng, rows, n, algebra):
+        out = extend_global_rows(rng, rows, n, algebra)
+        calls.append([[e.bits for e in row] for row in out])
+        return out
+
+    records = run_search(cfg, extend=recording)
+    assert len(calls) == cfg.trials * cfg.r_max
+    for t in range(cfg.trials):
+        rng = trial_generator(cfg.seed, t)
+        rows = [[] for _ in range(cfg.s)]
+        for r in range(cfg.r_max):
+            rows = extend_global_rows(rng, rows, cfg.n, cfg.algebra)
+            assert calls[t * cfg.r_max + r] == [[e.bits for e in row] for row in rows]
+    assert any(rec.failed_at is not None and rec.failed_at < cfg.r_max for rec in records)
 
 
 def test_injected_coefficients_reach_full_depth(gf16):
