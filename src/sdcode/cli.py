@@ -118,7 +118,7 @@ def _cmd_search(args) -> int:
     algebra = _algebra_of(args)
     cfg = SearchConfig(n=args.n, m=args.m, s=args.s, r_max=args.rmax,
                        trials=args.trials, seed=args.seed, algebra=algebra)
-    records = run_search(cfg, jobs=args.jobs)
+    records = run_search(cfg)
     if args.output:
         write_report(records, args.output)
         print(f"wrote {args.output}")
@@ -181,7 +181,6 @@ def _build_parser() -> _Parser:
     _add_algebra_flags(p)
     p.add_argument("-o", dest="output", metavar="PATH",
                    help="report path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search)
     return parser
 

@@ -23,9 +23,12 @@ supplies, one per irreducible factor of M_p(x); a pattern fails if it
 fails in any factor.
 
 ``sd_depth`` finds the largest depth r' at which the code is SD in one
-pass.  The residual at survivor (i, j) depends only on stripe row i, so
-the code shortened to r' stripe rows has the first r'(n-m) residual
-columns: one residual per disk set and factor answers every depth.
+pass.  The code at depth d is the code at depth d + 1 with its last
+stripe row held at zero, so for any H a failure at depth d is one at
+d + 1: one bisection over 0..r per disk set finds its smallest failing
+depth, on the first d(n-m) columns of its one residual (the residual at
+survivor (i, j) depends only on stripe row i) or, where a V_i is
+singular, on the factor views cut to depth d.
 
 The report is deterministic: all patterns are always counted, the
 witness is the first failing pattern in enumeration order (disk sets in
@@ -38,13 +41,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence
 
 from .algebra import key_values, read_int
-from .construct import CodeSpec, ParityCheckMatrix, shorten
+from .construct import CodeSpec, ParityCheckMatrix
 from .errors import PatternInvalidError, TooManyErasuresError
 from .linalg import det_bits, eliminate, full_column_rank, submatrix
 
@@ -255,43 +258,39 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     return SdReport(witness is None, witness, _patterns(spec, spec.r))
 
 
-def _depth_group(hm: ParityCheckMatrix, views, disks: Sequence[int]):
+def _depth_group(spec: CodeSpec, views, disks: Sequence[int]):
     """(smallest depth whose shortened code fails at this disk set, its
     first failing pattern there); (r + 1, None) when no depth fails."""
-    spec = hm.spec
+    m, w = spec.m, spec.n - spec.m
     residuals = [_schur_residual(spec, *view, disks) for view in views]
-    if None in residuals:
-        # a singular V_i: whether the disk columns are independent can
-        # change with depth, so scan the shortened codes one by one
-        for depth in range(1, spec.r + 1):
-            short = hm if depth == spec.r else shorten(hm, depth)
-            sviews = _local_blocks(short.spec, spec.algebra.factor_views(short.matrix.bits))
-            found = _scan_group(sviews, short.spec, disks)
-            if found is not None:
-                return depth, found
-        return spec.r + 1, None
-    w, s = spec.n - spec.m, spec.s
 
-    def first_at(depth: int):
-        firsts = (_first_singular(view[0], [row[:depth * w] for row in residual], s)
+    def first_at(depth: int) -> Optional[ErasurePattern]:
+        if None in residuals:
+            # a singular V_i: scan the views cut as shorten cuts the matrix
+            short = replace(spec, r=depth)
+            cut = [(ops, [row[:depth * spec.n] for row in rows[:m * depth] + rows[m * spec.r:]])
+                   for ops, rows, *_ in views]
+            return _scan_group(_local_blocks(short, cut), short, disks)
+        firsts = (_first_singular(view[0], [row[:depth * w] for row in residual], spec.s)
                   for view, residual in zip(views, residuals))
-        return min((f for f in firsts if f is not None), default=None)
+        first = min((f for f in firsts if f is not None), default=None)
+        if first is None:
+            return None
+        survivors = _survivors(spec, disks)
+        return ErasurePattern(disks, [survivors[t] for t in first])
 
-    first = first_at(spec.r)
-    if first is None:
+    found = first_at(spec.r)
+    if found is None:
         return spec.r + 1, None
-    # the first failing subset fails from the depth of its last column on,
-    # and every failing subset starts at or after its first column
-    lo, hi = (first[0] + s - 1) // w, first[-1] // w + 1
+    lo, hi = 0, spec.r          # depth lo passes, depth hi fails with `found`
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        found = first_at(mid)
-        if found is None:
+        at_mid = first_at(mid)
+        if at_mid is None:
             lo = mid
         else:
-            first, hi = found, mid
-    survivors = _survivors(spec, disks)
-    return hi, ErasurePattern(disks, [survivors[t] for t in first])
+            hi, found = mid, at_mid
+    return hi, found
 
 
 def sd_depth(hm: ParityCheckMatrix, jobs: int = 1) -> tuple[int, SdReport]:
@@ -299,14 +298,14 @@ def sd_depth(hm: ParityCheckMatrix, jobs: int = 1) -> tuple[int, SdReport]:
     that is_sd(shorten(hm, r' + 1)) gives (is_sd(hm) when r' + 1 = r; an
     SD report for hm when r' = r).
 
-    Per disk set, a bisection over prefixes of its one residual finds the
-    smallest depth that fails; the code's depth is the minimum over disk
-    sets, the witness the first failure of the first disk set that
-    reaches it.  `jobs` is as in is_sd.
+    Per disk set, one bisection over the depths finds the smallest that
+    fails (see the module docstring); the code's depth is the minimum
+    over disk sets, the witness the first failure of the first disk set
+    that reaches it.  `jobs` is as in is_sd.
     """
     spec = hm.spec
     views = _local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits))
-    found = _map_groups(spec, lambda d: _depth_group(hm, views, d), jobs, None)
+    found = _map_groups(spec, lambda d: _depth_group(spec, views, d), jobs, None)
     failed_at, witness = min(found, key=lambda f: f[0])
     return failed_at - 1, SdReport(witness is None, witness,
                                    _patterns(spec, min(failed_at, spec.r)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .algebra import Algebra, Element
-from .construct import _check_order, build_h_generic, open_text
+from .construct import CodeSpec, _check_order, build_h_generic, open_text
 from .sdcheck import ErasurePattern, SdReport, pattern_to_text, sd_depth
 
 
@@ -38,8 +38,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
-        if self.r_max < 1:
-            raise ValueError(f"need r_max >= 1, got {self.r_max}")
+        CodeSpec(self.n, self.m, self.s, self.r_max, self.algebra, "generic")  # shape rules
         _check_order(self.r_max, self.n, self.algebra)
 
 

@@ -66,6 +66,8 @@ def test_field_inverse_and_units(gf16):
     assert not gf16.is_unit(gf16.zero)
     with pytest.raises(NotAUnitError):
         gf16.inv(gf16.zero)
+    with pytest.raises(ZeroDivisionError):
+        gf16.ops.inv(0)
     for a in range(1, 16):
         e = gf16.element(a)
         assert gf16.is_unit(e)
@@ -98,6 +100,13 @@ def test_element_algebra_mismatch(gf16, gf256):
         gf16.mul(a, b)
     with pytest.raises(AlgebraMismatchError):
         a + b
+    with pytest.raises(TypeError):
+        gf16.mul(a, 3)
+    for bits in (-1, 16):
+        with pytest.raises(ValueError):
+            gf16.element(bits)
+    # an equal algebra built apart takes the element as its own
+    assert Field(4).mul(a, Field(4).one) == a
 
 
 def test_element_arithmetic_operators(gf16):

@@ -284,12 +284,12 @@ def test_search_writes_report(tmp_path, capsys):
         assert fields[0] == str(t)
 
 
-def test_search_stdout_and_jobs_reproducibility(tmp_path, capsys):
+def test_search_stdout_reproducibility(tmp_path, capsys):
     argv = ("search", "--n", "4", "--m", "1", "--s", "2", "--rmax", "3",
             "--trials", "4", "--seed", "11", "--field", "w=4")
-    assert run(*argv, "--jobs", "1") == 0
+    assert run(*argv) == 0
     first = capsys.readouterr().out
-    assert run(*argv, "--jobs", "4") == 0
+    assert run(*argv) == 0
     second = capsys.readouterr().out
     assert first == second
     assert len(first.splitlines()) == 4

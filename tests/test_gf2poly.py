@@ -1,6 +1,8 @@
 """Carry-less (GF(2)[x]) integer-polynomial helpers."""
 import random
 
+import pytest
+
 from sdcode import _gf2poly as poly
 
 
@@ -69,6 +71,9 @@ def test_divmod_identity():
         assert poly.mod(a, b) == r
     assert poly.mod(0b10011, 0b10011) == 0
     assert poly.divmod_(0, 0b101) == (0, 0) and poly.divmod_(0b11, 0b101) == (0, 0b11)
+    for div in (poly.divmod_, poly.mod):
+        with pytest.raises(ZeroDivisionError):
+            div(0b101, 0)
 
 
 def test_gcd_and_ext():
@@ -129,5 +134,5 @@ def test_is_irreducible_matches_trial_division():
 def test_known_irreducibles():
     for f in (0b111, 0b1011, 0b1101, 0x13, 0x25, 0x43, 0x89, 0x11D):
         assert poly.is_irreducible(f)
-    for f in (0b110, 0b101, 0b1111, 0x15):  # x^2+x, (x+1)^2, (x+1)(x^3+..), ...
+    for f in (0, 1, 0b110, 0b101, 0b1111, 0x15):  # 0, 1, x^2+x, (x+1)^2, ...
         assert not poly.is_irreducible(f)

@@ -163,6 +163,7 @@ def test_rank_field_examples(gf16):
     tall = Matrix(gf16, [[1, 0], [0, 1], [1, 1]])
     assert rank(tall) == 2
     assert full_column_rank(tall)
+    assert not full_column_rank(Matrix(gf16, [[1, 0, 2], [0, 1, 3]]))    # wide
 
 
 def test_rank_over_ring_is_per_factor(ring7):

@@ -587,7 +587,7 @@ def test_sd_depth_matches_per_depth_is_sd_on_random_generic_codes(alg_name):
 @pytest.mark.parametrize("alg_name", sorted(_ALGEBRAS))
 def test_sd_depth_matches_per_depth_is_sd_on_random_matrices(alg_name, monkeypatch):
     # zeros in the local blocks make some V_i singular: those disk sets
-    # take the depth-by-depth fallback
+    # scan the views cut to each depth the bisection tries
     residuals = []
     schur = sdcheck._schur_residual
     monkeypatch.setattr(sdcheck, "_schur_residual",
@@ -602,6 +602,25 @@ def test_sd_depth_matches_per_depth_is_sd_on_random_matrices(alg_name, monkeypat
             kinds.add(_depth_kind(hm, got[0]))
     assert kinds == {"none", "some", "all"}
     assert None in residuals
+
+
+@pytest.mark.parametrize("alg_name", sorted(_ALGEBRAS))
+def test_a_disk_set_failing_at_a_depth_fails_one_deeper(alg_name):
+    # what sd_depth's bisection rests on, for any H (singular blocks
+    # included): the code at depth d is the code at depth d + 1 with its
+    # last stripe row held at zero
+    alg = _ALGEBRAS[alg_name]()
+    kinds = set()
+    for seed in range(3):
+        for n, m, s, _ in _SHAPES:
+            hm = _random_matrix(alg, n, m, s, 3, seed=f"monotone/{alg_name}/{seed}/{n}{m}{s}")
+            codes = [shorten(hm, 1), shorten(hm, 2), hm]
+            for disks in combinations(range(n), m):
+                fails = [_eliminate_scan_group(alg.factor_views(c.matrix.bits), c.spec, disks)
+                         is not None for c in codes]
+                assert fails == sorted(fails), (alg_name, seed, (n, m, s), disks)
+                kinds.add(fails.count(True))
+    assert kinds == {0, 1, 2, 3}
 
 
 # Stripe row 1's block has det(V) = 0xa + 1 = 0xb = x^3 + x + 1 at disk set
@@ -627,11 +646,15 @@ def test_sd_depth_falls_back_where_one_ring_factor_has_a_singular_block(monkeypa
     views = sdcheck._local_blocks(hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits))
     assert [[sdcheck._schur_residual(hm.spec, *v, d) is None for v in views]
             for d in combinations(range(4), 2)] == [[True, False]] + [[False, False]] * 5
-    shortened = []
-    monkeypatch.setattr(sdcheck, "shorten", lambda h, r: shortened.append(r) or shorten(h, r))
+    scanned = []
+    scan = sdcheck._scan_group
+    monkeypatch.setattr(sdcheck, "_scan_group",
+                        lambda views, spec, disks: scanned.append((disks, spec.r))
+                        or scan(views, spec, disks))
     got = sd_depth(hm)
-    # only disk set (0, 1) goes depth by depth, and it fails at depth 2
-    assert shortened == [1, 2]
+    # only disk set (0, 1) scans the cut views, ceil(log2 r) + 1 = 3 times
+    # (depths 3, 1, 2), and it fails at depth 2
+    assert scanned == [((0, 1), 3), ((0, 1), 1), ((0, 1), 2)]
     assert got == per_depth_sd_depth(hm) == (
         1, SdReport(False, ErasurePattern((0, 1), ((0, 2), (0, 3))), comb(4, 2) * comb(4, 2)))
 

@@ -32,8 +32,10 @@ def config(gf16, **kw):
 def test_config_validation(gf16):
     with pytest.raises(ValueError):
         config(gf16, trials=0)
-    with pytest.raises(ValueError):
-        config(gf16, r_max=0)
+    # the shape rules are CodeSpec's, checked before any trial runs
+    for bad in (dict(r_max=0), dict(m=4), dict(m=0), dict(m=5), dict(s=-1)):
+        with pytest.raises(ValueError, match="need"):
+            config(gf16, **bad)
     with pytest.raises(OrderTooSmallError):
         config(gf16, r_max=4)  # 4*4 = 16 > 15
 
