@@ -250,6 +250,7 @@ class Algebra:
     contexts interoperate."""
 
     element_bits: int
+    modulus: int        # degree element_bits: elements are residues mod it
 
     # -- element plumbing ------------------------------------------------
 

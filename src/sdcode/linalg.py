@@ -11,16 +11,23 @@ complete.  The algebra supplies both halves (``factor_views`` and
 ``crt_bits``; a field is its own single factor), so the routines here
 run one path for fields and rings alike.
 
-Every elimination runs through ``eliminate``.  Solving is
-factor-then-apply.  The factor step reduces [A | I] in each factor field
-by Gauss-Jordan (``eliminate`` forward, then again over the pivot rows
-in reverse) into a left inverse L (L·A = I) glued into the algebra, and
-keeps as checks the rows of A that some factor field did not pivot on.
-It is cached on the Matrix A, whose hash is computed once, so a cache
-hit costs one dict lookup.  The apply step is x = L·b by sparse products
-(``dot``), and b is consistent exactly when x satisfies every check row.
-Repeated solves against one coefficient matrix (every symbol-stripe of a
-sector-stripe shares its missing set) pay for the elimination once.
+Every elimination runs through ``eliminate``, and every product of a
+fixed matrix with many vectors through a ``PackedMap``: the matrix is
+compiled once into split multiply-by-constant tables with all of its
+rows packed into one int, so applying it costs one table lookup and one
+XOR per byte of each nonzero input entry, in fields and in the ring.
+``packed_map`` caches one per Matrix for ``mul_vector`` and the codec's
+syndrome.  Solving is factor-then-apply.  The factor step reduces
+[A | I] in each factor field by Gauss-Jordan (``eliminate`` forward,
+then again over the pivot rows in reverse) into a left inverse L
+(L·A = I) glued into the algebra, and stacks under L the residual of
+each row of A that some factor field did not pivot on.  That stack is
+one packed map cached on the Matrix A, whose hash is computed once, so a
+cache hit costs one dict lookup.  The apply step maps b to x = L·b and
+the check rows' residuals A_t·x - b_t, and b is consistent exactly when
+they are all zero.  Repeated solves against one coefficient matrix
+(every symbol-stripe of a sector-stripe shares its missing set) pay for
+the elimination once.
 
 ``det_bits`` computes a determinant by dynamic programming over column
 subsets (in characteristic 2 the signs vanish).  It needs no division and
@@ -30,7 +37,9 @@ CRT route, and the SD scan takes the local blocks' minors from it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import repeat
+from operator import getitem, xor
 from typing import Iterable, Sequence
 
 from .algebra import Algebra, Element, Ring, _Gf2mOps
@@ -220,23 +229,95 @@ def is_invertible(m: Matrix) -> bool:
     return full_column_rank(m)
 
 
+class PackedMap:
+    """x -> M·x for one fixed matrix M, as split multiply-by-constant tables
+    (Plank, Greenan & Miller, FAST 2013) over all of M's rows at once.
+
+    M's entries are residues modulo a binary polynomial of degree w (a
+    field's modulus, or the ring's M_p(x)); row i of M·x sits at bits
+    [i·w, (i+1)·w) of one int.  Each nonzero column c keeps one table per
+    8-bit chunk of x[c], mapping the chunk at bit `shift` to
+    M[:, c]·(chunk << shift), packed.  Multiplying by a constant is
+    GF(2)-linear, so a table is the XOR span of the column times the
+    chunk's single bits x^k, each one shift-and-reduce from the last: no
+    product is taken, in fields with or without log tables or in rings.
+    Applying M is one lookup and one XOR per chunk, then one unpack.
+    """
+
+    __slots__ = ("width", "rows", "nonzero", "tables")
+
+    def __init__(self, modulus: int, rows: Sequence[Sequence[int]]):
+        width = self.width = modulus.bit_length() - 1
+        self.rows = len(rows)
+        offsets = range(0, self.rows * width, width)
+        carries = sum(1 << (o + width) for o in offsets)
+        low = modulus ^ 1 << width
+        self.nonzero, self.tables = [], []
+        for c, col in enumerate(zip(*rows)):
+            t = sum(h << o for o, h in zip(offsets, col))
+            if not t:
+                continue
+            basis = []                      # basis[k]: column c times x^k, packed
+            for _ in range(width):
+                # times x in every row at once: a row that carries out of its
+                # w bits drops the carry and adds the modulus's low part (the
+                # rows' terms do not overlap, so * is carry-less here)
+                basis.append(t)
+                t <<= 1
+                over = t & carries
+                t ^= over ^ (over >> width) * low
+            self.nonzero.append(c)
+            for shift in range(0, width, 8):
+                table = [0]
+                for e in basis[shift:shift + 8]:
+                    table += [v ^ e for v in table]
+                self.tables.append(table)
+
+    def packed(self, x: Sequence[int]) -> int:
+        """M·x, its rows packed width bits apart."""
+        values = map(x.__getitem__, self.nonzero)
+        if self.width > 8:      # each value's bytes, low first: one per table
+            nbytes = (self.width + 7) >> 3
+            values = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
+        return reduce(xor, map(getitem, self.tables, values), 0)
+
+    def unpack(self, acc: int, count: int) -> list[int]:
+        """The rows of a packed result that holds count of them."""
+        w = self.width
+        if w == 8:
+            return list(acc.to_bytes(count, "little"))
+        mask = (1 << w) - 1
+        return [acc >> o & mask for o in range(0, count * w, w)]
+
+    def __call__(self, x: Sequence[int]) -> list[int]:
+        """M·x as a list."""
+        return self.unpack(self.packed(x), self.rows)
+
+
 @lru_cache(maxsize=64)
-def _factor(a: Matrix):
-    """Factor A once for every right-hand side: (L, checks) with L·A = I
-    and checks the sparse rows (t, A_t) of A that some factor field did
-    not pivot on, or None when the columns of A are dependent in some
-    factor field.
+def packed_map(m: Matrix) -> PackedMap:
+    """m compiled once for every vector it multiplies."""
+    return PackedMap(m.algebra.modulus, m.bits)
+
+
+@lru_cache(maxsize=64)
+def _factor(a: Matrix) -> PackedMap | None:
+    """Factor A once for every right-hand side, or None when the columns
+    of A are dependent in some factor field.
 
     Each factor field runs Gauss-Jordan on [A | I]: eliminate forward,
     then again over the pivot rows in reverse order with reversed columns
     (pivot row k is zero in the pivot columns before the k-th, so each
     reverse step picks pivot row k).  The pivot rows' identity parts are
     that field's L, supported on its pivot rows; glued entrywise with
-    crt_bits and sparsified, they are L.
+    crt_bits, they are L with L·A = I.  The map returned stacks L over
+    A_t·L + e_t for each row t of A that some factor field did not pivot
+    on, so it takes b to x = L·b followed by each such A_t·x - b_t, all
+    zero exactly when b is consistent.
     """
-    n = a.cols
+    n, alg = a.cols, a.algebra
     lefts, unpivoted = [], set()
-    for ops, view in a.algebra.factor_views(a.bits):
+    for ops, view in alg.factor_views(a.bits):
         for i, row in enumerate(view):
             row += [0] * a.rows
             row[n + i] = 1
@@ -246,22 +327,16 @@ def _factor(a: Matrix):
         eliminate(ops, [view[p] for p in reversed(pivots)], reversed(range(n)))
         lefts.append([view[p][n:] for p in pivots])
         unpivoted.update(set(range(a.rows)).difference(pivots))
-    crt = a.algebra.crt_bits
-    left = tuple(_sparse([crt(col) for col in zip(*rows)]) for rows in zip(*lefts))
-    return left, tuple((t, _sparse(a.bits[t])) for t in sorted(unpivoted))
-
-
-def _sparse(row: Sequence[int]) -> list[tuple[int, int]]:
-    return [(k, v) for k, v in enumerate(row) if v]
-
-
-def dot(mul, row: Iterable[tuple[int, int]], vec: Sequence[int]) -> int:
-    """The sum of v·vec[k] over a sparse row of (k, v) pairs."""
-    acc = 0
-    for k, v in row:
-        if vec[k]:
-            acc ^= mul(v, vec[k])
-    return acc
+    crt = alg.crt_bits
+    left = [[crt(col) for col in zip(*rows)] for rows in zip(*lefts)]
+    residuals = []
+    if unpivoted:                       # times_left(y) = y·L
+        times_left = PackedMap(alg.modulus, [[row[j] for row in left] for j in range(a.rows)])
+        for t in sorted(unpivoted):     # A_t·L + e_t takes b to A_t·x - b_t
+            res = times_left(a.bits[t])
+            res[t] ^= 1
+            residuals.append(res)
+    return PackedMap(alg.modulus, left + residuals)
 
 
 def solve_bits(a: Matrix, b_bits: Sequence[int]):
@@ -270,9 +345,9 @@ def solve_bits(a: Matrix, b_bits: Sequence[int]):
     Returns (status, x): status "ok" with the unique solution,
     "deficient" when the columns are dependent, "inconsistent" when no
     solution exists.  Over the ring, deficiency in any factor field wins
-    over inconsistency in another.  With A factored as (L, checks),
-    x = L·b solves each factor field's pivot rows, so b is consistent
-    exactly when x also satisfies every check row.
+    over inconsistency in another.  The factored map takes b to x = L·b,
+    which solves each factor field's pivot rows, above the residuals of
+    the other rows of A, so b is consistent exactly when those are zero.
     """
     if a.rows != len(b_bits):
         raise ShapeMismatchError(
@@ -280,12 +355,10 @@ def solve_bits(a: Matrix, b_bits: Sequence[int]):
     plan = _factor(a)
     if plan is None:
         return "deficient", None
-    left, checks = plan
-    mul = a.algebra.mul_bits
-    x = [dot(mul, row, b_bits) for row in left]
-    if any(dot(mul, row, x) != b_bits[t] for t, row in checks):
+    acc = plan.packed(b_bits)
+    if acc >> a.cols * plan.width:
         return "inconsistent", None
-    return "ok", x
+    return "ok", plan.unpack(acc, a.cols)
 
 
 def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:
@@ -304,5 +377,4 @@ def mul_vector(m: Matrix, vec: Sequence[Element]) -> list[Element]:
     if len(vec) != m.cols:
         raise ShapeMismatchError(f"vector length {len(vec)} != {m.cols} columns")
     alg = m.algebra
-    xb = [alg._check(e) for e in vec]
-    return [alg.element(dot(alg.mul_bits, _sparse(row), xb)) for row in m.bits]
+    return [alg.element(v) for v in packed_map(m)([alg._check(e) for e in vec])]

@@ -2,6 +2,7 @@
 import io
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -180,17 +181,28 @@ def test_erase_rejects_invalid_patterns(gf16, p):
         erase(st, p)
 
 
+def _flips(alg):
+    """The lowest and the highest bit of a symbol: with w > 8 they sit in
+    the first and the last table byte of a packed map."""
+    return alg.one, alg.element(1 << (alg.element_bits - 1))
+
+
 def test_decode_complete_stripe_checks_syndrome(gf16):
-    hm = build_h1(3, 5, gf16)
-    st = encode(hm, random_data(gf16, 10, random.Random(5)))
-    assert decode(hm, st).vec_bits() == st.vec_bits()
-    st.symbols[0][0] = gf16.add(st.symbols[0][0], gf16.one)  # silent corruption
-    with pytest.raises(InconsistentSyndromeError):
-        decode(hm, st)
+    for hm in (build_h1(3, 5, gf16), build_h1(3, 5, make_field(16)),
+               build_h1(4, 4, make_ring(31))):
+        alg = hm.spec.algebra
+        st = encode(hm, random_data(alg, len(data_columns(hm.spec)), random.Random(5)))
+        assert decode(hm, st).vec_bits() == st.vec_bits()
+        for flip in _flips(alg):
+            bad = erase(st, ErasurePattern())
+            bad.symbols[0][0] = alg.add(bad.symbols[0][0], flip)  # silent corruption
+            with pytest.raises(InconsistentSyndromeError):
+                decode(hm, bad)
 
 
 def test_corruption_detected_on_cache_miss_and_hit(gf16, ring17):
-    for hm in (build_h2(3, 5, gf16), build_h1(4, 4, ring17)):
+    for hm in (build_h2(3, 5, gf16), build_h1(4, 4, ring17), build_h2(3, 5, make_field(16)),
+               build_h1(4, 4, make_ring(31))):
         alg = hm.spec.algebra
         rng = random.Random(str(alg))
         pattern = ErasurePattern((1,), ((0, 0),))   # redundancy left: s - 1 rows
@@ -200,10 +212,31 @@ def test_corruption_detected_on_cache_miss_and_hit(gf16, ring17):
             st = encode(hm, random_data(alg, len(data_columns(hm.spec)), rng))
             damaged = erase(st, pattern)
             assert decode(hm, damaged).vec_bits() == st.vec_bits()
-            damaged.symbols[2][3] = alg.add(damaged.symbols[2][3], alg.one)
-            with pytest.raises(InconsistentSyndromeError):
-                decode(hm, damaged)
+            for flip in _flips(alg):
+                bad = erase(st, pattern)
+                bad.symbols[2][3] = alg.add(bad.symbols[2][3], flip)
+                with pytest.raises(InconsistentSyndromeError):
+                    decode(hm, bad)
         assert linalg._factor.cache_info().misses == 2    # parity support, pattern
+
+
+def test_encode_and_decode_reuse_the_callers_elements(gf16):
+    hm = build_h1(3, 5, gf16)
+    data = random_data(gf16, 10, random.Random(14))
+    kept = list(data)
+    st = encode(hm, data)
+    flat = [e for row in st.symbols for e in row]
+    assert all(flat[c] is e for c, e in zip(data_columns(hm.spec), data))
+    st.symbols[0][0] = gf16.add(st.symbols[0][0], gf16.one)
+    assert data == kept
+    damaged = erase(st, ErasurePattern((1,), ((0, 0), (2, 3))))
+    before = damaged.vec_bits()
+    out = decode(hm, damaged)
+    for i, j in product(range(3), range(5)):
+        assert (out.symbols[i][j] is damaged.symbols[i][j]) == damaged.present[i][j]
+    out.symbols[1][2] = gf16.add(out.symbols[1][2], gf16.one)
+    out.present[1][2] = False
+    assert damaged.vec_bits() == before and damaged.present[1][2]
 
 
 def _round_trips(fresh: bool) -> list[list[int]]:

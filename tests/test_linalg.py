@@ -14,7 +14,9 @@ from sdcode import (
     submatrix,
 )
 from sdcode import linalg
+from sdcode.algebra import _Gf2mOps
 from sdcode.linalg import (
+    PackedMap,
     eliminate,
     factor_ranks,
     full_column_rank,
@@ -304,6 +306,49 @@ def test_mul_vector_shapes(gf16):
         solve(wide, [gf16.one])
     with pytest.raises(NotSquareError):
         is_invertible(wide)
+
+
+# ------------------------------------------------------- packed maps
+
+def dot(mul, row, vec):
+    """The sum of v·vec[k] over a sparse row of (k, v) pairs: one product
+    per nonzero pair, the oracle of the packed tables."""
+    acc = 0
+    for k, v in row:
+        if vec[k]:
+            acc ^= mul(v, vec[k])
+    return acc
+
+
+# widths 3, 4, 8, 16 and 20 (no log tables), then rings of widths 4, 6,
+# 16, 30 and 40, the odd ones not a multiple of the 8-bit chunk
+PACKED_ALGEBRAS = [make_field(3, 0xD), make_field(4), make_field(8), make_field(16),
+                   _Gf2mOps(0x100009), make_ring(5), make_ring(7), make_ring(17),
+                   make_ring(31), make_ring(41)]
+
+
+@pytest.mark.parametrize("alg", PACKED_ALGEBRAS, ids=lambda a: (
+    f"tableless w={a.degree}" if isinstance(a, _Gf2mOps) else str(a)))
+def test_packed_map_matches_per_product_oracle(alg):
+    tableless = isinstance(alg, _Gf2mOps)
+    mul = alg.mul if tableless else alg.mul_bits
+    width = alg.degree if tableless else alg.element_bits
+    rng = random.Random(f"packed:{alg.modulus:x}")
+    top = (1 << width) - 1
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (4, 3), (3, 6), (7, 7)]
+    for nrows, ncols in shapes * 4:
+        rows = [[rng.getrandbits(width) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        if ncols > 1:                       # a zero column, and a one-entry column
+            for i, row in enumerate(rows):
+                row[0] = 0
+                row[-1] = top if i == nrows - 1 else 0
+        packed = PackedMap(alg.modulus, rows)
+        for x in ([0] * ncols, [top] * ncols, [1 << (width - 1)] * ncols,
+                  [rng.getrandbits(width) for _ in range(ncols)]):
+            want = [dot(mul, [(k, v) for k, v in enumerate(row) if v], x) for row in rows]
+            assert packed(x) == want
+            assert packed.packed(x) == sum(v << (i * width) for i, v in enumerate(want))
 
 
 # ------------------------------------------------- cached factorisation
