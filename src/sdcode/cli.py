@@ -46,6 +46,13 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
                    help="binary polynomials mod 1+x+...+x^(p-1), p an odd prime")
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {jobs}")
+    return jobs
+
+
 def _algebra_of(args) -> Algebra:
     if args.field is not None:
         kv = key_values(args.field.split(","), ("w",), ("poly",))
@@ -145,7 +152,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="exhaustively test the SD property")
     p.add_argument("-H", dest="matrix", required=True, metavar="PATH")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="worker threads (result is independent of this)")
     p.add_argument("--progress", action="store_true",
                    help="report disk-set progress on stderr")

@@ -9,8 +9,9 @@ left once the mr disk columns are eliminated.  Stripe row i's local rows
 B_i touch only its n columns, so with V_i = B_i at D this is a Schur step
 per stripe row: global row g leaves g[i,j] - g[i,D] V_i^-1 B_i[:, j] at
 survivor (i, j), scaled by det(V_i), which keeps every subset's
-singularity and, as det(V_i) V_i^-1 = adj(V_i), needs no division.  A
-view where some V_i is singular eliminates all mr + s rows instead.
+singularity and, as det(V_i) V_i^-1 = adj(V_i), needs no division.
+Only a factor view with a singular V_i eliminates instead, on its rows
+cut as ``shorten`` cuts H.
 Peel and sweep finds the first failing choice: a subset led by column i
 fails exactly when column i is zero or, once one pivot row clears column
 i, the other s-1 rows fail on the rest of it.  At s = 2 a pair fails
@@ -27,8 +28,8 @@ pass.  The code at depth d is the code at depth d + 1 with its last
 stripe row held at zero, so for any H a failure at depth d is one at
 d + 1: one bisection over 0..r per disk set finds its smallest failing
 depth, on the first d(n-m) columns of its one residual (the residual at
-survivor (i, j) depends only on stripe row i) or, where a V_i is
-singular, on the factor views cut to depth d.
+survivor (i, j) depends only on stripe row i) or, in a factor view with
+a singular V_i, by eliminating that view's rows cut to depth d.
 
 The report is deterministic: all patterns are always counted, the
 witness is the first failing pattern in enumeration order (disk sets in
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable, Optional, Sequence
@@ -201,26 +202,34 @@ def _schur_residual(spec: CodeSpec, ops, rows, blocks, kind, disks: Sequence[int
     return [ops.mul_sum(factors, [[g[c] for c in cols] for cols in at]) for g in rows[m * r:]]
 
 
-def _scan_group(views, spec: CodeSpec, disks: Sequence[int]) -> Optional[ErasurePattern]:
-    """First failing pattern of this disk set; None when every pattern
-    decodes or when fewer than s sectors survive (the group has none)."""
-    survivors = _survivors(spec, disks)
-    if len(survivors) < spec.s:
-        return None
-    firsts = []
-    for ops, rows, blocks, kind in views:
-        residual = _schur_residual(spec, ops, rows, blocks, kind, disks)
-        if residual is None:
-            work = [list(r) for r in rows]
-            used = eliminate(ops, work, [c for c in range(len(rows[0])) if c % spec.n in disks])
-            if len(used) < spec.m * spec.r:     # dependent disk columns: every pattern fails
-                firsts.append(tuple(range(spec.s)))
-                break
-            residual = [[work[t][spec.column_of(i, d)] for i, d in survivors]
-                        for t in range(len(work)) if t not in used]
-        firsts.append(_first_singular(ops, residual, spec.s))
-    first = min((f for f in firsts if f is not None), default=None)
-    return None if first is None else ErasurePattern(disks, [survivors[t] for t in first])
+def _group(spec: CodeSpec, views, disks: Sequence[int]):
+    """first_at(depth): the first failing pattern of this disk set in the
+    code shortened to `depth` stripe rows; None when every pattern decodes
+    or when fewer than s sectors survive (the group has none)."""
+    m, n, w, s = spec.m, spec.n, spec.n - spec.m, spec.s
+    alive = [j for j in range(n) if j not in disks]     # survivor t is (t // w, alive[t % w])
+    residuals = [_schur_residual(spec, *view, disks) for view in views]
+
+    def first_at(depth: int) -> Optional[ErasurePattern]:
+        if depth * w < s:
+            return None
+        firsts = []
+        for (ops, rows, *_), residual in zip(views, residuals):
+            if residual is None:
+                # a singular V_i: eliminate the rows cut as shorten cuts H
+                work = [row[:depth * n] for row in rows[:m * depth] + rows[m * spec.r:]]
+                used = eliminate(ops, work, [c for c in range(depth * n) if c % n in disks])
+                if len(used) < m * depth:   # dependent disk columns: every pattern fails
+                    firsts.append(tuple(range(s)))
+                    break
+                residual = [[work[t][i * n + j] for i in range(depth) for j in alive]
+                            for t in range(len(work)) if t not in used]
+            firsts.append(_first_singular(ops, [row[:depth * w] for row in residual], s))
+        first = min((f for f in firsts if f is not None), default=None)
+        return None if first is None else ErasurePattern(disks, [(t // w, alive[t % w])
+                                                                 for t in first])
+
+    return first_at
 
 
 def _patterns(spec: CodeSpec, r: int) -> int:
@@ -253,7 +262,7 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     """
     spec = hm.spec
     views = _local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits))
-    found = _map_groups(spec, lambda d: _scan_group(views, spec, d), jobs, progress)
+    found = _map_groups(spec, lambda d: _group(spec, views, d)(spec.r), jobs, progress)
     witness = next((w for w in found if w is not None), None)
     return SdReport(witness is None, witness, _patterns(spec, spec.r))
 
@@ -261,24 +270,7 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
 def _depth_group(spec: CodeSpec, views, disks: Sequence[int]):
     """(smallest depth whose shortened code fails at this disk set, its
     first failing pattern there); (r + 1, None) when no depth fails."""
-    m, w = spec.m, spec.n - spec.m
-    residuals = [_schur_residual(spec, *view, disks) for view in views]
-
-    def first_at(depth: int) -> Optional[ErasurePattern]:
-        if None in residuals:
-            # a singular V_i: scan the views cut as shorten cuts the matrix
-            short = replace(spec, r=depth)
-            cut = [(ops, [row[:depth * spec.n] for row in rows[:m * depth] + rows[m * spec.r:]])
-                   for ops, rows, *_ in views]
-            return _scan_group(_local_blocks(short, cut), short, disks)
-        firsts = (_first_singular(view[0], [row[:depth * w] for row in residual], spec.s)
-                  for view, residual in zip(views, residuals))
-        first = min((f for f in firsts if f is not None), default=None)
-        if first is None:
-            return None
-        survivors = _survivors(spec, disks)
-        return ErasurePattern(disks, [survivors[t] for t in first])
-
+    first_at = _group(spec, views, disks)
     found = first_at(spec.r)
     if found is None:
         return spec.r + 1, None

@@ -77,6 +77,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         run("construct", "--family", "construction1", "--r", "3", "--n", "5",
             "--field", "w=4", "--ring", "p=17", "-o", str(tmp_path / "x"))
     assert ei.value.code == 1  # mutually exclusive algebra flags
+    path = make_matrix_file(tmp_path)
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as ei:
+            run("verify", "-H", str(path), "--jobs", jobs)
+        assert ei.value.code == 1
+        assert f"need at least 1 worker, got {jobs}" in capsys.readouterr().err
     capsys.readouterr()
 
 

@@ -378,8 +378,8 @@ def test_is_sd_generic_s_values(gf16):
 def test_is_sd_progress_callback(gf16, monkeypatch):
     # each disk set is reported as its scan finishes, not after all of them
     scans = []
-    scan = sdcheck._scan_group
-    monkeypatch.setattr(sdcheck, "_scan_group", lambda *a: scans.append(a) or scan(*a))
+    group = sdcheck._group
+    monkeypatch.setattr(sdcheck, "_group", lambda *a: scans.append(a) or group(*a))
     hm = build_h1(3, 5, gf16)
     for jobs in (0, 1):
         seen = []
@@ -416,14 +416,20 @@ def _eliminate_scan_group(views, spec, disks):
 
 
 def _assert_groups_match_oracle(hm):
-    """Every disk set's witness equals the oracle's; returns the number
-    of groups that fail."""
-    spec, plain = hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits)
-    views = sdcheck._local_blocks(spec, plain)
+    """Every disk set's witness at every depth d equals the oracle's on
+    the code shortened to d stripe rows; returns the number of groups
+    that fail at depth r."""
+    spec = hm.spec
+    views = sdcheck._local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits))
+    codes = [(c.spec, spec.algebra.factor_views(c.matrix.bits))
+             for c in [shorten(hm, d) for d in range(1, spec.r)] + [hm]]
     failing = 0
     for disks in combinations(range(spec.n), spec.m):
-        want = _eliminate_scan_group(plain, spec, disks)
-        assert sdcheck._scan_group(views, spec, disks) == want, (spec, disks)
+        first_at = sdcheck._group(spec, views, disks)
+        assert first_at(0) is None
+        for short, plain in codes:
+            want = _eliminate_scan_group(plain, short, disks)
+            assert first_at(short.r) == want, (spec, short.r, disks)
         failing += want is not None
     return failing
 
@@ -646,15 +652,17 @@ def test_sd_depth_falls_back_where_one_ring_factor_has_a_singular_block(monkeypa
     views = sdcheck._local_blocks(hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits))
     assert [[sdcheck._schur_residual(hm.spec, *v, d) is None for v in views]
             for d in combinations(range(4), 2)] == [[True, False]] + [[False, False]] * 5
-    scanned = []
-    scan = sdcheck._scan_group
-    monkeypatch.setattr(sdcheck, "_scan_group",
-                        lambda views, spec, disks: scanned.append((disks, spec.r))
-                        or scan(views, spec, disks))
+    cut = []
+    singular_ops = hm.spec.algebra.factor_ops[0]
+    monkeypatch.setattr(sdcheck, "eliminate",
+                        lambda ops, work, cols: cut.append(
+                            (ops is singular_ops, sorted({c % 4 for c in cols}), len(work[0]) // 4))
+                        or eliminate(ops, work, cols))
     got = sd_depth(hm)
-    # only disk set (0, 1) scans the cut views, ceil(log2 r) + 1 = 3 times
-    # (depths 3, 1, 2), and it fails at depth 2
-    assert scanned == [((0, 1), 3), ((0, 1), 1), ((0, 1), 2)]
+    # only disk set (0, 1), in the singular factor view only, eliminates
+    # its rows cut to depth, ceil(log2 r) + 1 = 3 times (depths 3, 1, 2),
+    # and it fails at depth 2
+    assert cut == [(True, [0, 1], 3), (True, [0, 1], 1), (True, [0, 1], 2)]
     assert got == per_depth_sd_depth(hm) == (
         1, SdReport(False, ErasurePattern((0, 1), ((0, 2), (0, 3))), comb(4, 2) * comb(4, 2)))
 
