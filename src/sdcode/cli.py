@@ -46,8 +46,16 @@ def _add_algebra_flags(p: argparse.ArgumentParser) -> None:
                    help="binary polynomials mod 1+x+...+x^(p-1), p an odd prime")
 
 
+def _decimal(text: str) -> int:
+    """An integer flag: ASCII decimal digits only, as read_int reads them."""
+    try:
+        return read_int(text)
+    except ValueError as ex:
+        raise argparse.ArgumentTypeError(str(ex)) from None
+
+
 def _jobs(text: str) -> int:
-    jobs = int(text)
+    jobs = -_decimal(text[1:]) if text[:1] == "-" else _decimal(text)
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"need at least 1 worker, got {jobs}")
     return jobs
@@ -144,8 +152,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("construct", help="build a parity-check matrix file")
     p.add_argument("--family", required=True,
                    choices=("construction1", "construction2"))
-    p.add_argument("--r", type=int, required=True, help="sector rows per stripe")
-    p.add_argument("--n", type=int, required=True, help="number of disks")
+    p.add_argument("--r", type=_decimal, required=True, help="sector rows per stripe")
+    p.add_argument("--n", type=_decimal, required=True, help="number of disks")
     _add_algebra_flags(p)
     p.add_argument("-o", dest="output", required=True, metavar="PATH")
     p.set_defaults(func=_cmd_construct)
@@ -174,17 +182,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("shorten", help="reduce a matrix to fewer stripe rows")
     p.add_argument("-H", dest="matrix", required=True, metavar="PATH")
-    p.add_argument("--r2", type=int, required=True, help="target row count")
+    p.add_argument("--r2", type=_decimal, required=True, help="target row count")
     p.add_argument("-o", dest="output", required=True, metavar="PATH")
     p.set_defaults(func=_cmd_shorten)
 
     p = sub.add_parser("search", help="Monte Carlo search for SD codes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_decimal, required=True)
+    p.add_argument("--m", type=_decimal, required=True)
+    p.add_argument("--s", type=_decimal, required=True)
+    p.add_argument("--rmax", type=_decimal, required=True)
+    p.add_argument("--trials", type=_decimal, required=True)
+    p.add_argument("--seed", type=_decimal, required=True)
     _add_algebra_flags(p)
     p.add_argument("-o", dest="output", metavar="PATH",
                    help="report path (default: stdout)")

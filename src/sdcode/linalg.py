@@ -11,17 +11,25 @@ complete.  The algebra supplies both halves (``factor_views`` and
 ``crt_bits``; a field is its own single factor), so the routines here
 run one path for fields and rings alike.
 
-Every elimination runs through ``eliminate``, and every product of a
-fixed matrix with many vectors through a ``PackedMap``: the matrix is
-compiled once into split multiply-by-constant tables with all of its
-rows packed into one int, so applying it costs one table lookup and one
-XOR per byte of each nonzero input entry, in fields and in the ring.
-``packed_map`` caches one per Matrix for ``mul_vector`` and the codec's
-syndrome.  Solving is factor-then-apply.  The factor step reduces
-[A | I] in each factor field by Gauss-Jordan (``eliminate`` forward,
-then again over the pivot rows in reverse) into a left inverse L
-(L·A = I) glued into the algebra, and stacks under L the residual of
-each row of A that some factor field did not pivot on.  That stack is
+Every elimination runs through ``eliminate``.  A product of a fixed
+matrix with vectors starts from one basis: each column, all of the
+matrix's rows packed into one int, times each x^k (``x_powers``), which
+needs no product in fields and in the ring.  It has two appliers.  A
+``PackedMap`` spans the basis into split multiply-by-constant tables,
+one lookup and one XOR per byte of each nonzero input entry; at 256
+entries per byte, the tables pay for many products per build, so the
+solve and ``mul_vector`` and the codec's syndrome (one map per Matrix,
+cached by ``packed_map``) use them.  The SD scan's Schur plans
+(``sdcheck._schur_plan``) keep the basis alone and XOR it at each set
+bit of the input, about w/2 XORs per entry: a plan is applied only
+r s times per call, too few to pay for tables 32 times its size (256
+entries per 8 basis ints).  ``unpack`` splits a result for both.
+
+Solving is factor-then-apply.  The factor step reduces [A | I] in each
+factor field by Gauss-Jordan (``eliminate`` forward, then again over the
+pivot rows in reverse) into a left inverse L (L·A = I) glued into the
+algebra, and stacks under L the residual of each row of A that some
+factor field did not pivot on.  That stack is
 one packed map cached on the Matrix A, whose hash is computed once, so a
 cache hit costs one dict lookup.  The apply step maps b to x = L·b and
 the check rows' residuals A_t·x - b_t, and b is consistent exactly when
@@ -37,6 +45,7 @@ CRT route, and the SD scan takes the local blocks' minors from it.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import getitem, xor
@@ -237,37 +246,22 @@ class PackedMap:
     field's modulus, or the ring's M_p(x)); row i of M·x sits at bits
     [i·w, (i+1)·w) of one int.  Each nonzero column c keeps one table per
     8-bit chunk of x[c], mapping the chunk at bit `shift` to
-    M[:, c]·(chunk << shift), packed.  Multiplying by a constant is
-    GF(2)-linear, so a table is the XOR span of the column times the
-    chunk's single bits x^k, each one shift-and-reduce from the last: no
-    product is taken, in fields with or without log tables or in rings.
-    Applying M is one lookup and one XOR per chunk, then one unpack.
+    M[:, c]·(chunk << shift), packed: the XOR span of the chunk's part of
+    the column's ``x_powers``, so no product is taken, in fields with or
+    without log tables or in rings.  Applying M is one lookup and one XOR
+    per chunk, then one ``unpack``.
     """
 
     __slots__ = ("width", "rows", "nonzero", "tables")
 
     def __init__(self, modulus: int, rows: Sequence[Sequence[int]]):
-        width = self.width = modulus.bit_length() - 1
+        self.width = modulus.bit_length() - 1
         self.rows = len(rows)
-        offsets = range(0, self.rows * width, width)
-        carries = sum(1 << (o + width) for o in offsets)
-        low = modulus ^ 1 << width
-        self.nonzero, self.tables = [], []
-        for c, col in enumerate(zip(*rows)):
-            t = sum(h << o for o, h in zip(offsets, col))
-            if not t:
-                continue
-            basis = []                      # basis[k]: column c times x^k, packed
-            for _ in range(width):
-                # times x in every row at once: a row that carries out of its
-                # w bits drops the carry and adds the modulus's low part (the
-                # rows' terms do not overlap, so * is carry-less here)
-                basis.append(t)
-                t <<= 1
-                over = t & carries
-                t ^= over ^ (over >> width) * low
-            self.nonzero.append(c)
-            for shift in range(0, width, 8):
+        columns = [pack(col, self.width) for col in zip(*rows)]
+        self.nonzero = [c for c, t in enumerate(columns) if t]
+        self.tables = []
+        for basis in x_powers(modulus, [columns[c] for c in self.nonzero], self.rows):
+            for shift in range(0, self.width, 8):
                 table = [0]
                 for e in basis[shift:shift + 8]:
                     table += [v ^ e for v in table]
@@ -281,17 +275,53 @@ class PackedMap:
             values = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
         return reduce(xor, map(getitem, self.tables, values), 0)
 
-    def unpack(self, acc: int, count: int) -> list[int]:
-        """The rows of a packed result that holds count of them."""
-        w = self.width
-        if w == 8:
-            return list(acc.to_bytes(count, "little"))
-        mask = (1 << w) - 1
-        return [acc >> o & mask for o in range(0, count * w, w)]
-
     def __call__(self, x: Sequence[int]) -> list[int]:
         """M·x as a list."""
-        return self.unpack(self.packed(x), self.rows)
+        return unpack(self.packed(x), self.rows, self.width)
+
+
+def pack(values: Sequence[int], width: int) -> int:
+    """values as one int, width bits apart, the first lowest."""
+    if width % 8 == 0:
+        return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width >> 3),
+                                           repeat("little"))), "little")
+    return sum(v << o for o, v in zip(range(0, len(values) * width, width), values) if v)
+
+
+def unpack(acc: int, count: int, width: int) -> list[int]:
+    """The first count width-bit values of a packed int, the lowest first."""
+    if width == 8:
+        return list(acc.to_bytes(count, "little"))
+    if width == 16 and sys.byteorder == "little":
+        return memoryview(acc.to_bytes(2 * count, "little")).cast("H").tolist()
+    mask = (1 << width) - 1
+    return [acc >> o & mask for o in range(0, count * width, width)]
+
+
+def x_powers(modulus: int, columns: Sequence[int], count: int) -> list[list[int]]:
+    """For each packed column (count residues modulo `modulus`, of degree
+    w, packed w bits apart), the column times x^k for k < w.
+
+    Multiplying by a constant is GF(2)-linear, so these w ints span the
+    column's products with every residue: the XOR of those at the set
+    bits of y is the column times y.  Each is one step from the last: a
+    shift of every entry at once, then, in each entry that carried out of
+    its w bits, the carry cleared and the modulus's low part added (the
+    entries do not overlap, so * is carry-less here).
+    """
+    width = modulus.bit_length() - 1
+    carries = ((1 << count * width) - 1) // ((1 << width) - 1) << width
+    low = modulus ^ 1 << width
+    out = []
+    for t in columns:
+        basis = []
+        for _ in range(width):
+            basis.append(t)
+            t <<= 1
+            over = t & carries
+            t ^= over ^ (over >> width) * low
+        out.append(basis)
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -358,7 +388,7 @@ def solve_bits(a: Matrix, b_bits: Sequence[int]):
     acc = plan.packed(b_bits)
     if acc >> a.cols * plan.width:
         return "inconsistent", None
-    return "ok", plan.unpack(acc, a.cols)
+    return "ok", unpack(acc, a.cols, plan.width)
 
 
 def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:

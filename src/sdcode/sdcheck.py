@@ -10,6 +10,13 @@ B_i touch only its n columns, so with V_i = B_i at D this is a Schur step
 per stripe row: global row g leaves g[i,j] - g[i,D] V_i^-1 B_i[:, j] at
 survivor (i, j), scaled by det(V_i), which keeps every subset's
 singularity and, as det(V_i) V_i^-1 = adj(V_i), needs no division.
+The step is a linear map of stripe row i's n global entries fixed by
+the factor field and B_i alone, so ``_schur_plan`` builds it once per
+(factor field, local block, batch of disk sets) and keeps it across
+calls: det(V) and adj(V) B_i per disk set, and the map's columns times
+each x^k, with every disk set's residual entries packed in one int
+(``linalg.x_powers``).  A call applies it r s times per factor view and
+batch, one XOR per set bit of the input, for all disk sets at once.
 Only a factor view with a singular V_i eliminates instead, on its rows
 cut as ``shorten`` cuts H.
 Peel and sweep finds the first failing choice: a subset led by column i
@@ -43,14 +50,16 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import chain, combinations, compress, islice, repeat
 from math import comb
+from operator import getitem, xor
 from typing import Callable, Optional, Sequence
 
 from .algebra import key_values, read_int
 from .construct import CodeSpec, ParityCheckMatrix
 from .errors import PatternInvalidError, TooManyErasuresError
-from .linalg import det_bits, eliminate, full_column_rank, submatrix
+from .linalg import det_bits, eliminate, full_column_rank, pack, submatrix, unpack, x_powers
 
 
 @dataclass(frozen=True)
@@ -172,34 +181,81 @@ def _first_singular(ops, rows: list[list[int]], s: int):
 
 
 def _local_blocks(spec: CodeSpec, views):
-    """Per factor view (ops, rows, distinct local blocks, each stripe row's block index)."""
+    """Per factor view (ops, rows, distinct local blocks, each stripe row's
+    block index, each disk set's Schur residual from _schur_residuals)."""
     m, n, out = spec.m, spec.n, []
     for ops, rows in views:
         per_row = [tuple(tuple(row[i * n:(i + 1) * n]) for row in rows[i * m:(i + 1) * m])
                    for i in range(spec.r)]
         blocks = list(dict.fromkeys(per_row))
-        out.append((ops, rows, blocks, [blocks.index(b) for b in per_row]))
+        kind = [blocks.index(b) for b in per_row]
+        out.append((ops, rows, blocks, kind, _schur_residuals(spec, ops, rows, blocks, kind)))
     return out
 
 
-def _schur_residual(spec: CodeSpec, ops, rows, blocks, kind, disks: Sequence[int]):
-    """The global rows after the Schur step at these disks; None if a V_i is singular."""
-    m, n, r = spec.m, spec.n, spec.r
-    alive = [j for j in range(n) if j not in disks]
-    w, coefs = len(alive), []   # per block: det(V), then adj(V) B, on the alive disks
-    for block in blocks:
+_PLAN_BITS = 1 << 14        # about the most bits one packed int of a plan holds
+_SELECT = [bytes(v >> k & 1 for k in range(8)) for v in range(256)]    # a byte's bits
+
+
+@lru_cache(maxsize=64)
+def _schur_plan(ops, block, first: int, stop: int):
+    """The Schur step of one local block B at disk sets first..stop-1, in
+    lexicographic order: (det(V_D) for each D, 0 where V_D = B at D is
+    singular; the x^k basis, each column's padded to whole bytes, of the
+    map from a stripe row's n entries g to every D's residual entries
+    det(V_D) g[j] + sum over d in D of g[d] (adj(V_D) B)[d][j], j alive,
+    packed ops.degree bits apart)."""
+    m, n, mul = len(block), len(block[0]), ops.mul
+    dets, rows = [], []
+    for disks in islice(combinations(range(n), m), first, stop):
         v = [[row[d] for d in disks] for row in block]
-        det = det_bits(ops.mul, v)
-        if not det:
-            return None
-        minor = lambda t, k: det_bits(ops.mul, [vr[:k] + vr[k + 1:] for vr in v[:t] + v[t + 1:]])
-        bs = [[row[j] for j in alive] for row in block]
-        coefs.append([[det] * w] + [ops.mul_sum([[minor(t, k)] * w for t in range(m)], bs)
-                                    for k in range(m)])
-    # column (i, j): g[i,j] det(V) + sum over d of g[i,d] (adj(V) B)[d][j], V = block kind[i]
-    factors = [[c for t in kind for c in coefs[t][k]] for k in range(m + 1)]
-    at = [[i * n + j for i in range(r) for j in js] for js in [alive] + [[d] * w for d in disks]]
-    return [ops.mul_sum(factors, [[g[c] for c in cols] for cols in at]) for g in rows[m * r:]]
+        det = det_bits(mul, v)
+        dets.append(det)
+        adj = [[det_bits(mul, [vr[:k] + vr[k + 1:] for vr in v[:t] + v[t + 1:]]) if det else 0
+                for t in range(m)] for k in range(m)]
+        for j in range(n):
+            if j not in disks:
+                row = [0] * n
+                row[j] = det
+                for d, a in zip(disks, adj):
+                    row[d] = reduce(xor, [mul(x, b[j]) for x, b in zip(a, block)])
+                rows.append(row)
+    pad = [0] * (-ops.degree % 8)
+    columns = [pack(col, ops.degree) for col in zip(*rows)]
+    return tuple(dets), tuple(t for basis in x_powers(ops.modulus, columns, len(rows))
+                              for t in basis + pad)
+
+
+def _schur_residuals(spec: CodeSpec, ops, rows, blocks, kind) -> dict:
+    """{disks: the global rows after the Schur step at disks, or None where
+    some V_i is singular}, every disk set's from one plan per block.
+
+    A plan maps a stripe row's n entries to every disk set's residual
+    entries there: the XOR of its basis ints at the entries' set bits,
+    then one unpack.  Plans take the disk sets in batches of about
+    _PLAN_BITS bits: packing and unpacking at a width other than 8 or 16
+    bits take time quadratic in an int's size."""
+    m, n, r, w, degree = spec.m, spec.n, spec.r, spec.n - spec.m, ops.degree
+    nbytes = (degree + 7) >> 3
+    span = 8 * nbytes * n               # selector bytes per stripe row
+    selectors = []                      # per global row, per stripe row: its entries' bits
+    for g in rows[m * r:]:
+        data = b"".join(map(int.to_bytes, g, repeat(nbytes), repeat("little")))
+        bits = b"".join(map(_SELECT.__getitem__, data))
+        selectors.append([bits[i * span:(i + 1) * span] for i in range(r)])
+    total, per = comb(n, m), max(1, _PLAN_BITS // (degree * w))
+    disk_sets, out = combinations(range(n), m), {}
+    for first in range(0, total, per):
+        stop = min(first + per, total)
+        plans = [_schur_plan(ops, block, first, stop) for block in blocks]
+        values = [[unpack(reduce(xor, compress(plans[kind[i]][1], sel), 0),
+                          (stop - first) * w, degree) for i, sel in enumerate(sels)]
+                  for sels in selectors]
+        for t, disks in enumerate(islice(disk_sets, stop - first)):
+            at = repeat(slice(t * w, (t + 1) * w))
+            out[disks] = None if not all(dets[t] for dets, _ in plans) else [
+                list(chain.from_iterable(map(getitem, per_row, at))) for per_row in values]
+    return out
 
 
 def _group(spec: CodeSpec, views, disks: Sequence[int]):
@@ -208,7 +264,7 @@ def _group(spec: CodeSpec, views, disks: Sequence[int]):
     or when fewer than s sectors survive (the group has none)."""
     m, n, w, s = spec.m, spec.n, spec.n - spec.m, spec.s
     alive = [j for j in range(n) if j not in disks]     # survivor t is (t // w, alive[t % w])
-    residuals = [_schur_residual(spec, *view, disks) for view in views]
+    residuals = [view[4][tuple(disks)] for view in views]
 
     def first_at(depth: int) -> Optional[ErasurePattern]:
         if depth * w < s:

@@ -86,6 +86,27 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys):
+    # int() would read these as 3, 10 and 7; a sign is refused too
+    cases = [("construct", "--family", "construction1", "--r", "\u0663", "--n", "5",
+              "--field", "w=4", "-o", str(tmp_path / "x")),
+             ("search", "--n", "4", "--m", "1", "--s", "2", "--rmax", "3",
+              "--trials", "1_0", "--seed", "11", "--field", "w=4"),
+             ("search", "--n", "4", "--m", "1", "--s", "2", "--rmax", "3",
+              "--trials", "2", "--seed", "\u0667", "--field", "w=4"),
+             ("search", "--n", "4", "--m", "1", "--s", "2", "--rmax", "3",
+              "--trials", "2", "--seed", "-7", "--field", "w=4")]
+    for argv, (flag, value) in zip(cases, [("--r", "\u0663"), ("--trials", "1_0"),
+                                           ("--seed", "\u0667"), ("--seed", "-7")]):
+        with pytest.raises(SystemExit) as ei:
+            run(*argv)
+        assert ei.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: expected a decimal number, got {value!r}" in captured.err
+    assert not (tmp_path / "x").exists()
+
+
 def test_bad_algebra_value_exits_1(tmp_path, capsys):
     assert run("construct", "--family", "construction1", "--r", "3", "--n", "5",
                "--field", "w=four", "-o", str(tmp_path / "x")) == 1

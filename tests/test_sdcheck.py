@@ -27,7 +27,7 @@ from sdcode import (
 from sdcode import sdcheck
 from sdcode.search import random_nonzero
 from sdcode.construct import CodeSpec, ParityCheckMatrix
-from sdcode.linalg import Matrix, determinant, eliminate, submatrix
+from sdcode.linalg import Matrix, det_bits, determinant, eliminate, submatrix
 from sdcode.sdcheck import SdReport, validate_pattern
 from sdcode.errors import (
     BadRowCountError,
@@ -525,10 +525,7 @@ def _fallback_cases():
 @pytest.mark.parametrize("case", sorted(_fallback_cases()))
 def test_schur_scan_fallback_on_hand_made_blocks(case, monkeypatch):
     hm, singular = _fallback_cases()[case]
-    residuals = []
-    schur = sdcheck._schur_residual
-    monkeypatch.setattr(sdcheck, "_schur_residual",
-                        lambda *a: residuals.append(schur(*a)) or residuals[-1])
+    residuals = _record_residuals(monkeypatch)
     _assert_groups_match_oracle(hm)
     assert (None in residuals) == singular     # some view fell back to eliminate
     naive_witness, checked = naive_is_sd(hm)
@@ -538,7 +535,105 @@ def test_schur_scan_fallback_on_hand_made_blocks(case, monkeypatch):
 def test_ring7_block_singular_in_one_factor_view_only():
     hm, _ = _fallback_cases()["ring7-one-factor"]
     views = sdcheck._local_blocks(hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits))
-    assert [sdcheck._schur_residual(hm.spec, *v, (0, 1)) is None for v in views] == [True, False]
+    assert [v[4][(0, 1)] is None for v in views] == [True, False]
+    assert [_schur_residual(hm.spec, *v[:4], (0, 1)) is None for v in views] == [True, False]
+
+
+def _record_residuals(monkeypatch):
+    """A list that collects every residual (None for a singular V_i) that
+    sdcheck._schur_residuals hands out from now on."""
+    residuals = []
+    schur = sdcheck._schur_residuals
+
+    def record(*args):
+        found = schur(*args)
+        residuals.extend(found.values())
+        return found
+    monkeypatch.setattr(sdcheck, "_schur_residuals", record)
+    return residuals
+
+
+def _schur_residual(spec, ops, rows, blocks, kind, disks):
+    """The per-call Schur step the cached plans replace, kept as their
+    oracle: the global rows after the Schur step at these disks, None if
+    a V_i is singular."""
+    m, n, r = spec.m, spec.n, spec.r
+    alive = [j for j in range(n) if j not in disks]
+    w, coefs = len(alive), []   # per block: det(V), then adj(V) B, on the alive disks
+    for block in blocks:
+        v = [[row[d] for d in disks] for row in block]
+        det = det_bits(ops.mul, v)
+        if not det:
+            return None
+        minor = lambda t, k: det_bits(ops.mul, [vr[:k] + vr[k + 1:] for vr in v[:t] + v[t + 1:]])
+        bs = [[row[j] for j in alive] for row in block]
+        coefs.append([[det] * w] + [ops.mul_sum([[minor(t, k)] * w for t in range(m)], bs)
+                                    for k in range(m)])
+    # column (i, j): g[i,j] det(V) + sum over d of g[i,d] (adj(V) B)[d][j], V = block kind[i]
+    factors = [[c for t in kind for c in coefs[t][k]] for k in range(m + 1)]
+    at = [[i * n + j for i in range(r) for j in js] for js in [alive] + [[d] * w for d in disks]]
+    return [ops.mul_sum(factors, [[g[c] for c in cols] for cols in at]) for g in rows[m * r:]]
+
+
+def _assert_plans_match_oracle(hm):
+    """Every factor view's residual at every disk set equals the oracle's;
+    returns the number of (view, disk set) residuals that are None."""
+    spec, nones = hm.spec, 0
+    for view in sdcheck._local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits)):
+        assert list(view[4]) == list(combinations(range(spec.n), spec.m))
+        for disks, residual in view[4].items():
+            assert residual == _schur_residual(spec, *view[:4], disks), (spec, disks)
+            nones += residual is None
+    return nones
+
+
+_PLAN_ALGEBRAS = {"gf16": lambda: make_field(4), "gf256": lambda: make_field(8),
+                  "gf65536": lambda: make_field(16), "ring7": lambda: make_ring(7),
+                  "ring17": lambda: make_ring(17), "ring31": lambda: make_ring(31),
+                  "ring29": lambda: make_ring(29), "ring41": lambda: make_ring(41)}
+
+
+def _plan_cases(alg, name):
+    """Construction codes, random generic codes, and random matrices with
+    a local block per stripe row."""
+    rng = random.Random(f"plan/{name}")
+    n = min(5, alg.order_of_alpha())      # the constructions need r n <= O(alpha)
+    r = min(3, alg.order_of_alpha() // n)
+    cases = [build_h1(r, n, alg), build_h2(r, n, alg)]
+    cases += [_random_generic(alg, m + rng.randint(1, 3), m, s, rng.randint(1, 3), rng)
+              for m in (1, 2, 3) for s in (0, 1, 2, 3)]
+    cases += [_random_matrix(alg, n, m, s, 3, seed=f"plan/{name}/{n}{m}{s}")
+              for n, m, s, _ in _SHAPES]
+    return cases
+
+
+@pytest.mark.parametrize("alg_name", sorted(_PLAN_ALGEBRAS))
+def test_schur_plans_match_the_per_call_oracle(alg_name):
+    # GF(2^28) (ring p=29) and GF(2^20) (p=41) are tableless factor fields
+    alg = _PLAN_ALGEBRAS[alg_name]()
+    assert sum(_assert_plans_match_oracle(hm) for hm in _plan_cases(alg, alg_name)) > 0
+
+
+@pytest.mark.parametrize("case", sorted(_fallback_cases()))
+def test_schur_plans_match_the_oracle_on_hand_made_blocks(case):
+    hm, singular = _fallback_cases()[case]
+    assert (_assert_plans_match_oracle(hm) > 0) == singular
+
+
+@pytest.mark.parametrize("cap", [1, 40, 100])
+def test_schur_plans_match_the_oracle_across_batches(cap, monkeypatch):
+    # caps of 1, 40 and 100 bits put 1 to 8 disk sets in a batch (all of
+    # them at 100 bits over ring p=7), so most views span several
+    # batches, the last one often short
+    monkeypatch.setattr(sdcheck, "_PLAN_BITS", cap)
+    gf16, ring7, ring41 = make_field(4), make_ring(7), make_ring(41)
+    rng = random.Random(f"batches/{cap}")
+    for hm in (build_h2(2, 6, gf16), _random_generic(gf16, 6, 3, 2, 2, rng),
+               _random_matrix(ring7, 5, 2, 2, 3, seed=f"batches/{cap}"),
+               build_h2(2, 5, ring41), _fallback_cases()["ring7-one-factor"][0]):
+        _assert_plans_match_oracle(hm)
+        naive_witness, checked = naive_is_sd(hm)
+        assert is_sd(hm) == SdReport(naive_witness is None, naive_witness, checked)
 
 
 def test_construction_scan_runs_no_elimination_and_one_block(gf256, monkeypatch):
@@ -594,10 +689,7 @@ def test_sd_depth_matches_per_depth_is_sd_on_random_generic_codes(alg_name):
 def test_sd_depth_matches_per_depth_is_sd_on_random_matrices(alg_name, monkeypatch):
     # zeros in the local blocks make some V_i singular: those disk sets
     # scan the views cut to each depth the bisection tries
-    residuals = []
-    schur = sdcheck._schur_residual
-    monkeypatch.setattr(sdcheck, "_schur_residual",
-                        lambda *a: residuals.append(schur(*a)) or residuals[-1])
+    residuals = _record_residuals(monkeypatch)
     alg = _ALGEBRAS[alg_name]()
     kinds = set()
     for seed in range(3):
@@ -650,7 +742,7 @@ x:2b x:37 x:14 x:11 x:27 x:e x:27 x:3 x:26 x:2c x:b x:1c
 def test_sd_depth_falls_back_where_one_ring_factor_has_a_singular_block(monkeypatch):
     hm = read_matrix(io.StringIO(_RING7_ONE_FACTOR_SINGULAR))
     views = sdcheck._local_blocks(hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits))
-    assert [[sdcheck._schur_residual(hm.spec, *v, d) is None for v in views]
+    assert [[v[4][d] is None for v in views]
             for d in combinations(range(4), 2)] == [[True, False]] + [[False, False]] * 5
     cut = []
     singular_ops = hm.spec.algebra.factor_ops[0]

@@ -13,6 +13,7 @@ from sdcode import (
     make_ring,
     run_search,
 )
+from sdcode import sdcheck
 from sdcode.search import (
     _digest,
     format_report,
@@ -160,6 +161,25 @@ def test_one_scan_search_matches_the_per_depth_loop(alg_name, n, m, s, r_max):
         oracle = format_report(run_search(cfg, check=is_sd))
         assert format_report(run_search(cfg)) == oracle
         assert format_report(run_search(cfg, jobs=2)) == oracle
+
+
+def test_a_second_search_reuses_every_schur_plan(monkeypatch):
+    # every trial has the same local blocks, so after one search over
+    # GF(2^16) a second one (other global rows) builds no plan and takes
+    # no determinant
+    cfg = SearchConfig(n=8, m=2, s=2, r_max=8, trials=3, seed=1, algebra=make_field(16))
+    dets = []
+    det_bits = sdcheck.det_bits
+    monkeypatch.setattr(sdcheck, "det_bits", lambda *a: dets.append(a) or det_bits(*a))
+    sdcheck._schur_plan.cache_clear()
+    first = run_search(cfg)
+    built = sdcheck._schur_plan.cache_info().misses
+    assert built == 1 and dets      # 28 disk sets of 6 entries of 16 bits: one batch
+    again = run_search(SearchConfig(n=8, m=2, s=2, r_max=8, trials=3, seed=2,
+                                    algebra=make_field(16)))
+    assert sdcheck._schur_plan.cache_info().misses == built
+    assert len(dets) == 28 * 5      # a det and 4 minors per disk set, first search only
+    assert [r.coeff_digest for r in again] != [r.coeff_digest for r in first]
 
 
 def test_one_scan_search_draws_every_depth_in_trial_order(gf16):
