@@ -16,10 +16,12 @@ M_p(x) for the ring), and ``crt_bits(residues)`` glues one residue per
 factor back into an element.
 
 Elements are bit vectors packed into ints (bit k = coefficient of x^k),
-wrapped in :class:`Element` so that mixing contexts is detected.  In both
-contexts ``alpha`` is the residue of x; in a field its multiplicative
-order divides 2^w - 1, in the ring it is exactly p, with the defining
-identity alpha^(p-1) = 1 + alpha + ... + alpha^(p-2).
+wrapped in :class:`Element` so that mixing contexts is detected.
+``Field.element`` hands out one interned Element per bits value, at most
+2^w of them; a ring, with up to 2^(p-1) residues, builds a new one each
+call.  In both contexts ``alpha`` is the residue of x; in a field its
+multiplicative order divides 2^w - 1, in the ring it is exactly p, with
+the defining identity alpha^(p-1) = 1 + alpha + ... + alpha^(p-2).
 
 Field multiplication uses log/antilog tables built on a primitive element
 (found by search, since the residue of x need not generate the whole
@@ -34,6 +36,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd as int_gcd
+from operator import index
 from typing import Sequence
 
 from . import _gf2poly as poly
@@ -220,14 +223,21 @@ class _Gf2mOps:
 
 @dataclass(frozen=True, slots=True)
 class Element:
-    """One symbol: a fixed-width bit vector tied to its algebra."""
+    """One symbol: a fixed-width bit vector tied to its algebra.
+
+    bits go through operator.index: a float or a string raises TypeError,
+    and a bool or a numpy integer is stored as a plain int."""
 
     algebra: "Algebra"
     bits: int
 
     def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.algebra.element_bits):
-            raise ValueError(f"bits 0x{self.bits:x} out of range for {self.algebra}")
+        bits = self.bits
+        if type(bits) is not int:
+            bits = index(bits)
+            object.__setattr__(self, "bits", bits)
+        if not 0 <= bits < (1 << self.algebra.element_bits):
+            raise ValueError(f"bits {bits:#x} out of range for {self.algebra}")
 
     def __add__(self, other: "Element") -> "Element":
         return self.algebra.add(self, other)
@@ -389,6 +399,7 @@ class Field(Algebra):
         self.modulus = modulus
         self.element_bits = w
         self.ops = _Gf2mOps(modulus)
+        self._elements: dict[int, Element] = {}     # at most 2^w, filled on first use
         # alpha = g^la: alpha^k = g^lg iff d = gcd(la, q-1) divides lg, and
         # then k = (lg/d) * (la/d)^-1 mod O(alpha), where O(alpha) = (q-1)/d
         self._log_alpha = self.ops.log[2]
@@ -401,6 +412,17 @@ class Field(Algebra):
 
     def __hash__(self) -> int:
         return hash(("field", self.w, self.modulus))
+
+    def element(self, bits: int) -> Element:
+        """The one Element of these bits, built by the checked constructor
+        on first use; a rejected value leaves no entry.  Two threads that
+        miss at once may each build one: both are equal, one is kept."""
+        if type(bits) is not int:
+            bits = index(bits)
+        e = self._elements.get(bits)
+        if e is None:
+            e = self._elements[bits] = Element(self, bits)
+        return e
 
     def mul_bits(self, a: int, b: int) -> int:
         return self.ops.mul(a, b)
@@ -448,7 +470,7 @@ class Ring(Algebra):
         self.all_ones = (1 << (p - 1)) - 1   # the residue of x^(p-1)
         self._fact: MpFactorization | None = None
         self._factor_ops: list[_Gf2mOps] | None = None
-        self._crt_basis: list[int] | None = None
+        self._crt_tables: list[list[list[int]]] | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self.p == other.p
@@ -505,26 +527,42 @@ class Ring(Algebra):
         return self._factor_ops
 
     def factor_views(self, rows) -> list[tuple[_Gf2mOps, list[list[int]]]]:
-        return [(ops, [[ops.reduce(v) for v in r] for r in rows]) for ops in self.factor_ops]
+        # one reduction per distinct entry: a constructed H holds powers of alpha
+        values = {v for r in rows for v in r}
+        views = []
+        for ops in self.factor_ops:
+            residue = {v: ops.reduce(v) for v in values}.__getitem__
+            views.append((ops, [list(map(residue, r)) for r in rows]))
+        return views
 
     def project_bits(self, bits: int, k: int) -> int:
         """Residue of bits modulo the k-th irreducible factor of M_p(x)."""
         return self.factor_ops[k].reduce(bits)
 
     def crt_bits(self, residues: list[int]) -> int:
-        """Unique residue mod M_p(x) matching one residue per factor."""
-        if self._crt_basis is None:
-            basis = []
-            for f in self.factorization.factors:
+        """Unique residue mod M_p(x) matching one residue per factor: the
+        sum of each residue times its factor's CRT basis element t, taken
+        from one table per byte of the residue (t times that byte)."""
+        if self._crt_tables is None:
+            tables = []
+            for f, ops in zip(self.factorization.factors, self.factor_ops):
                 q, rem = poly.divmod_(self.modulus, f)
                 assert rem == 0
                 t = poly.mulmod(q, poly.invmod(poly.mod(q, f), f), self.modulus)
-                basis.append(t)
-            self._crt_basis = basis
+                per_byte = []
+                for shift in range(0, ops.degree, 8):
+                    table = [0]
+                    for k in range(shift, min(shift + 8, ops.degree)):
+                        e = self.mul_bits(1 << k, t)
+                        table += [v ^ e for v in table]
+                    per_byte.append(table)
+                tables.append(per_byte)
+            self._crt_tables = tables
         out = 0
-        for res, t in zip(residues, self._crt_basis):
-            if res:
-                out ^= self.mul_bits(res, t)
+        for per_byte, res in zip(self._crt_tables, residues):
+            for table in per_byte:
+                out ^= table[res & 0xFF]
+                res >>= 8
         return out
 
 

@@ -12,15 +12,21 @@ Decoding treats missing symbols as unknowns of the linear system given
 by the parity checks; present symbols always get a syndrome check, so
 corrupt-but-complete inputs are rejected rather than silently accepted.
 
-Four bounded caches (64 entries each) serve encode and decode:
-_parity_layout, keyed on the CodeSpec; linalg.packed_map, keyed on H,
-whose packed tables give the syndrome H·vec with the unknown slots held
-at 0; _columns_plan, keyed on (H, unknown columns), which holds the
-coefficient Matrix (H at those columns); and linalg's factorisation,
-keyed on that coefficient Matrix.  The first call with a matrix pays for
-H's tables and the first on a missing set for its factorisation; later
-calls only apply them.  The stripe returned holds the caller's data or
-present Elements and new ones only at the slots solved for.
+Two bounded caches (64 entries each) serve encode and decode:
+_parity_layout, keyed on the CodeSpec, and linalg's solve plan, keyed on
+(H, unknown columns).  The plan is one packed map over H's known
+columns, the left inverse L of H at the unknown columns stacked over the
+residual check rows, times H at the known ones: it takes the present
+symbols straight to the unknown ones and the check values (Plank, Blaum
+& Hafner's decoding matrix for SD codes, FAST 2013).  The first call on
+a missing set (or the parity support) pays for the plan; later calls
+apply it, one table lookup per byte of each present symbol, and any
+nonzero check value means inconsistent input.  Every encode and decode
+calls solve_bits exactly once, through this module's name: sdbench's
+traced run patches codec.solve_bits and takes the median of its spans,
+so a path that skipped it would crash there.  The stripe returned holds
+the caller's data or present Elements, and at the slots solved for the
+field's interned Elements (a ring's are new).
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .errors import (
     TooManyParitySectorsError,
     UndecodablePatternError,
 )
-from .linalg import Matrix, packed_map, solve_bits
+from .linalg import solve_bits
 from .sdcheck import ErasurePattern, erased_columns
 
 
@@ -90,24 +96,6 @@ def data_columns(spec: CodeSpec) -> list[int]:
     return list(_parity_layout(spec)[1])
 
 
-@lru_cache(maxsize=64)
-def _columns_plan(matrix: Matrix, cols: tuple[int, ...]) -> Matrix:
-    """The coefficient matrix of solving for the symbols at cols: H at cols."""
-    return Matrix(matrix.algebra, [[row[c] for c in cols] for row in matrix.bits])
-
-
-def _solve_at(hm: ParityCheckMatrix, vec: list[int], cols: tuple[int, ...]):
-    """Solve H·vec = 0 for the symbols at cols, which vec holds as 0, the
-    other slots held fixed: (status, x) as solve_bits returns them.
-
-    With vec zero at cols, the syndrome is H·vec, from H's packed map.
-    Every encode and decode calls solve_bits exactly once, through this
-    module's name: sdbench's traced run patches codec.solve_bits and takes
-    the median of its spans, so a path that skipped it would crash there.
-    """
-    return solve_bits(_columns_plan(hm.matrix, cols), packed_map(hm.matrix)(vec))
-
-
 def _full_stripe(spec: CodeSpec, symbols: list[Element]) -> Stripe:
     """A complete stripe of the row-major symbols, cut into fresh rows."""
     n = spec.n
@@ -129,7 +117,7 @@ def encode(hm: ParityCheckMatrix, data: Sequence[Element]) -> Stripe:
     for c, e in zip(dcols, data):
         vec[c] = alg._check(e)
         symbols[c] = e
-    status, x = _solve_at(hm, vec, pcols)
+    status, x = solve_bits(hm.matrix, vec, pcols)
     if status != "ok":
         raise SingularParitySupportError(
             "parity support is not decodable for this matrix")
@@ -164,7 +152,7 @@ def decode(hm: ParityCheckMatrix, st: Stripe) -> Stripe:
     present = [f for row in st.present for f in row]
     vec = [alg._check(e) if f else 0 for e, f in zip(symbols, present)]
     cols = tuple(c for c, f in enumerate(present) if not f)
-    status, x = _solve_at(hm, vec, cols)
+    status, x = solve_bits(hm.matrix, vec, cols)
     if status == "deficient":
         raise UndecodablePatternError(
             f"missing set {st.missing_positions()} is not recoverable from this code")

@@ -18,24 +18,27 @@ needs no product in fields and in the ring.  It has two appliers.  A
 ``PackedMap`` spans the basis into split multiply-by-constant tables,
 one lookup and one XOR per byte of each nonzero input entry; at 256
 entries per byte, the tables pay for many products per build, so the
-solve and ``mul_vector`` and the codec's syndrome (one map per Matrix,
-cached by ``packed_map``) use them.  The SD scan's Schur plans
+solve plans and ``mul_vector`` (one map per Matrix, cached by
+``packed_map``) use them.  The SD scan's Schur plans
 (``sdcheck._schur_plan``) keep the basis alone and XOR it at each set
 bit of the input, about w/2 XORs per entry: a plan is applied only
 r s times per call, too few to pay for tables 32 times its size (256
 entries per 8 basis ints).  ``unpack`` splits a result for both.
 
-Solving is factor-then-apply.  The factor step reduces [A | I] in each
-factor field by Gauss-Jordan (``eliminate`` forward, then again over the
-pivot rows in reverse) into a left inverse L (L·A = I) glued into the
-algebra, and stacks under L the residual of each row of A that some
-factor field did not pivot on.  That stack is
-one packed map cached on the Matrix A, whose hash is computed once, so a
-cache hit costs one dict lookup.  The apply step maps b to x = L·b and
-the check rows' residuals A_t·x - b_t, and b is consistent exactly when
-they are all zero.  Repeated solves against one coefficient matrix
-(every symbol-stripe of a sector-stripe shares its missing set) pay for
-the elimination once.
+There is one solve, ``solve_bits(m, vec, cols)``: the values at cols
+that make m·vec = 0, the other entries of vec held fixed.  Its plan is
+built once per (m, cols) and cached: Gauss-Jordan in each factor field
+(``eliminate`` forward, then again over the pivot rows in reverse) on
+[A | B], A and B being m at cols and at the other columns, leaves the
+left inverse L of A times B in the pivot rows and, in each row some
+factor field did not pivot on, a residual check times B.  Glued into
+the algebra, that stack is one packed map over the known columns, and
+a cache hit costs one dict lookup (the Matrix hash is computed once).
+Applying it takes vec's known entries straight to x and the checks,
+and vec is consistent exactly when the checks are all zero.  Every
+symbol-stripe of a sector-stripe shares its missing set, so they pay
+for the elimination once.  ``solve(m, b)`` is the solve of
+[m | I]·(x, b) = 0 at x's slots.
 
 ``det_bits`` computes a determinant by dynamic programming over column
 subsets (in characteristic 2 the signs vanish).  It needs no division and
@@ -244,27 +247,27 @@ class PackedMap:
 
     M's entries are residues modulo a binary polynomial of degree w (a
     field's modulus, or the ring's M_p(x)); row i of M·x sits at bits
-    [i·w, (i+1)·w) of one int.  Each nonzero column c keeps one table per
-    8-bit chunk of x[c], mapping the chunk at bit `shift` to
-    M[:, c]·(chunk << shift), packed: the XOR span of the chunk's part of
-    the column's ``x_powers``, so no product is taken, in fields with or
-    without log tables or in rings.  Applying M is one lookup and one XOR
-    per chunk, then one ``unpack``.
+    [i·w, (i+1)·w) of one int, and M is given as its columns so packed
+    (zero for a column the map skips) and its row count.  Each nonzero
+    column c keeps one table per 8-bit chunk of x[c], mapping the chunk at
+    bit `shift` to M[:, c]·(chunk << shift), packed: the XOR span of the
+    chunk's part of the column's ``x_powers``, so no product is taken, in
+    fields with or without log tables or in rings.  Applying M is one
+    lookup and one XOR per chunk, then one ``unpack``.
     """
 
     __slots__ = ("width", "rows", "nonzero", "tables")
 
-    def __init__(self, modulus: int, rows: Sequence[Sequence[int]]):
+    def __init__(self, modulus: int, columns: Sequence[int], rows: int):
         self.width = modulus.bit_length() - 1
-        self.rows = len(rows)
-        columns = [pack(col, self.width) for col in zip(*rows)]
+        self.rows = rows
         self.nonzero = [c for c, t in enumerate(columns) if t]
         self.tables = []
-        for basis in x_powers(modulus, [columns[c] for c in self.nonzero], self.rows):
+        for basis in x_powers(modulus, [columns[c] for c in self.nonzero], rows):
             for shift in range(0, self.width, 8):
                 table = [0]
-                for e in basis[shift:shift + 8]:
-                    table += [v ^ e for v in table]
+                for e in basis[shift:shift + 8]:    # repeat stops map at the old length
+                    table.extend(map(xor, table, repeat(e, len(table))))
                 self.tables.append(table)
 
     def packed(self, x: Sequence[int]) -> int:
@@ -282,6 +285,8 @@ class PackedMap:
 
 def pack(values: Sequence[int], width: int) -> int:
     """values as one int, width bits apart, the first lowest."""
+    if width == 8:
+        return int.from_bytes(bytes(values), "little")
     if width % 8 == 0:
         return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width >> 3),
                                            repeat("little"))), "little")
@@ -327,76 +332,90 @@ def x_powers(modulus: int, columns: Sequence[int], count: int) -> list[list[int]
 @lru_cache(maxsize=64)
 def packed_map(m: Matrix) -> PackedMap:
     """m compiled once for every vector it multiplies."""
-    return PackedMap(m.algebra.modulus, m.bits)
+    return PackedMap(m.algebra.modulus, [pack(col, m.algebra.element_bits)
+                                         for col in zip(*m.bits)], m.rows)
 
 
 @lru_cache(maxsize=64)
-def _factor(a: Matrix) -> PackedMap | None:
-    """Factor A once for every right-hand side, or None when the columns
-    of A are dependent in some factor field.
+def _solve_plan(m: Matrix, cols: tuple[int, ...]) -> PackedMap | None:
+    """The map from vec to the values at cols that make m·vec = 0, and the
+    checks, or None when the columns of m at cols are dependent in some
+    factor field.  It reads only vec's other slots.
 
-    Each factor field runs Gauss-Jordan on [A | I]: eliminate forward,
-    then again over the pivot rows in reverse order with reversed columns
-    (pivot row k is zero in the pivot columns before the k-th, so each
-    reverse step picks pivot row k).  The pivot rows' identity parts are
-    that field's L, supported on its pivot rows; glued entrywise with
-    crt_bits, they are L with L·A = I.  The map returned stacks L over
-    A_t·L + e_t for each row t of A that some factor field did not pivot
-    on, so it takes b to x = L·b followed by each such A_t·x - b_t, all
-    zero exactly when b is consistent.
+    With A = m at cols and B = m at the other columns, m·vec = 0 reads
+    A·x = B·v (characteristic 2).  Each factor field runs Gauss-Jordan on
+    [A | B]: eliminate forward, then again over the pivot rows in reverse
+    order with reversed columns (pivot row k is zero in the pivot columns
+    before the k-th, so each reverse step picks pivot row k).  The pivot
+    rows' B parts are then L·B, for that field's left inverse L (L·A = I,
+    supported on its pivot rows).  Forward elimination leaves each other
+    row t as t plus the pivot rows that clear its A part: its B part is
+    (A_t·L + e_t)·B, which takes v to A_t·x - b_t for b = B·v.  The map
+    stacks L·B over one such check per row that some factor field did not
+    pivot on (zero in a field that did), glued entrywise with crt_bits:
+    it takes v to x, then to values all zero exactly when v is consistent.
+    The map's tables are the only ones built: none for L, none for B.
     """
-    n, alg = a.cols, a.algebra
-    lefts, unpivoted = [], set()
-    for ops, view in alg.factor_views(a.bits):
-        for i, row in enumerate(view):
-            row += [0] * a.rows
-            row[n + i] = 1
-        pivots = eliminate(ops, view, range(n))
-        if len(pivots) < n:
+    _check_index_seq(cols, m.cols, "column")
+    k, alg = len(cols), m.algebra
+    skip = set(cols)
+    known = [c for c in range(m.cols) if c not in skip]
+    solved, unpivoted = [], set()
+    for ops, view in alg.factor_views([[row[c] for c in (*cols, *known)] for row in m.bits]):
+        pivots = eliminate(ops, view, range(k))
+        if len(pivots) < k:
             return None
-        eliminate(ops, [view[p] for p in reversed(pivots)], reversed(range(n)))
-        lefts.append([view[p][n:] for p in pivots])
-        unpivoted.update(set(range(a.rows)).difference(pivots))
-    crt = alg.crt_bits
-    left = [[crt(col) for col in zip(*rows)] for rows in zip(*lefts)]
-    residuals = []
-    if unpivoted:                       # times_left(y) = y·L
-        times_left = PackedMap(alg.modulus, [[row[j] for row in left] for j in range(a.rows)])
-        for t in sorted(unpivoted):     # A_t·L + e_t takes b to A_t·x - b_t
-            res = times_left(a.bits[t])
-            res[t] ^= 1
-            residuals.append(res)
-    return PackedMap(alg.modulus, left + residuals)
+        eliminate(ops, [view[p] for p in reversed(pivots)], reversed(range(k)))
+        solved.append((set(pivots), [view[p][k:] for p in pivots], view))
+        unpivoted.update(set(range(m.rows)).difference(pivots))
+    zero = [0] * len(known)
+    stacks = [rows + [zero if t in used else view[t][k:] for t in sorted(unpivoted)]
+              for used, rows, view in solved]
+    if len(stacks) == 1:                # one factor field: residues are elements
+        stack = stacks[0]
+    else:
+        stack = [list(map(alg.crt_bits, zip(*entries))) for entries in zip(*stacks)]
+    columns = [0] * m.cols
+    for c, col in zip(known, zip(*stack)):
+        columns[c] = pack(col, alg.element_bits)
+    return PackedMap(alg.modulus, columns, len(stack))
 
 
-def solve_bits(a: Matrix, b_bits: Sequence[int]):
-    """Solve A·x = b on raw bit vectors: factor A (cached), then apply.
+def solve_bits(m: Matrix, vec: Sequence[int], cols: Sequence[int]):
+    """Solve m·vec = 0 for the entries of vec at cols, the others held
+    fixed, on raw bit vectors: build the plan of (m, cols) once (cached),
+    then apply it to vec's other slots.  vec's entries at cols are not read.
 
-    Returns (status, x): status "ok" with the unique solution,
-    "deficient" when the columns are dependent, "inconsistent" when no
-    solution exists.  Over the ring, deficiency in any factor field wins
-    over inconsistency in another.  The factored map takes b to x = L·b,
-    which solves each factor field's pivot rows, above the residuals of
-    the other rows of A, so b is consistent exactly when those are zero.
+    Returns (status, x): status "ok" with the unique values at cols,
+    "deficient" when m's columns at cols are dependent, "inconsistent"
+    when no values exist.  Over the ring, deficiency in any factor field
+    wins over inconsistency in another.  The plan takes vec to x, which
+    solves each factor field's pivot rows, above the residuals of the
+    other rows of m, so vec is consistent exactly when those are zero.
     """
-    if a.rows != len(b_bits):
-        raise ShapeMismatchError(
-            f"{a.rows} equations but {len(b_bits)} right-hand values")
-    plan = _factor(a)
+    if m.cols != len(vec):
+        raise ShapeMismatchError(f"{m.cols} columns but {len(vec)} vector entries")
+    cols = tuple(cols)
+    plan = _solve_plan(m, cols)
     if plan is None:
         return "deficient", None
-    acc = plan.packed(b_bits)
-    if acc >> a.cols * plan.width:
+    acc = plan.packed(vec)
+    if acc >> len(cols) * plan.width:
         return "inconsistent", None
-    return "ok", unpack(acc, a.cols, plan.width)
+    return "ok", unpack(acc, len(cols), plan.width)
 
 
 def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:
     """x with M·x = b for square invertible M."""
     if m.rows != m.cols:
         raise NotSquareError(f"solve needs a square matrix, got {m.rows}x{m.cols}")
-    b_bits = [m.algebra._check(e) for e in b]
-    status, x = solve_bits(m, b_bits)
+    if m.rows != len(b):
+        raise ShapeMismatchError(f"{m.rows} equations but {len(b)} right-hand values")
+    alg, k = m.algebra, m.cols
+    b_bits = [alg._check(e) for e in b]
+    eye = identity(alg, k).bits
+    status, x = solve_bits(Matrix(alg, [r + e for r, e in zip(m.bits, eye)]),
+                           [0] * k + b_bits, range(k))
     if status != "ok":
         raise SingularSystemError(f"coefficient matrix is singular ({status})")
     return [m.algebra.element(v) for v in x]

@@ -8,8 +8,19 @@ explicit map of which built rows/columns it covers, and the uncovered
 entries are skipped with the reason recorded in ``note``.
 
 Tokens: ``0``, ``1``, ``a^k`` (k-th power of the generator alpha).
+
+``solve_ab`` poses A·x = b to the one solve the library has.
 """
 from dataclasses import dataclass
+
+from sdcode.linalg import Matrix, identity, solve_bits
+
+
+def solve_ab(a: Matrix, b) -> tuple:
+    """solve_bits on A·x = b, as [A | I]·(x, b) = 0 solved at x's slots."""
+    eye = identity(a.algebra, a.rows).bits
+    return solve_bits(Matrix(a.algebra, [r + e for r, e in zip(a.bits, eye)]),
+                      [0] * a.cols + list(b), range(a.cols))
 
 
 @dataclass(frozen=True)

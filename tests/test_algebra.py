@@ -109,6 +109,71 @@ def test_element_algebra_mismatch(gf16, gf256):
     assert Field(4).mul(a, Field(4).one) == a
 
 
+class Index:
+    """An integer-like value that is not an int, as a numpy integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_element_bits_go_through_index():
+    # floats and strings fail at construction, not later inside mul, and
+    # 1.0 or True cannot alias the interned entry for 1
+    for alg in (Field(8), make_ring(7)):
+        for bad in (1.5, 1.0, "1", None):
+            with pytest.raises(TypeError):
+                alg.element(bad)
+            with pytest.raises(TypeError):
+                Element(alg, bad)
+        for value, bits in ((True, 1), (False, 0), (Index(5), 5)):
+            for e in (alg.element(value), Element(alg, value)):
+                assert type(e.bits) is int and e.bits == bits
+                assert e == alg.element(bits) and hash(e) == hash(alg.element(bits))
+        for bits, shown in ((-1, "-0x1"), (1 << alg.element_bits, hex(1 << alg.element_bits))):
+            with pytest.raises(ValueError, match=f"bits {shown} out of range"):
+                alg.element(bits)
+
+
+def test_field_elements_are_interned_and_rejects_leave_no_entry():
+    f = Field(8)
+    for bad in (1.5, 1.0, "1", -1, 256, Index(256), Index(-3)):
+        with pytest.raises((TypeError, ValueError)):
+            f.element(bad)
+    assert f._elements == {}
+    one = f.element(1)
+    assert f.element(True) is one and f.element(Index(1)) is one
+    assert list(f._elements) == [1] and type(next(iter(f._elements))) is int
+    # arithmetic still builds Elements, equal to the interned ones
+    assert f.mul(one, one) == one and f.mul(one, one) is not one
+    ring = make_ring(7)
+    assert ring.element(3) == ring.element(3) and ring.element(3) is not ring.element(3)
+
+
+def test_gf65536_intern_table_is_bounded():
+    import tracemalloc
+
+    f = Field(16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            for bits in range(1 << 16):
+                f.element(bits)
+        for bad in (1 << 16, -1, 0.5):
+            with pytest.raises((TypeError, ValueError)):
+                f.element(bad)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(f._elements) == 1 << 16
+    assert all(e.bits == bits for bits, e in f._elements.items())
+    # about 10 MB with CPython 3.11: the dict, 2^16 Elements and their ints
+    assert size < 16 << 20
+
+
 def test_element_arithmetic_operators(gf16):
     a = gf16.element(0b0011)
     b = gf16.element(0b0101)

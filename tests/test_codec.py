@@ -28,7 +28,8 @@ from sdcode import (
 from sdcode import codec, linalg
 from sdcode.codec import STRIPE_MAGIC, data_columns
 from sdcode.construct import ParityCheckMatrix
-from sdcode.linalg import mul_vector
+from sdcode.linalg import Matrix, eliminate, mul_vector, packed_map
+from sdcode.sdcheck import erased_columns
 from sdcode.errors import (
     AlgebraMismatchError,
     InconsistentSyndromeError,
@@ -206,8 +207,7 @@ def test_corruption_detected_on_cache_miss_and_hit(gf16, ring17):
         alg = hm.spec.algebra
         rng = random.Random(str(alg))
         pattern = ErasurePattern((1,), ((0, 0),))   # redundancy left: s - 1 rows
-        codec._columns_plan.cache_clear()
-        linalg._factor.cache_clear()
+        linalg._solve_plan.cache_clear()
         for _ in range(3):
             st = encode(hm, random_data(alg, len(data_columns(hm.spec)), rng))
             damaged = erase(st, pattern)
@@ -217,7 +217,7 @@ def test_corruption_detected_on_cache_miss_and_hit(gf16, ring17):
                 bad.symbols[2][3] = alg.add(bad.symbols[2][3], flip)
                 with pytest.raises(InconsistentSyndromeError):
                     decode(hm, bad)
-        assert linalg._factor.cache_info().misses == 2    # parity support, pattern
+        assert linalg._solve_plan.cache_info().misses == 2    # parity support, pattern
 
 
 def test_encode_and_decode_reuse_the_callers_elements(gf16):
@@ -249,8 +249,7 @@ def _round_trips(fresh: bool) -> list[list[int]]:
         rng = random.Random(str(alg))
         for p in enumerate_patterns(hm.spec):
             if fresh:
-                codec._columns_plan.cache_clear()
-                linalg._factor.cache_clear()
+                linalg._solve_plan.cache_clear()
             for _ in range(2):
                 st = encode(hm, random_data(alg, len(data_columns(hm.spec)), rng))
                 out.append(decode(hm, erase(st, p)).vec_bits() + st.vec_bits())
@@ -279,13 +278,110 @@ def test_one_solve_per_encode_and_decode(monkeypatch, gf16, ring17):
             return linalg.solve_bits(*args)
 
         monkeypatch.setattr(codec, "solve_bits", counting)
-        codec._columns_plan.cache_clear()
-        linalg._factor.cache_clear()
+        linalg._solve_plan.cache_clear()
         for hits in (0, 1):
             assert encode(hm, data) == want and len(calls) == 2 * hits + 1
             assert decode(hm, erase(want, pattern)) == want and len(calls) == 2 * hits + 2
-            assert linalg._factor.cache_info().hits == 2 * hits
+            assert linalg._solve_plan.cache_info().hits == 2 * hits
         monkeypatch.undo()
+
+
+# --------------------------------------------- the two-step solve, as oracle
+
+def _factor_oracle(a: Matrix):
+    """The left inverse L of A stacked over A_t·L + e_t for each row t
+    that some factor field did not pivot on, as rows, or None when A's
+    columns are dependent: the factorisation the solve cached per
+    coefficient Matrix before plans were cached per (H, missing set)."""
+    n, alg = a.cols, a.algebra
+    lefts, unpivoted = [], set()
+    for ops, view in alg.factor_views(a.bits):
+        for i, row in enumerate(view):
+            row += [0] * a.rows
+            row[n + i] = 1
+        pivots = eliminate(ops, view, range(n))
+        if len(pivots) < n:
+            return None
+        eliminate(ops, [view[p] for p in reversed(pivots)], reversed(range(n)))
+        lefts.append([view[p][n:] for p in pivots])
+        unpivoted.update(set(range(a.rows)).difference(pivots))
+    left = [[alg.crt_bits(col) for col in zip(*rows)] for rows in zip(*lefts)]
+    times_left = packed_map(Matrix(alg, [[row[j] for row in left] for j in range(a.rows)]))
+    residuals = []
+    for t in sorted(unpivoted):
+        res = times_left(a.bits[t])
+        res[t] ^= 1
+        residuals.append(res)
+    return left + residuals
+
+
+def two_step_solve(h: Matrix, vec, cols):
+    """The codec's solve in two steps: the coefficient matrix H at cols
+    and the syndrome of vec held at 0 there, from H's packed map; then
+    the factored map, x = L·syndrome above the residual checks."""
+    stack = _factor_oracle(Matrix(h.algebra, [[row[c] for c in cols] for row in h.bits]))
+    if stack is None:
+        return "deficient", None
+    syndrome = packed_map(h)([0 if c in cols else v for c, v in enumerate(vec)])
+    out = packed_map(Matrix(h.algebra, stack))(syndrome)
+    if any(out[len(cols):]):
+        return "inconsistent", None
+    return "ok", out[:len(cols)]
+
+
+def _oracle_codes(alg):
+    """Small construction codes over alg, and a code with random global
+    rows, zero divisors over a ring: some patterns are deficient, and the
+    factor fields pivot on different rows."""
+    small = {5: (1, 5), 7: (2, 3)}.get(alg.order_of_alpha())    # r n <= O(alpha)
+    codes = [build_h1(*small, alg)] if small else [build_h1(3, 4, alg), build_h2(2, 4, alg)]
+    rng = random.Random(f"oracle:{alg}")
+    views = getattr(alg, "factor_ops", ())
+
+    def entry():
+        """Nonzero; over a split ring, half the time zero in one factor field."""
+        res = [rng.randrange(ops.q) for ops in views]
+        if len(res) > 1 and rng.random() < 0.5:
+            res[rng.randrange(len(res))] = 0
+            return alg.element(alg.crt_bits(res)) if any(res) else alg.one
+        return alg.element(1 + rng.randrange((1 << alg.element_bits) - 1))
+
+    while True:
+        rows = [[entry() for _ in range(6)] for _ in range(2)]
+        hm = build_h_generic(3, 1, 2, 2, rows, alg)
+        try:
+            encode(hm, random_data(alg, len(data_columns(hm.spec)), rng))
+        except SingularParitySupportError:
+            continue
+        return codes + [hm]
+
+
+@pytest.mark.parametrize("alg", [make_field(4), make_field(8), make_field(16), make_ring(5),
+                                 make_ring(7), make_ring(17), make_ring(31)], ids=str)
+def test_one_plan_matches_the_two_step_oracle(alg):
+    seen = set()
+    for hm in _oracle_codes(alg):
+        h, spec = hm.matrix, hm.spec
+        rng = random.Random(f"{alg}:{spec}")
+        sets = [tuple(erased_columns(p, spec)) for p in enumerate_patterns(spec)]
+        for size in range(h.rows + 2):      # random sets, up to beyond the check count
+            sets += [tuple(sorted(rng.sample(range(h.cols), size))) for _ in range(3)]
+        for i, cols in enumerate(sets):
+            clean = encode(hm, random_data(alg, len(data_columns(spec)), rng)).vec_bits()
+            corrupt = list(clean)
+            present = [c for c in range(h.cols) if c not in cols]
+            if present:
+                corrupt[rng.choice(present)] ^= 1 + rng.randrange((1 << alg.element_bits) - 1)
+            linalg._solve_plan.cache_clear()
+            for vec in ((clean, corrupt) if i % 2 else (corrupt, clean)):   # a miss, then a hit
+                want = two_step_solve(h, vec, cols)
+                assert linalg.solve_bits(h, vec, cols) == want, (spec, cols)
+                if vec is clean and want[0] == "ok":
+                    assert want[1] == [clean[c] for c in cols]
+                seen.add(want[0])
+            info = linalg._solve_plan.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+    assert seen == {"ok", "inconsistent", "deficient"}
 
 
 def test_decode_rejects_foreign_symbols_and_ragged_grids(gf16, gf256):

@@ -22,6 +22,7 @@ from sdcode.linalg import (
     full_column_rank,
     identity,
     mul_vector,
+    pack,
     solve_bits,
 )
 from sdcode.errors import (
@@ -31,6 +32,7 @@ from sdcode.errors import (
     ShapeMismatchError,
     SingularSystemError,
 )
+from fixtures import solve_ab
 
 
 def random_matrix(alg, rng, nrows, ncols):
@@ -226,9 +228,9 @@ def test_solve_rejects_singular(gf16, ring7):
 
 def test_solve_bits_statuses(gf16, ring7):
     # tall consistent, tall inconsistent, wide (deficient)
-    status, x = solve_bits(Matrix(gf16, [[1], [2]]), [3, 6])
+    status, x = solve_ab(Matrix(gf16, [[1], [2]]), [3, 6])
     assert status == "ok" and gf16.mul_bits(2, x[0]) == 6 and x[0] == 3
-    status, _ = solve_bits(Matrix(gf16, [[1], [2]]), [3, 7])
+    status, _ = solve_ab(Matrix(gf16, [[1], [2]]), [3, 7])
     assert status == "inconsistent"
     # column 0 is zero in row 0, so row 1 pivots column 0 and row 0
     # column 1: back-substitution has to follow the pivot rows, not row order
@@ -238,15 +240,15 @@ def test_solve_bits_statuses(gf16, ring7):
              [1, alg.alpha_pow_bits(3)]]
         x = [alg.alpha_pow_bits(4), alg.alpha_pow_bits(5)]
         b = [alg.mul_bits(row[0], x[0]) ^ alg.mul_bits(row[1], x[1]) for row in a]
-        assert solve_bits(Matrix(alg, a), b) == ("ok", x)
+        assert solve_ab(Matrix(alg, a), b) == ("ok", x)
         b[2] ^= 1
-        assert solve_bits(Matrix(alg, a), b) == ("inconsistent", None)
+        assert solve_ab(Matrix(alg, a), b) == ("inconsistent", None)
     # over ring p=7 the factor fields pivot on different rows
     for a, b, want in split_pivot_systems(ring7):
-        assert solve_bits(Matrix(ring7, a), b) == want
-    status, _ = solve_bits(Matrix(gf16, [[1, 2]]), [3])
+        assert solve_ab(Matrix(ring7, a), b) == want
+    status, _ = solve_ab(Matrix(gf16, [[1, 2]]), [3])
     assert status == "deficient"
-    status, x = solve_bits(Matrix(gf16, []), [])
+    status, x = solve_ab(Matrix(gf16, []), [])
     assert status == "ok" and x == []
 
 
@@ -280,7 +282,7 @@ def test_solve_bits_ring_all_zero_divisor_entries(ring7):
         x = [rng.getrandbits(6), rng.getrandbits(6)]
         b = [ring7.add_bits(ring7.mul_bits(m.bits[i][0], x[0]),
                             ring7.mul_bits(m.bits[i][1], x[1])) for i in range(2)]
-        status, got = solve_bits(m, b)
+        status, got = solve_ab(m, b)
         assert status == "ok" and got == x
 
 
@@ -289,10 +291,10 @@ def test_solve_bits_ring_deficient_beats_inconsistent(ring7):
     # the combined verdict must be "deficient" (an erasure-decoding retry
     # cannot fix inconsistency, but deficiency is the stronger statement)
     u = ring7.crt_bits([0, 1])
-    status, _ = solve_bits(Matrix(ring7, [[u], [u]]), [1, 0])
+    status, _ = solve_ab(Matrix(ring7, [[u], [u]]), [1, 0])
     assert status == "deficient"
     # the same system is inconsistent on its own in factor 1
-    assert solve_bits(Matrix(make_field(3, 0xD), [[1], [1]]), [1, 0])[0] == "inconsistent"
+    assert solve_ab(Matrix(make_field(3, 0xD), [[1], [1]]), [1, 0])[0] == "inconsistent"
 
 
 def test_mul_vector_shapes(gf16):
@@ -343,7 +345,7 @@ def test_packed_map_matches_per_product_oracle(alg):
             for i, row in enumerate(rows):
                 row[0] = 0
                 row[-1] = top if i == nrows - 1 else 0
-        packed = PackedMap(alg.modulus, rows)
+        packed = PackedMap(alg.modulus, [pack(col, width) for col in zip(*rows)], nrows)
         for x in ([0] * ncols, [top] * ncols, [1 << (width - 1)] * ncols,
                   [rng.getrandbits(width) for _ in range(ncols)]):
             want = [dot(mul, [(k, v) for k, v in enumerate(row) if v], x) for row in rows]
@@ -351,7 +353,7 @@ def test_packed_map_matches_per_product_oracle(alg):
             assert packed.packed(x) == sum(v << (i * width) for i, v in enumerate(want))
 
 
-# ------------------------------------------------- cached factorisation
+# ------------------------------------------------- cached solve plans
 
 def _oracle_field(ops, aug, ncols):
     """Solve the augmented system [A | b] in one field by elimination and
@@ -422,29 +424,43 @@ def test_cached_solve_matches_uncached_oracle(alg):
             if nrows and rng.random() < 0.5:
                 b[rng.randrange(nrows)] ^= 1 + rng.getrandbits(alg.element_bits - 1)
             want = oracle_solve_bits(alg, rows, b)
-            assert solve_bits(Matrix(alg, rows), b) == want
-            assert solve_bits(Matrix(alg, tuple(map(tuple, rows))), b) == want
+            assert solve_ab(Matrix(alg, rows), b) == want
+            assert solve_ab(Matrix(alg, tuple(map(tuple, rows))), b) == want
             seen.add(want[0])
     if alg == make_ring(7):
         for a, b, want in split_pivot_systems(alg):
             assert oracle_solve_bits(alg, a, b) == want
-            assert solve_bits(Matrix(alg, a), b) == want
+            assert solve_ab(Matrix(alg, a), b) == want
     assert seen == {"ok", "inconsistent", "deficient"}
 
 
 def test_cached_statuses_on_cache_hits(gf16, ring7):
-    linalg._factor.cache_clear()
+    linalg._solve_plan.cache_clear()
     tall = [[1], [2]]
-    assert solve_bits(Matrix(gf16, tall), [3, 7]) == ("inconsistent", None)
-    assert solve_bits(Matrix(gf16, tall), [3, 6]) == ("ok", [3])
-    assert solve_bits(Matrix(gf16, tall), [3, 7]) == ("inconsistent", None)
+    assert solve_ab(Matrix(gf16, tall), [3, 7]) == ("inconsistent", None)
+    assert solve_ab(Matrix(gf16, tall), [3, 6]) == ("ok", [3])
+    assert solve_ab(Matrix(gf16, tall), [3, 7]) == ("inconsistent", None)
     wide = [[1, 2]]
-    assert solve_bits(Matrix(gf16, wide), [3]) == ("deficient", None)
-    assert solve_bits(Matrix(gf16, wide), [0]) == ("deficient", None)
+    assert solve_ab(Matrix(gf16, wide), [3]) == ("deficient", None)
+    assert solve_ab(Matrix(gf16, wide), [0]) == ("deficient", None)
     # deficient in factor 0, and inconsistent in factor 1 for b = (1, 0):
-    # deficiency still wins when the factorisation comes from the cache
+    # deficiency still wins when the plan comes from the cache
     u = ring7.crt_bits([0, 1])
     for b in ([1, 0], [0, 0], [1, 0]):
-        assert solve_bits(Matrix(ring7, [[u], [u]]), b) == ("deficient", None)
-    info = linalg._factor.cache_info()
+        assert solve_ab(Matrix(ring7, [[u], [u]]), b) == ("deficient", None)
+    info = linalg._solve_plan.cache_info()
     assert (info.misses, info.hits) == (3, 5)
+
+
+def test_solve_bits_reads_only_the_known_slots_and_checks_its_arguments(gf16):
+    # m·vec = 0 at cols: x_0 + 2·x_1 = 3·v and x_1 = v for v at slot 2
+    m = Matrix(gf16, [[1, 2, 3], [0, 1, 1]])
+    want = solve_bits(m, [0, 0, 5], (0, 1))
+    assert want[0] == "ok" and want == solve_bits(m, [9, 14, 5], [0, 1])
+    x0, x1 = want[1]
+    assert x0 ^ gf16.mul_bits(2, x1) ^ gf16.mul_bits(3, 5) == 0 and x1 == 5
+    with pytest.raises(ShapeMismatchError):
+        solve_bits(m, [0, 5], (0, 1))
+    for cols in ((1, 0), (0, 3), (-1,), (1, 1)):
+        with pytest.raises(IndexOutOfRangeError):
+            solve_bits(m, [0, 0, 5], cols)
