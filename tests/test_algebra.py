@@ -170,7 +170,7 @@ def test_gf65536_intern_table_is_bounded():
         tracemalloc.stop()
     assert len(f._elements) == 1 << 16
     assert all(e.bits == bits for bits, e in f._elements.items())
-    # about 10 MB with CPython 3.11: the dict, 2^16 Elements and their ints
+    # 7.5 MiB with CPython 3.11: the dict, 2^16 Elements and their ints
     assert size < 16 << 20
 
 
