@@ -13,7 +13,10 @@ Both kinds hand linear algebra the same two hooks, so no caller needs to
 know which kind it holds: ``factor_views(rows)`` reduces a matrix into
 each factor field (one view for a field, one per irreducible factor of
 M_p(x) for the ring), and ``crt_bits(residues)`` glues one residue per
-factor back into an element.
+factor back into an element.  The ring does both a byte at a time
+through tables it builds once (split tables: Plank, Greenan & Miller,
+FAST 2013); ``factor_views`` maps each distinct entry to its residues
+modulo every factor at once, packed in lanes of ``lane_width`` bits.
 
 Elements are bit vectors packed into ints (bit k = coefficient of x^k),
 wrapped in :class:`Element` so that mixing contexts is detected.
@@ -33,10 +36,12 @@ time, and ``_Gf2mOps.ratios`` takes one inverse per sweep, not per column.
 from __future__ import annotations
 
 import random
+import struct
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd as int_gcd
-from operator import index
+from operator import getitem, index, itemgetter, xor
 from typing import Sequence
 
 from . import _gf2poly as poly
@@ -70,6 +75,28 @@ DEFAULT_FIELD_POLY: dict[int, int] = {
 }
 
 _TABLE_DEGREE_MAX = 16
+
+
+# Lane widths memoryview.cast splits natively (8 goes through bytes).
+_CASTS = {8 * struct.calcsize(c): c for c in "HIQ"} if sys.byteorder == "little" else {}
+
+
+def lane_width(width: int) -> int:
+    """The lane that holds a width-bit value: 8, 16, 32 or 64 bits, or
+    whole bytes above 64, so that unpack splits it without shifts."""
+    return next((lane for lane in (8, 16, 32, 64) if width <= lane), 8 * ((width + 7) >> 3))
+
+
+def unpack(acc: int, count: int, width: int) -> list[int]:
+    """The first count width-bit values of a packed int, the lowest first:
+    through bytes at width 8, memoryview.cast at the native widths of
+    _CASTS, and shift-and-mask at any other width."""
+    if width == 8:
+        return list(acc.to_bytes(count, "little"))
+    if width in _CASTS:
+        return memoryview(acc.to_bytes(count * width >> 3, "little")).cast(_CASTS[width]).tolist()
+    mask = (1 << width) - 1
+    return [acc >> o & mask for o in range(0, count * width, width)]
 
 
 def _check_odd_prime(p: int) -> None:
@@ -471,6 +498,7 @@ class Ring(Algebra):
         self._fact: MpFactorization | None = None
         self._factor_ops: list[_Gf2mOps] | None = None
         self._crt_tables: list[list[list[int]]] | None = None
+        self._proj_tables: list[list[int]] | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self.p == other.p
@@ -527,13 +555,42 @@ class Ring(Algebra):
         return self._factor_ops
 
     def factor_views(self, rows) -> list[tuple[_Gf2mOps, list[list[int]]]]:
-        # one reduction per distinct entry: a constructed H holds powers of alpha
-        values = {v for r in rows for v in r}
+        # one projection per distinct entry (a constructed H holds powers
+        # of alpha), into every factor at once through the byte tables
+        factors = self.factor_ops
+        if len(factors) == 1:           # M_p(x) is irreducible: residues are elements
+            return [(factors[0], [list(r) for r in rows])]
+        tables, lane = self._projection_tables(), lane_width(factors[0].degree)
+        values = list({v for r in rows for v in r})
+        lanes = [unpack(reduce(xor, map(getitem, tables, v.to_bytes(len(tables), "little")), 0),
+                        len(factors), lane) for v in values]
         views = []
-        for ops in self.factor_ops:
-            residue = {v: ops.reduce(v) for v in values}.__getitem__
+        for k, ops in enumerate(factors):
+            residue = dict(zip(values, map(itemgetter(k), lanes))).__getitem__
             views.append((ops, [list(map(residue, r)) for r in rows]))
         return views
+
+    def _projection_tables(self) -> list[list[int]]:
+        """One table per byte of a residue, mapping the byte b at bit 8k to
+        the residues of b x^(8k) modulo every factor, factor f's in lane f
+        (lane_width(degree) bits apart).  Built whole, then published: a
+        thread never sees a part of them."""
+        if self._proj_tables is None:
+            lane, powers = lane_width(self.factor_ops[0].degree), [0] * self.element_bits
+            for f, ops in enumerate(self.factor_ops):     # powers[k]: x^k in every lane
+                v = 1
+                for k in range(self.element_bits):
+                    powers[k] |= v << f * lane
+                    v <<= 1
+                    v ^= ops.modulus if v >> ops.degree else 0
+            tables = []
+            for shift in range(0, self.element_bits, 8):
+                table = [0]
+                for e in powers[shift:shift + 8]:
+                    table += [v ^ e for v in table]
+                tables.append(table)
+            self._proj_tables = tables
+        return self._proj_tables
 
     def project_bits(self, bits: int, k: int) -> int:
         """Residue of bits modulo the k-th irreducible factor of M_p(x)."""

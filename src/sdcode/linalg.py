@@ -23,7 +23,9 @@ solve plans and ``mul_vector`` (one map per Matrix, cached by
 (``sdcheck._schur_plan``) keep the basis alone and XOR it at each set
 bit of the input, about w/2 XORs per entry: a plan is applied only
 r s times per call, too few to pay for tables 32 times its size (256
-entries per 8 basis ints).  ``unpack`` splits a result for both.
+entries per 8 basis ints).  ``unpack`` splits a result for both; a
+Schur plan's entries sit one per lane of 8, 16, 32 or 64 bits (the
+stride of ``x_powers``), which it splits without shifts.
 
 There is one solve, ``solve_bits(m, vec, cols)``: the values at cols
 that make m·vec = 0, the other entries of vec held fixed.  Its plan is
@@ -48,13 +50,12 @@ CRT route, and the SD scan takes the local blocks' minors from it.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache, reduce
 from itertools import repeat
-from operator import getitem, xor
+from operator import getitem, index, xor
 from typing import Iterable, Sequence
 
-from .algebra import Algebra, Element, Ring, _Gf2mOps
+from .algebra import Algebra, Element, Ring, _Gf2mOps, unpack
 from .errors import (
     AlgebraMismatchError,
     IndexOutOfRangeError,
@@ -67,23 +68,25 @@ from .errors import (
 class Matrix:
     """Immutable dense matrix of elements from one algebra.
 
-    Entries are stored as packed bit vectors (ints); `entry` wraps them
-    back into Elements on demand.  The hash is computed once, so caches
-    keyed on a matrix cost O(1) per lookup.
+    Entries are stored as packed bit vectors (ints), each passed through
+    operator.index as Element passes its bits: a float, a str or None
+    raises TypeError, and a bool or a numpy integer is stored as an int.
+    `entry` wraps them back into Elements on demand.  The hash is
+    computed once, so caches keyed on a matrix cost O(1) per lookup.
     """
 
     __slots__ = ("algebra", "rows", "cols", "bits", "_hash")
 
     def __init__(self, algebra: Algebra, bits: Iterable[Iterable[int]]):
-        rows = tuple(tuple(r) for r in bits)
+        rows = tuple(tuple(map(index, r)) for r in bits)
         ncols = len(rows[0]) if rows else 0
         limit = 1 << algebra.element_bits
         for r in rows:
             if len(r) != ncols:
                 raise ShapeMismatchError("ragged rows in matrix literal")
-            for v in r:
-                if not 0 <= v < limit:
-                    raise ValueError(f"entry 0x{v:x} out of range for {algebra}")
+            if r and (min(r) < 0 or max(r) >= limit):
+                v = next(v for v in r if not 0 <= v < limit)
+                raise ValueError(f"entry 0x{v:x} out of range for {algebra}")
         self.algebra = algebra
         self.rows = len(rows)
         self.cols = ncols
@@ -263,7 +266,7 @@ class PackedMap:
         self.rows = rows
         self.nonzero = [c for c, t in enumerate(columns) if t]
         self.tables = []
-        for basis in x_powers(modulus, [columns[c] for c in self.nonzero], rows):
+        for basis in x_powers(modulus, [columns[c] for c in self.nonzero], rows, self.width):
             for shift in range(0, self.width, 8):
                 table = [0]
                 for e in basis[shift:shift + 8]:    # repeat stops map at the old length
@@ -293,29 +296,21 @@ def pack(values: Sequence[int], width: int) -> int:
     return sum(v << o for o, v in zip(range(0, len(values) * width, width), values) if v)
 
 
-def unpack(acc: int, count: int, width: int) -> list[int]:
-    """The first count width-bit values of a packed int, the lowest first."""
-    if width == 8:
-        return list(acc.to_bytes(count, "little"))
-    if width == 16 and sys.byteorder == "little":
-        return memoryview(acc.to_bytes(2 * count, "little")).cast("H").tolist()
-    mask = (1 << width) - 1
-    return [acc >> o & mask for o in range(0, count * width, width)]
-
-
-def x_powers(modulus: int, columns: Sequence[int], count: int) -> list[list[int]]:
+def x_powers(modulus: int, columns: Sequence[int], count: int, stride: int) -> list[list[int]]:
     """For each packed column (count residues modulo `modulus`, of degree
-    w, packed w bits apart), the column times x^k for k < w.
+    w, packed stride >= w bits apart), the column times x^k for k < w.
 
     Multiplying by a constant is GF(2)-linear, so these w ints span the
     column's products with every residue: the XOR of those at the set
     bits of y is the column times y.  Each is one step from the last: a
     shift of every entry at once, then, in each entry that carried out of
     its w bits, the carry cleared and the modulus's low part added (the
-    entries do not overlap, so * is carry-less here).
+    entries do not overlap, so * is carry-less here).  A stride of
+    lane_width(w) puts every entry in a lane that unpack splits without
+    shifts.
     """
     width = modulus.bit_length() - 1
-    carries = ((1 << count * width) - 1) // ((1 << width) - 1) << width
+    carries = ((1 << count * stride) - 1) // ((1 << stride) - 1) << width
     low = modulus ^ 1 << width
     out = []
     for t in columns:

@@ -14,21 +14,27 @@ The step is a linear map of stripe row i's n global entries fixed by
 the factor field and B_i alone, so ``_schur_plan`` builds it once per
 (factor field, local block, batch of disk sets) and keeps it across
 calls: det(V) and adj(V) B_i per disk set, and the map's columns times
-each x^k, with every disk set's residual entries packed in one int
-(``linalg.x_powers``).  A call applies it r s times per factor view and
-batch, one XOR per set bit of the input, for all disk sets at once.
-Only a factor view with a singular V_i eliminates instead, on its rows
-cut as ``shorten`` cuts H.
+each x^k, with every disk set's residual entries packed in one int, one
+entry per lane of 8, 16, 32 or 64 bits (``linalg.x_powers`` with a lane
+stride), which ``unpack`` splits without shifts.  A call applies it r s
+times per factor view and batch, one XOR per set bit of the input, for
+all disk sets at once.  Only a factor view with a singular V_i
+eliminates instead, on its rows cut as ``shorten`` cuts H, the local
+ones rebuilt from the blocks.
 Peel and sweep finds the first failing choice: a subset led by column i
 fails exactly when column i is zero or, once one pivot row clears column
 i, the other s-1 rows fail on the rest of it.  At s = 2 a pair fails
-exactly when a column is zero or both columns have the same ratio, so
-one pass over the keys of ``ops.ratios`` (one inverse per sweep in a
-tableless field) finds it: O(N^(s-1)) per group and factor.
+exactly when a column is zero or both columns have the same ratio, so a
+disk set whose keys from ``ops.ratios`` (one inverse per sweep in a
+tableless field) are pairwise distinct, with no zero column, passes on
+one set-size test, and one backward pass over the keys finds the first
+failing pair elsewhere: O(N^(s-1)) per group and factor.
 
 Over the ring the same procedure runs once per factor view the algebra
 supplies, one per irreducible factor of M_p(x); a pattern fails if it
-fails in any factor.
+fails in any factor.  Only what the scan reads is projected into the
+factor fields: the distinct local blocks, told apart in the ring, and
+the global rows.
 
 ``sd_depth`` finds the largest depth r' at which the code is SD in one
 pass.  The code at depth d is the code at depth d + 1 with its last
@@ -56,7 +62,7 @@ from math import comb
 from operator import getitem, xor
 from typing import Callable, Optional, Sequence
 
-from .algebra import key_values, read_int
+from .algebra import key_values, lane_width, read_int
 from .construct import CodeSpec, ParityCheckMatrix
 from .errors import PatternInvalidError, TooManyErasuresError
 from .linalg import det_bits, eliminate, full_column_rank, pack, submatrix, unpack, x_powers
@@ -142,12 +148,23 @@ def _first_singular_pair(ops, r0: list[int], r1: list[int]):
     A pair is singular exactly when one of its columns is zero or both
     columns have the same ratio r1/r0, whose key ``ops.ratios`` gives (-1
     when r0 is zero; a tableless field inverts once for all the columns).
-    One backward pass finds, for each i, the smallest later j failing with it.
+    So when the keys are pairwise distinct and the column keyed -1, if
+    any, is not zero, no pair fails: one set test decides, and the
+    backward pass runs only where keys collide or a column is zero.
     """
+    keys = ops.ratios(r0, r1)
+    distinct = set(keys)
+    if len(distinct) == len(keys) and (-1 not in distinct or r1[keys.index(-1)]):
+        return None
+    return _first_pair_backward(r0, r1, keys)
+
+
+def _first_pair_backward(r0: list[int], r1: list[int], keys: list):
+    """_first_singular_pair from the ratio keys by one backward pass,
+    which finds, for each i, the smallest later j failing with it."""
     first = None
     zero = None         # leftmost zero column right of i
     nearest = {}        # ratio -> leftmost column right of i with that ratio
-    keys = ops.ratios(r0, r1)
     for i in range(len(r0) - 1, -1, -1):
         if not (r0[i] or r1[i]):
             j = i + 1 if i + 1 < len(r0) else None
@@ -180,16 +197,22 @@ def _first_singular(ops, rows: list[list[int]], s: int):
     return None
 
 
-def _local_blocks(spec: CodeSpec, views):
-    """Per factor view (ops, rows, distinct local blocks, each stripe row's
-    block index, each disk set's Schur residual from _schur_residuals)."""
-    m, n, out = spec.m, spec.n, []
-    for ops, rows in views:
-        per_row = [tuple(tuple(row[i * n:(i + 1) * n]) for row in rows[i * m:(i + 1) * m])
-                   for i in range(spec.r)]
-        blocks = list(dict.fromkeys(per_row))
-        kind = [blocks.index(b) for b in per_row]
-        out.append((ops, rows, blocks, kind, _schur_residuals(spec, ops, rows, blocks, kind)))
+def _local_blocks(spec: CodeSpec, bits):
+    """Per factor view of H's entries `bits`: (ops, the global rows, the
+    distinct local blocks, each stripe row's block index, each disk set's
+    Schur residual from _schur_residuals).  Blocks are told apart in the
+    algebra, and only they and the global rows are projected."""
+    m, n, r = spec.m, spec.n, spec.r
+    per_row = [tuple(tuple(row[i * n:(i + 1) * n]) for row in bits[i * m:(i + 1) * m])
+               for i in range(r)]
+    seen = {}                           # block -> its index, in first-seen order
+    kind = [seen.setdefault(block, len(seen)) for block in per_row]
+    local = [row for block in seen for row in block]
+    out = []
+    for ops, rows in spec.algebra.factor_views(local + list(bits[m * r:])):
+        blocks = [tuple(map(tuple, rows[k:k + m])) for k in range(0, len(local), m)]
+        glob = rows[len(local):]
+        out.append((ops, glob, blocks, kind, _schur_residuals(spec, ops, glob, blocks, kind)))
     return out
 
 
@@ -204,7 +227,7 @@ def _schur_plan(ops, block, first: int, stop: int):
     singular; the x^k basis, each column's padded to whole bytes, of the
     map from a stripe row's n entries g to every D's residual entries
     det(V_D) g[j] + sum over d in D of g[d] (adj(V_D) B)[d][j], j alive,
-    packed ops.degree bits apart)."""
+    one per lane of lane_width(ops.degree) bits)."""
     m, n, mul = len(block), len(block[0]), ops.mul
     dets, rows = [], []
     for disks in islice(combinations(range(n), m), first, stop):
@@ -220,36 +243,37 @@ def _schur_plan(ops, block, first: int, stop: int):
                 for d, a in zip(disks, adj):
                     row[d] = reduce(xor, [mul(x, b[j]) for x, b in zip(a, block)])
                 rows.append(row)
-    pad = [0] * (-ops.degree % 8)
-    columns = [pack(col, ops.degree) for col in zip(*rows)]
-    return tuple(dets), tuple(t for basis in x_powers(ops.modulus, columns, len(rows))
+    pad, lane = [0] * (-ops.degree % 8), lane_width(ops.degree)
+    columns = [pack(col, lane) for col in zip(*rows)]
+    return tuple(dets), tuple(t for basis in x_powers(ops.modulus, columns, len(rows), lane)
                               for t in basis + pad)
 
 
-def _schur_residuals(spec: CodeSpec, ops, rows, blocks, kind) -> dict:
-    """{disks: the global rows after the Schur step at disks, or None where
-    some V_i is singular}, every disk set's from one plan per block.
+def _schur_residuals(spec: CodeSpec, ops, glob, blocks, kind) -> dict:
+    """{disks: the global rows glob after the Schur step at disks, or None
+    where some V_i is singular}, every disk set's from one plan per block.
 
     A plan maps a stripe row's n entries to every disk set's residual
     entries there: the XOR of its basis ints at the entries' set bits,
-    then one unpack.  Plans take the disk sets in batches of about
-    _PLAN_BITS bits: packing and unpacking at a width other than 8 or 16
-    bits take time quadratic in an int's size."""
+    then one unpack, which splits lanes of 8 to 64 bits without shifts.
+    Plans take the disk sets in batches of about _PLAN_BITS bits, which
+    bounds a plan's ints (shift-and-mask, above 64 bits, is quadratic in
+    an int's size)."""
     m, n, r, w, degree = spec.m, spec.n, spec.r, spec.n - spec.m, ops.degree
-    nbytes = (degree + 7) >> 3
+    nbytes, lane = (degree + 7) >> 3, lane_width(degree)
     span = 8 * nbytes * n               # selector bytes per stripe row
     selectors = []                      # per global row, per stripe row: its entries' bits
-    for g in rows[m * r:]:
+    for g in glob:
         data = b"".join(map(int.to_bytes, g, repeat(nbytes), repeat("little")))
         bits = b"".join(map(_SELECT.__getitem__, data))
         selectors.append([bits[i * span:(i + 1) * span] for i in range(r)])
-    total, per = comb(n, m), max(1, _PLAN_BITS // (degree * w))
+    total, per = comb(n, m), max(1, _PLAN_BITS // (lane * w))
     disk_sets, out = combinations(range(n), m), {}
     for first in range(0, total, per):
         stop = min(first + per, total)
         plans = [_schur_plan(ops, block, first, stop) for block in blocks]
         values = [[unpack(reduce(xor, compress(plans[kind[i]][1], sel), 0),
-                          (stop - first) * w, degree) for i, sel in enumerate(sels)]
+                          (stop - first) * w, lane) for i, sel in enumerate(sels)]
                   for sels in selectors]
         for t, disks in enumerate(islice(disk_sets, stop - first)):
             at = repeat(slice(t * w, (t + 1) * w))
@@ -270,10 +294,13 @@ def _group(spec: CodeSpec, views, disks: Sequence[int]):
         if depth * w < s:
             return None
         firsts = []
-        for (ops, rows, *_), residual in zip(views, residuals):
+        for (ops, glob, blocks, kind, _), residual in zip(views, residuals):
             if residual is None:
-                # a singular V_i: eliminate the rows cut as shorten cuts H
-                work = [row[:depth * n] for row in rows[:m * depth] + rows[m * spec.r:]]
+                # a singular V_i: eliminate the rows cut as shorten cuts H,
+                # the local ones rebuilt from their blocks
+                work = [[0] * (i * n) + list(part) + [0] * ((depth - 1 - i) * n)
+                        for i in range(depth) for part in blocks[kind[i]]]
+                work += [g[:depth * n] for g in glob]
                 used = eliminate(ops, work, [c for c in range(depth * n) if c % n in disks])
                 if len(used) < m * depth:   # dependent disk columns: every pattern fails
                     firsts.append(tuple(range(s)))
@@ -317,7 +344,7 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     worker count.  `progress(done, total)` runs as each disk set is done.
     """
     spec = hm.spec
-    views = _local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits))
+    views = _local_blocks(spec, hm.matrix.bits)
     found = _map_groups(spec, lambda d: _group(spec, views, d)(spec.r), jobs, progress)
     witness = next((w for w in found if w is not None), None)
     return SdReport(witness is None, witness, _patterns(spec, spec.r))
@@ -352,7 +379,7 @@ def sd_depth(hm: ParityCheckMatrix, jobs: int = 1) -> tuple[int, SdReport]:
     that reaches it.  `jobs` is as in is_sd.
     """
     spec = hm.spec
-    views = _local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits))
+    views = _local_blocks(spec, hm.matrix.bits)
     found = _map_groups(spec, lambda d: _depth_group(spec, views, d), jobs, None)
     failed_at, witness = min(found, key=lambda f: f[0])
     return failed_at - 1, SdReport(witness is None, witness,

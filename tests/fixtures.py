@@ -9,7 +9,8 @@ entries are skipped with the reason recorded in ``note``.
 
 Tokens: ``0``, ``1``, ``a^k`` (k-th power of the generator alpha).
 
-``solve_ab`` poses A·x = b to the one solve the library has.
+``solve_ab`` poses A·x = b to the one solve the library has, and
+``Index`` is an integer-like value that is not an int.
 """
 from dataclasses import dataclass
 
@@ -21,6 +22,16 @@ def solve_ab(a: Matrix, b) -> tuple:
     eye = identity(a.algebra, a.rows).bits
     return solve_bits(Matrix(a.algebra, [r + e for r, e in zip(a.bits, eye)]),
                       [0] * a.cols + list(b), range(a.cols))
+
+
+class Index:
+    """An integer-like value that is not an int, as a numpy integer is."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 @dataclass(frozen=True)

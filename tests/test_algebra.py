@@ -16,7 +16,7 @@ from sdcode import (
     parse_algebra,
 )
 from sdcode import _gf2poly as poly
-from sdcode.algebra import DEFAULT_FIELD_POLY, read_int
+from sdcode.algebra import DEFAULT_FIELD_POLY, lane_width, read_int
 from sdcode.errors import (
     AlgebraMismatchError,
     BadWidthError,
@@ -24,6 +24,7 @@ from sdcode.errors import (
     NotPrimeError,
     ReducibleModulusError,
 )
+from fixtures import Index
 
 
 # ---------------------------------------------------------------- fields
@@ -107,16 +108,6 @@ def test_element_algebra_mismatch(gf16, gf256):
             gf16.element(bits)
     # an equal algebra built apart takes the element as its own
     assert Field(4).mul(a, Field(4).one) == a
-
-
-class Index:
-    """An integer-like value that is not an int, as a numpy integer is."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
 
 
 def test_element_bits_go_through_index():
@@ -305,6 +296,31 @@ def test_crt_round_trip(ring17, ring7):
             residues = [ring.project_bits(a, k)
                         for k in range(len(ring.factorization.factors))]
             assert ring.crt_bits(residues) == a
+
+
+@pytest.mark.parametrize("p", [5, 7, 17, 29, 31, 41, 101, 127])
+def test_factor_views_project_through_the_byte_tables_as_project_bits(p):
+    # M_p(x) splits into 2, 2, 6, 2 and 18 factors of degree 3, 8, 5, 20
+    # and 7 for p = 7, 17, 31, 41, 127 (lanes of 8, 8, 8, 32, 8 bits); it
+    # is irreducible for p = 5, 29, 101, which need no tables
+    ring = make_ring(p)
+    rng = random.Random(f"projection/{p}")
+    values = [0, ring.all_ones, 1 << (p - 2)] + [rng.getrandbits(p - 1) for _ in range(300)]
+    views = ring.factor_views([values, values[::-1], []])
+    assert [ops for ops, _ in views] == ring.factor_ops
+    for k, (_, (row, back, empty)) in enumerate(views):
+        assert row == [ring.project_bits(v, k) for v in values]
+        assert back == row[::-1] and empty == []
+    tables = ring._proj_tables
+    if len(ring.factor_ops) == 1:
+        assert tables is None
+    else:
+        assert len(tables) == (p + 6) // 8
+        lane = lane_width(ring.factor_ops[0].degree)
+        for k, table in enumerate(tables):
+            for b in range(len(table)):
+                residues = [ring.project_bits(b << 8 * k, f) for f in range(len(views))]
+                assert table[b] == sum(v << f * lane for f, v in enumerate(residues))
 
 
 # (name, algebra, number of factor views): M_5 and M_37 are irreducible,

@@ -13,8 +13,9 @@ from sdcode import (
     solve,
     submatrix,
 )
-from sdcode import linalg
-from sdcode.algebra import _Gf2mOps
+from sdcode import _gf2poly as poly
+from sdcode import algebra, linalg
+from sdcode.algebra import _Gf2mOps, unpack
 from sdcode.linalg import (
     PackedMap,
     eliminate,
@@ -24,6 +25,7 @@ from sdcode.linalg import (
     mul_vector,
     pack,
     solve_bits,
+    x_powers,
 )
 from sdcode.errors import (
     AlgebraMismatchError,
@@ -32,7 +34,7 @@ from sdcode.errors import (
     ShapeMismatchError,
     SingularSystemError,
 )
-from fixtures import solve_ab
+from fixtures import Index, solve_ab
 
 
 def random_matrix(alg, rng, nrows, ncols):
@@ -68,6 +70,22 @@ def test_matrix_rejects_ragged_and_oversized(gf16):
         Matrix(gf16, [[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix(gf16, [[16, 0]])  # bits out of range for 4-bit elements
+
+
+def test_matrix_entries_go_through_index(gf16):
+    # as Element's bits: a float, a str or None fails at construction,
+    # and a bool or an integer-like (a numpy int) is stored as an int
+    for bad in (1.5, 2.0, "1", None):
+        with pytest.raises(TypeError):
+            Matrix(gf16, [[1, 2], [3, bad]])
+    m = Matrix(gf16, [[True, Index(5)], (False, 15)])
+    assert m.bits == ((1, 5), (0, 15)) and all(type(v) is int for r in m.bits for v in r)
+    assert m == Matrix(gf16, [[1, 5], [0, 15]]) and hash(m) == hash(Matrix(gf16, [[1, 5], [0, 15]]))
+    # the range is checked per row; the message names the first bad entry
+    for row, shown in (([3, 16, -1], "0x10"), ([-1, 16], "0x-1"), ([0, Index(17)], "0x11")):
+        with pytest.raises(ValueError, match=f"entry {shown} out of range for field w=4"):
+            Matrix(gf16, [[1, 2, 3][:len(row)], row])
+    assert Matrix(gf16, [[], []]).cols == 0
 
 
 def test_from_elements_checks_algebra(gf16, gf256):
@@ -351,6 +369,36 @@ def test_packed_map_matches_per_product_oracle(alg):
             want = [dot(mul, [(k, v) for k, v in enumerate(row) if v], x) for row in rows]
             assert packed(x) == want
             assert packed.packed(x) == sum(v << (i * width) for i, v in enumerate(want))
+
+
+# moduli of degree 3, 7, 9, 16, 20, 36, 64 and 68: lanes of 8, 8, 16, 16,
+# 32, 64, 64 and 72 bits (the last split by shift-and-mask); x_powers
+# needs no irreducible modulus, only its degree
+LANE_MODULI = [0xB, 0x89, 0x211, 0x1100B, 0x100009, (1 << 37) - 1,
+               1 << 64 | 0x1B, 1 << 68 | 0x2B]
+
+
+@pytest.mark.parametrize("modulus", LANE_MODULI, ids=lambda f: f"deg{f.bit_length() - 1}")
+def test_x_powers_in_lanes_match_the_degree_packed_basis(modulus, monkeypatch):
+    width = modulus.bit_length() - 1
+    lane = algebra.lane_width(width)
+    assert lane >= width and lane % 8 == 0 and (lane in (8, 16, 32, 64) or width > 64)
+    rng = random.Random(f"lanes:{modulus:x}")
+    count, top = 9, (1 << width) - 1
+    cols = [[rng.getrandbits(width) for _ in range(count)] for _ in range(5)]
+    cols += [[0] * count, [top] * count, [1 << (width - 1)] * count]
+    tight = x_powers(modulus, [pack(c, width) for c in cols], count, width)
+    wide = x_powers(modulus, [pack(c, lane) for c in cols], count, lane)
+    for col, basis, lanes in zip(cols, tight, wide):
+        assert len(basis) == len(lanes) == width
+        for k, (t, u) in enumerate(zip(basis, lanes)):
+            want = [poly.mod(v << k, modulus) for v in col]
+            assert unpack(t, count, width) == unpack(u, count, lane) == want
+            assert u == pack(want, lane)
+    # without the native casts unpack falls back to shift-and-mask
+    fast = [unpack(u, count, lane) for basis in wide for u in basis]
+    monkeypatch.setattr(algebra, "_CASTS", {})
+    assert [unpack(u, count, lane) for basis in wide for u in basis] == fast
 
 
 # ------------------------------------------------- cached solve plans

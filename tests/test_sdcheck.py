@@ -260,6 +260,48 @@ _CRAFTED = [
 ]
 
 
+def _brute_first_pair(mul, r0, r1):
+    """The first column pair whose 2 x 2 determinant is zero, by trying them all."""
+    return next(((i, j) for i, j in combinations(range(len(r0)), 2)
+                 if mul(r0[i], r1[j]) == mul(r0[j], r1[i])), None)
+
+
+@pytest.mark.parametrize("make", [lambda: make_field(4).ops, lambda: make_field(8).ops,
+                                  lambda: make_ring(41).factor_ops[0]],
+                         ids=["gf16", "gf256", "tableless-gf2^20"])
+def test_the_set_test_agrees_with_the_backward_pass(make):
+    # rows of pairwise distinct ratios, then with planted faults: a
+    # duplicate ratio, one or two x = 0 columns, one or two y = 0 columns,
+    # and a lone all-zero column at the first, a middle and the last place
+    ops = make()
+    rng = random.Random(f"set-test/{ops.modulus:x}")
+    outcomes = {"set test": 0, "backward": 0}
+    for _ in range(60):
+        size = rng.randint(2, min(12, ops.qm1))
+        ratios = rng.sample(range(1, ops.q), size)
+        r0 = [rng.randrange(1, ops.q) for _ in range(size)]
+        r1 = [ops.mul(x, k) for x, k in zip(r0, ratios)]
+        i, j = sorted(rng.sample(range(size), 2))
+        mid = size // 2
+        cases = [(r0, r1)]
+        cases.append((r0, r1[:j] + [ops.mul(r0[j], ratios[i])] + r1[j + 1:]))
+        for cols, row in (((i,), 0), ((i, j), 0), ((i,), 1), ((i, j), 1)):
+            planted = [list(r0), list(r1)]
+            for c in cols:
+                planted[row][c] = 0
+            cases.append(tuple(planted))
+        for at in (0, mid, size - 1):
+            cases.append(([0 if c == at else v for c, v in enumerate(r0)],
+                          [0 if c == at else v for c, v in enumerate(r1)]))
+        for a, b in cases:
+            keys = ops.ratios(a, b)
+            got = sdcheck._first_singular_pair(ops, a, b)
+            assert got == sdcheck._first_pair_backward(a, b, keys)
+            assert got == _brute_first_pair(ops.mul, a, b)
+            outcomes["set test" if len(set(keys)) == len(keys) and got is None else "backward"] += 1
+    assert min(outcomes.values()) > 100
+
+
 # (name, matrix factory, first failing survivor triple of disk set (0,));
 # n = 4 and r = 2, so disk set (0,) has six survivors
 _CRAFTED_TRIPLES = [
@@ -420,7 +462,7 @@ def _assert_groups_match_oracle(hm):
     the code shortened to d stripe rows; returns the number of groups
     that fail at depth r."""
     spec = hm.spec
-    views = sdcheck._local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits))
+    views = sdcheck._local_blocks(spec, hm.matrix.bits)
     codes = [(c.spec, spec.algebra.factor_views(c.matrix.bits))
              for c in [shorten(hm, d) for d in range(1, spec.r)] + [hm]]
     failing = 0
@@ -519,6 +561,12 @@ def _fallback_cases():
         "ring7-one-factor": (_hand_made(ring7, 4, 2, 2, [
             [[1, 1, 1, 1], [0xA, 1, 4, 8]], [[1, 1, 1, 1], [0xA, 1, 2, 0x10]]],
             glob(ring7, 2, 8)), True),
+        # rows 0 and 2 hold a block regular in both factor views, rows 1
+        # and 3 the block singular at (0, 1) mod 0xb only (as in
+        # _RING7_ONE_FACTOR_SINGULAR): two distinct blocks in four rows
+        "ring7-repeated-blocks": (_hand_made(ring7, 4, 2, 2, [
+            [[1, 1, 1, 1], [1, 2, 4, 8]], [[1, 1, 1, 1], [0xA, 1, 4, 8]]] * 2,
+            glob(ring7, 2, 16)), True),
     }
 
 
@@ -534,9 +582,38 @@ def test_schur_scan_fallback_on_hand_made_blocks(case, monkeypatch):
 
 def test_ring7_block_singular_in_one_factor_view_only():
     hm, _ = _fallback_cases()["ring7-one-factor"]
-    views = sdcheck._local_blocks(hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits))
+    views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
     assert [v[4][(0, 1)] is None for v in views] == [True, False]
     assert [_schur_residual(hm.spec, *v[:4], (0, 1)) is None for v in views] == [True, False]
+
+
+def test_repeated_blocks_singular_in_one_ring_factor_match_eliminate_at_every_depth():
+    # disk set (0, 1) eliminates in the factor view of 0xb at every depth,
+    # on local rows rebuilt from the two blocks in stripe-row order
+    hm, _ = _fallback_cases()["ring7-repeated-blocks"]
+    views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
+    assert [(len(v[2]), v[3]) for v in views] == [(2, [0, 1, 0, 1])] * 2
+    assert [[v[4][d] is None for v in views]
+            for d in combinations(range(4), 2)] == [[True, False]] + [[False, False]] * 5
+    _assert_groups_match_oracle(hm)
+    assert sd_depth(hm) == per_depth_sd_depth(hm)
+
+
+def test_scans_project_only_the_distinct_blocks_and_the_global_rows(monkeypatch):
+    # m rows of n entries per distinct local block, then the s global rows
+    cases = [(build_h2(3, 5, make_ring(17)), 1), (build_h1(3, 5, make_field(4)), 1),
+             (_fallback_cases()["ring7-repeated-blocks"][0], 2),
+             (_fallback_cases()["differing-blocks"][0], 3)]
+    for hm, distinct in cases:
+        alg, spec = hm.spec.algebra, hm.spec
+        lengths, project = [], alg.factor_views
+        monkeypatch.setattr(alg, "factor_views",
+                            lambda rows: lengths.append([len(r) for r in rows]) or project(rows))
+        is_sd(hm)
+        sd_depth(hm)
+        monkeypatch.undo()
+        want = [spec.n] * (spec.m * distinct) + [spec.r * spec.n] * spec.s
+        assert lengths == [want, want], spec
 
 
 def _record_residuals(monkeypatch):
@@ -553,10 +630,10 @@ def _record_residuals(monkeypatch):
     return residuals
 
 
-def _schur_residual(spec, ops, rows, blocks, kind, disks):
+def _schur_residual(spec, ops, glob, blocks, kind, disks):
     """The per-call Schur step the cached plans replace, kept as their
-    oracle: the global rows after the Schur step at these disks, None if
-    a V_i is singular."""
+    oracle: the global rows glob after the Schur step at these disks, None
+    if a V_i is singular."""
     m, n, r = spec.m, spec.n, spec.r
     alive = [j for j in range(n) if j not in disks]
     w, coefs = len(alive), []   # per block: det(V), then adj(V) B, on the alive disks
@@ -572,14 +649,14 @@ def _schur_residual(spec, ops, rows, blocks, kind, disks):
     # column (i, j): g[i,j] det(V) + sum over d of g[i,d] (adj(V) B)[d][j], V = block kind[i]
     factors = [[c for t in kind for c in coefs[t][k]] for k in range(m + 1)]
     at = [[i * n + j for i in range(r) for j in js] for js in [alive] + [[d] * w for d in disks]]
-    return [ops.mul_sum(factors, [[g[c] for c in cols] for cols in at]) for g in rows[m * r:]]
+    return [ops.mul_sum(factors, [[g[c] for c in cols] for cols in at]) for g in glob]
 
 
 def _assert_plans_match_oracle(hm):
     """Every factor view's residual at every disk set equals the oracle's;
     returns the number of (view, disk set) residuals that are None."""
     spec, nones = hm.spec, 0
-    for view in sdcheck._local_blocks(spec, spec.algebra.factor_views(hm.matrix.bits)):
+    for view in sdcheck._local_blocks(spec, hm.matrix.bits):
         assert list(view[4]) == list(combinations(range(spec.n), spec.m))
         for disks, residual in view[4].items():
             assert residual == _schur_residual(spec, *view[:4], disks), (spec, disks)
@@ -640,7 +717,7 @@ def test_construction_scan_runs_no_elimination_and_one_block(gf256, monkeypatch)
     # every stripe row shares one Vandermonde block, invertible on every
     # disk set, so the s = 2 scan never calls eliminate
     hm = build_h2(6, 8, gf256)
-    views = sdcheck._local_blocks(hm.spec, gf256.factor_views(hm.matrix.bits))
+    views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
     assert [len(v[2]) for v in views] == [1]
     calls = []
     monkeypatch.setattr(sdcheck, "eliminate", lambda *a: calls.append(a) or eliminate(*a))
@@ -741,7 +818,7 @@ x:2b x:37 x:14 x:11 x:27 x:e x:27 x:3 x:26 x:2c x:b x:1c
 
 def test_sd_depth_falls_back_where_one_ring_factor_has_a_singular_block(monkeypatch):
     hm = read_matrix(io.StringIO(_RING7_ONE_FACTOR_SINGULAR))
-    views = sdcheck._local_blocks(hm.spec, hm.spec.algebra.factor_views(hm.matrix.bits))
+    views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
     assert [[v[4][d] is None for v in views]
             for d in combinations(range(4), 2)] == [[True, False]] + [[False, False]] * 5
     cut = []
