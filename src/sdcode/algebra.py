@@ -14,9 +14,10 @@ know which kind it holds: ``factor_views(rows)`` reduces a matrix into
 each factor field (one view for a field, one per irreducible factor of
 M_p(x) for the ring), and ``crt_bits(residues)`` glues one residue per
 factor back into an element.  The ring does both a byte at a time
-through tables it builds once (split tables: Plank, Greenan & Miller,
-FAST 2013); ``factor_views`` maps each distinct entry to its residues
-modulo every factor at once, packed in lanes of ``lane_width`` bits.
+through split tables (Plank, Greenan & Miller, FAST 2013), built once by
+``byte_tables``, the one builder of such tables here and in ``linalg``;
+``factor_views`` maps each distinct entry to its residues modulo every
+factor at once, packed in lanes of ``lane_width`` bits.
 
 Elements are bit vectors packed into ints (bit k = coefficient of x^k),
 wrapped in :class:`Element` so that mixing contexts is detected.
@@ -30,7 +31,8 @@ Field multiplication uses log/antilog tables built on a primitive element
 (found by search, since the residue of x need not generate the whole
 multiplicative group).  Ring factor fields of degree above 16 have none: a
 product there is a 4-bit-window carry-less multiply reduced one byte at a
-time, and ``_Gf2mOps.ratios`` takes one inverse per sweep, not per column.
+time through fold tables built with the field, and ``_Gf2mOps.ratios``
+takes one inverse per sweep, not per column.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ import random
 import struct
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import repeat
 from math import gcd as int_gcd
 from operator import getitem, index, itemgetter, xor
 from typing import Sequence
@@ -99,6 +102,20 @@ def unpack(acc: int, count: int, width: int) -> list[int]:
     return [acc >> o & mask for o in range(0, count * width, width)]
 
 
+def byte_tables(images: Sequence[int]) -> list[list[int]]:
+    """Split tables of the GF(2)-linear map that takes bit i to images[i]:
+    table t maps a byte b to the XOR of images[8t + i] over the set bits i
+    of b.  A last chunk of c < 8 images gets a 2^c-entry table, not a
+    zero-padded one, so a byte beyond the map's domain raises IndexError."""
+    tables = []
+    for shift in range(0, len(images), 8):
+        table = [0]
+        for e in images[shift:shift + 8]:       # repeat stops map at the old length
+            table += map(xor, table, repeat(e, len(table)))
+        tables.append(table)
+    return tables
+
+
 def _check_odd_prime(p: int) -> None:
     if p % 2 == 0 or poly._prime_factors(p) != [p]:
         raise NotPrimeError(f"p must be an odd prime, got {p}")
@@ -119,7 +136,8 @@ class _Gf2mOps:
     Log/antilog tables are built for degrees up to 16.  Beyond that (only
     ring factor fields for large p) a product is the windowed carry-less
     ``poly.mul`` followed by ``reduce``, which folds the bits above the
-    degree one byte at a time through lazily built tables.
+    degree one byte at a time through tables built with the field, one per
+    byte of x^d .. x^(2d-2): its domain is a product of two residues.
     """
 
     __slots__ = ("modulus", "degree", "q", "qm1", "has_tables", "exp", "log",
@@ -131,7 +149,7 @@ class _Gf2mOps:
         self.q = 1 << self.degree
         self.qm1 = self.q - 1
         self.has_tables = self.degree <= _TABLE_DEGREE_MAX
-        self._fold: list[list[int]] = []
+        self._fold = None
         self._exp_np = None
         self._log_np = None
         if self.has_tables:
@@ -153,8 +171,9 @@ class _Gf2mOps:
             self.exp = exp
             self.log = log
         else:
-            self.exp = None
-            self.log = None
+            self.exp = self.log = None
+            d = self.degree
+            self._fold = byte_tables([poly.mod(1 << k, modulus) for k in range(d, 2 * d - 1)])
 
     def _find_generator(self) -> int:
         primes = poly._prime_factors(self.qm1)
@@ -165,31 +184,14 @@ class _Gf2mOps:
             c += 1
 
     def reduce(self, a: int) -> int:
-        """a mod f, for any a >= 0: one table lookup per byte above the degree."""
+        """a mod f, for a product a of two residues: one lookup per byte above d."""
         top = a >> self.degree
         if not top:
             return a
-        nbytes = (top.bit_length() + 7) >> 3
-        fold = self._fold
-        if len(fold) < nbytes:
-            fold = self._fold = self._fold_tables(nbytes)
         out = a & self.qm1
-        for table, byte in zip(fold, top.to_bytes(nbytes, "little")):
+        for table, byte in zip(self._fold, top.to_bytes((top.bit_length() + 7) >> 3, "little")):
             out ^= table[byte]
         return out
-
-    def _fold_tables(self, nbytes: int) -> list[list[int]]:
-        """Fold tables for nbytes bytes, table k mapping c to c x^(degree+8k) mod f,
-        as a new list: other threads may be reading the old one."""
-        fold = list(self._fold)
-        v = poly.mod(1 << (self.degree + 8 * len(fold)), self.modulus)
-        while len(fold) < nbytes:
-            table = [0]
-            for _ in range(8):          # table[c + 2^i] = table[c] + x^i x^(degree + 8k)
-                table += [t ^ v for t in table]
-                v = poly.mod(v << 1, self.modulus)
-            fold.append(table)
-        return fold
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -197,17 +199,6 @@ class _Gf2mOps:
         if self.has_tables:
             return self.exp[self.log[a] + self.log[b]]
         return self.reduce(poly.mul(a, b))
-
-    def mul_sum(self, xs: Sequence[Sequence[int]], ys: Sequence[Sequence[int]]) -> list[int]:
-        """The entrywise sum of x·y over the pairs of vectors x, y of xs, ys."""
-        acc = [0] * len(xs[0])
-        exp, log = self.exp, self.log
-        for x, y in zip(xs, ys):
-            if self.has_tables:
-                acc = [a ^ exp[log[u] + log[v]] if u and v else a for a, u, v in zip(acc, x, y)]
-            else:           # reduction is linear: reduce each sum once, below
-                acc = [a ^ poly.mul(u, v) if u and v else a for a, u, v in zip(acc, x, y)]
-        return acc if self.has_tables else [self.reduce(a) for a in acc]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -495,10 +486,6 @@ class Ring(Algebra):
         self.modulus = (1 << p) - 1          # M_p(x), degree p-1
         self.element_bits = p - 1
         self.all_ones = (1 << (p - 1)) - 1   # the residue of x^(p-1)
-        self._fact: MpFactorization | None = None
-        self._factor_ops: list[_Gf2mOps] | None = None
-        self._crt_tables: list[list[list[int]]] | None = None
-        self._proj_tables: list[list[int]] | None = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and self.p == other.p
@@ -542,17 +529,13 @@ class Ring(Algebra):
 
     # -- factor-field machinery -------------------------------------------
 
-    @property
+    @cached_property
     def factorization(self) -> "MpFactorization":
-        if self._fact is None:
-            self._fact = mp_factorization(self.p)
-        return self._fact
+        return mp_factorization(self.p)
 
-    @property
+    @cached_property
     def factor_ops(self) -> list[_Gf2mOps]:
-        if self._factor_ops is None:
-            self._factor_ops = [_Gf2mOps(f) for f in self.factorization.factors]
-        return self._factor_ops
+        return [_Gf2mOps(f) for f in self.factorization.factors]
 
     def factor_views(self, rows) -> list[tuple[_Gf2mOps, list[list[int]]]]:
         # one projection per distinct entry (a constructed H holds powers
@@ -560,7 +543,7 @@ class Ring(Algebra):
         factors = self.factor_ops
         if len(factors) == 1:           # M_p(x) is irreducible: residues are elements
             return [(factors[0], [list(r) for r in rows])]
-        tables, lane = self._projection_tables(), lane_width(factors[0].degree)
+        tables, lane = self._projection_tables, lane_width(factors[0].degree)
         values = list({v for r in rows for v in r})
         lanes = [unpack(reduce(xor, map(getitem, tables, v.to_bytes(len(tables), "little")), 0),
                         len(factors), lane) for v in values]
@@ -570,51 +553,41 @@ class Ring(Algebra):
             views.append((ops, [list(map(residue, r)) for r in rows]))
         return views
 
+    @cached_property
     def _projection_tables(self) -> list[list[int]]:
-        """One table per byte of a residue, mapping the byte b at bit 8k to
-        the residues of b x^(8k) modulo every factor, factor f's in lane f
-        (lane_width(degree) bits apart).  Built whole, then published: a
-        thread never sees a part of them."""
-        if self._proj_tables is None:
-            lane, powers = lane_width(self.factor_ops[0].degree), [0] * self.element_bits
-            for f, ops in enumerate(self.factor_ops):     # powers[k]: x^k in every lane
-                v = 1
-                for k in range(self.element_bits):
-                    powers[k] |= v << f * lane
-                    v <<= 1
-                    v ^= ops.modulus if v >> ops.degree else 0
-            tables = []
-            for shift in range(0, self.element_bits, 8):
-                table = [0]
-                for e in powers[shift:shift + 8]:
-                    table += [v ^ e for v in table]
-                tables.append(table)
-            self._proj_tables = tables
-        return self._proj_tables
+        """The byte tables of projection: byte b at bit 8k maps to the
+        residues of b x^(8k) modulo every factor, factor f's in lane f
+        (lane_width(degree) bits apart)."""
+        lane, powers = lane_width(self.factor_ops[0].degree), [0] * self.element_bits
+        for f, ops in enumerate(self.factor_ops):     # powers[k]: x^k in every lane
+            v = 1
+            for k in range(self.element_bits):
+                powers[k] |= v << f * lane
+                v <<= 1
+                v ^= ops.modulus if v >> ops.degree else 0
+        return byte_tables(powers)
+
+    @cached_property
+    def _crt_tables(self) -> list[list[list[int]]]:
+        """Per factor, the byte tables of its residues times its CRT basis
+        element t (1 modulo that factor, 0 modulo the others)."""
+        tables = []
+        for f, ops in zip(self.factorization.factors, self.factor_ops):
+            q, rem = poly.divmod_(self.modulus, f)
+            assert rem == 0
+            t = poly.mulmod(q, poly.invmod(poly.mod(q, f), f), self.modulus)
+            tables.append(byte_tables([self.mul_bits(1 << k, t) for k in range(ops.degree)]))
+        return tables
 
     def project_bits(self, bits: int, k: int) -> int:
-        """Residue of bits modulo the k-th irreducible factor of M_p(x)."""
-        return self.factor_ops[k].reduce(bits)
+        """Residue of bits modulo the k-th irreducible factor of M_p(x): a
+        plain poly.mod, the oracle of the projection tables."""
+        return poly.mod(bits, self.factorization.factors[k])
 
     def crt_bits(self, residues: list[int]) -> int:
         """Unique residue mod M_p(x) matching one residue per factor: the
-        sum of each residue times its factor's CRT basis element t, taken
-        from one table per byte of the residue (t times that byte)."""
-        if self._crt_tables is None:
-            tables = []
-            for f, ops in zip(self.factorization.factors, self.factor_ops):
-                q, rem = poly.divmod_(self.modulus, f)
-                assert rem == 0
-                t = poly.mulmod(q, poly.invmod(poly.mod(q, f), f), self.modulus)
-                per_byte = []
-                for shift in range(0, ops.degree, 8):
-                    table = [0]
-                    for k in range(shift, min(shift + 8, ops.degree)):
-                        e = self.mul_bits(1 << k, t)
-                        table += [v ^ e for v in table]
-                    per_byte.append(table)
-                tables.append(per_byte)
-            self._crt_tables = tables
+        sum of each residue times its factor's CRT basis element, taken
+        from one table per byte of the residue."""
         out = 0
         for per_byte, res in zip(self._crt_tables, residues):
             for table in per_byte:

@@ -15,9 +15,10 @@ Every elimination runs through ``eliminate``.  A product of a fixed
 matrix with vectors starts from one basis: each column, all of the
 matrix's rows packed into one int, times each x^k (``x_powers``), which
 needs no product in fields and in the ring.  It has two appliers.  A
-``PackedMap`` spans the basis into split multiply-by-constant tables,
-one lookup and one XOR per byte of each nonzero input entry; at 256
-entries per byte, the tables pay for many products per build, so the
+``PackedMap`` spans the basis into split multiply-by-constant tables
+(``algebra.byte_tables``, the one builder of split tables), one lookup
+and one XOR per byte of each nonzero input entry; at 256 entries per
+byte, the tables pay for many products per build, so the
 solve plans and ``mul_vector`` (one map per Matrix, cached by
 ``packed_map``) use them.  The SD scan's Schur plans
 (``sdcheck._schur_plan``) keep the basis alone and XOR it at each set
@@ -55,7 +56,7 @@ from itertools import repeat
 from operator import getitem, index, xor
 from typing import Iterable, Sequence
 
-from .algebra import Algebra, Element, Ring, _Gf2mOps, unpack
+from .algebra import Algebra, Element, Ring, _Gf2mOps, byte_tables, unpack
 from .errors import (
     AlgebraMismatchError,
     IndexOutOfRangeError,
@@ -253,10 +254,10 @@ class PackedMap:
     [i·w, (i+1)·w) of one int, and M is given as its columns so packed
     (zero for a column the map skips) and its row count.  Each nonzero
     column c keeps one table per 8-bit chunk of x[c], mapping the chunk at
-    bit `shift` to M[:, c]·(chunk << shift), packed: the XOR span of the
-    chunk's part of the column's ``x_powers``, so no product is taken, in
-    fields with or without log tables or in rings.  Applying M is one
-    lookup and one XOR per chunk, then one ``unpack``.
+    bit `shift` to M[:, c]·(chunk << shift), packed: the ``byte_tables`` of
+    the column's ``x_powers``, so no product is taken, in fields with or
+    without log tables or in rings.  Applying M is one lookup and one XOR
+    per chunk, then one ``unpack``.
     """
 
     __slots__ = ("width", "rows", "nonzero", "tables")
@@ -265,13 +266,9 @@ class PackedMap:
         self.width = modulus.bit_length() - 1
         self.rows = rows
         self.nonzero = [c for c, t in enumerate(columns) if t]
-        self.tables = []
-        for basis in x_powers(modulus, [columns[c] for c in self.nonzero], rows, self.width):
-            for shift in range(0, self.width, 8):
-                table = [0]
-                for e in basis[shift:shift + 8]:    # repeat stops map at the old length
-                    table.extend(map(xor, table, repeat(e, len(table))))
-                self.tables.append(table)
+        self.tables = [table for basis in x_powers(modulus, [columns[c] for c in self.nonzero],
+                                                   rows, self.width)
+                       for table in byte_tables(basis)]
 
     def packed(self, x: Sequence[int]) -> int:
         """M·x, its rows packed width bits apart."""

@@ -9,7 +9,8 @@ entries are skipped with the reason recorded in ``note``.
 
 Tokens: ``0``, ``1``, ``a^k`` (k-th power of the generator alpha).
 
-``solve_ab`` poses A·x = b to the one solve the library has, and
+``solve_ab`` poses A·x = b to the one solve the library has, ``mul_sum``
+is an entrywise sum of products by the field's scalar multiply, and
 ``Index`` is an integer-like value that is not an int.
 """
 from dataclasses import dataclass
@@ -22,6 +23,15 @@ def solve_ab(a: Matrix, b) -> tuple:
     eye = identity(a.algebra, a.rows).bits
     return solve_bits(Matrix(a.algebra, [r + e for r, e in zip(a.bits, eye)]),
                       [0] * a.cols + list(b), range(a.cols))
+
+
+def mul_sum(ops, xs, ys) -> list:
+    """The entrywise sum of x·y over the pairs of vectors x, y of xs, ys,
+    by ops.mul."""
+    acc = [0] * len(xs[0])
+    for x, y in zip(xs, ys):
+        acc = [a ^ ops.mul(u, v) for a, u, v in zip(acc, x, y)]
+    return acc
 
 
 class Index:

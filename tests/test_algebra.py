@@ -1,7 +1,7 @@
 """Field GF(2^w) and ring GF(2)[x]/(M_p) arithmetic."""
 import random
-import sys
-import threading
+from functools import reduce
+from operator import getitem, xor
 
 import pytest
 
@@ -16,7 +16,7 @@ from sdcode import (
     parse_algebra,
 )
 from sdcode import _gf2poly as poly
-from sdcode.algebra import DEFAULT_FIELD_POLY, lane_width, read_int
+from sdcode.algebra import DEFAULT_FIELD_POLY, byte_tables, lane_width, read_int
 from sdcode.errors import (
     AlgebraMismatchError,
     BadWidthError,
@@ -311,10 +311,11 @@ def test_factor_views_project_through_the_byte_tables_as_project_bits(p):
     for k, (_, (row, back, empty)) in enumerate(views):
         assert row == [ring.project_bits(v, k) for v in values]
         assert back == row[::-1] and empty == []
-    tables = ring._proj_tables
-    if len(ring.factor_ops) == 1:
-        assert tables is None
+    if len(ring.factor_ops) == 1:       # residues are elements: no tables built
+        assert "_projection_tables" not in vars(ring)
     else:
+        assert "_projection_tables" in vars(ring)
+        tables = ring._projection_tables
         assert len(tables) == (p + 6) // 8
         lane = lane_width(ring.factor_ops[0].degree)
         for k, table in enumerate(tables):
@@ -443,47 +444,46 @@ def test_ring_mul_fold_matches_mulmod():
                 assert ring.mul_bits(a, b) == poly.mulmod(a, b, ring.modulus)
 
 
-@pytest.mark.parametrize("p", [7, 17, 31, 41, 101, 127])
+@pytest.mark.parametrize("p", [7, 17, 31, 37, 41, 101, 127])
 def test_reduce_matches_mod_on_every_factor(p):
-    # a fresh ring, so each factor's fold tables start empty and grow as
-    # longer inputs arrive
-    ring = Ring(p)
+    # reduce's domain is a product of two residues of a tableless factor
+    # field: M_37 and M_101 are irreducible (degrees 36 and 100), M_41
+    # splits into two factors of degree 20; the factors of degree 3, 8, 5
+    # and 7 for p = 7, 17, 31 and 127 multiply by log tables, with no fold
+    ring = make_ring(p)
     rng = random.Random(p)
-    for k, (f, ops) in enumerate(zip(ring.factorization.factors, ring.factor_ops)):
-        top = 2 * max(p - 1, 2 * ops.degree)
-        lengths = list(range(top + 1)) + [rng.randrange(top + 1) for _ in range(60)]
-        rng.shuffle(lengths)
-        for n in lengths:
-            v = rng.getrandbits(n) | (1 << n >> 1)
-            assert ops.reduce(v) == poly.mod(v, f), (p, hex(f), n)
+    for f, ops in zip(ring.factorization.factors, ring.factor_ops):
+        d = ops.degree
+        if ops.has_tables:
+            assert ops._fold is None
+            continue
+        assert len(ops._fold) == (d + 6) // 8
+        # the pairs include (x^(d-1))^2, the top product bit, and (2^d-1)^2
+        operands = [0, 1, 2, ops.qm1, 1 << (d - 1)] + [rng.getrandbits(d) for _ in range(30)]
+        for a in operands:
+            for b in operands:
+                v = poly.mul(a, b)
+                assert ops.reduce(v) == poly.mod(v, f), (p, hex(f), a, b)
         assert ops.reduce(0) == 0 and ops.reduce(f) == 0
-        assert ring.project_bits(ring.all_ones, k) == poly.mod(ring.all_ones, f)
 
 
-def test_fold_tables_are_race_free():
-    # four threads reduce 199-bit products in a cold GF(2^100), switching
-    # every microsecond, so they interleave inside the table builds
-    rng = random.Random(101)
-    values = [rng.getrandbits(199) for _ in range(50)]
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            ops, barrier = Ring(101).factor_ops[0], threading.Barrier(4)
-
-            def work():
-                barrier.wait()
-                results.append([ops.reduce(v) for v in values])
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-    finally:
-        sys.setswitchinterval(interval)
-    want = [poly.mod(v, ops.modulus) for v in values]
-    assert len(results) == 80 and all(r == want for r in results)
+@pytest.mark.parametrize("n", [1, 5, 8, 13, 30, 100])
+def test_byte_tables_match_the_xor_of_images(n):
+    rng = random.Random(f"byte_tables/{n}")
+    images = [rng.getrandbits(40) for _ in range(n)]
+    tables = byte_tables(images)
+    assert [len(t) for t in tables] == [1 << min(8, n - 8 * t) for t in range(len(tables))]
+    for t, table in enumerate(tables):
+        chunk = images[8 * t:8 * t + 8]
+        for b, v in enumerate(table):
+            assert v == reduce(xor, (e for i, e in enumerate(chunk) if b >> i & 1), 0)
+    for x in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(50)]:
+        want = reduce(xor, (e for i, e in enumerate(images) if x >> i & 1), 0)
+        got = reduce(xor, map(getitem, tables, x.to_bytes(len(tables), "little")), 0)
+        assert got == want
+    if n % 8:                           # the partial last table is not zero-padded
+        with pytest.raises(IndexError):
+            tables[-1][1 << n % 8]
 
 
 def _tableless_ops():
@@ -492,7 +492,7 @@ def _tableless_ops():
     return ops
 
 
-def test_tableless_mul_inv_and_mul_sum_match_poly():
+def test_tableless_mul_and_inv_match_poly():
     rng = random.Random(41)
     for ops in _tableless_ops():
         f, d = ops.modulus, ops.degree
@@ -502,12 +502,6 @@ def test_tableless_mul_inv_and_mul_sum_match_poly():
                 assert ops.mul(a, b) == poly.mulmod(a, b, f)
             if a:
                 assert ops.inv(a) == poly.invmod(a, f)
-        xs = [rng.choices(operands, k=9) for _ in range(4)]
-        ys = [rng.choices(operands, k=9) for _ in range(4)]
-        want = [0] * 9
-        for x, y in zip(xs, ys):
-            want = [w ^ poly.mulmod(u, v, f) for w, u, v in zip(want, x, y)]
-        assert ops.mul_sum(xs, ys) == want
 
 
 def test_ratios_key_each_column_by_its_ratio(gf16):

@@ -34,6 +34,7 @@ from sdcode.errors import (
     PatternInvalidError,
     TooManyErasuresError,
 )
+from fixtures import mul_sum
 
 
 def naive_is_sd(hm):
@@ -179,10 +180,10 @@ def test_witness_independent_of_jobs(gf16):
 
 @pytest.mark.parametrize("p,r", [(29, 5), (41, 4), (127, 3)])
 def test_jobs_invariant_on_cold_factor_tables(p, r):
-    # fresh rings, not the make_ring cache, so the factor fields' fold
-    # tables start empty; M_29 is irreducible (one tableless GF(2^28)), and
-    # its elements need no folding, so the threads of jobs=4 build the
-    # tables for products while they scan
+    # fresh rings, not the make_ring cache, so the threads of jobs=4 scan
+    # with factor fields, projection and CRT tables and Schur plans that
+    # no earlier call has used; M_29 is irreducible (one tableless
+    # GF(2^28), whose fold tables are built with it)
     def reports(jobs):
         h = build_h2(r, 5, Ring(p))
         bad = corrupt(h, 2 * r + 1, 2, h.matrix.bits[2 * r + 1][0])
@@ -644,12 +645,12 @@ def _schur_residual(spec, ops, glob, blocks, kind, disks):
             return None
         minor = lambda t, k: det_bits(ops.mul, [vr[:k] + vr[k + 1:] for vr in v[:t] + v[t + 1:]])
         bs = [[row[j] for j in alive] for row in block]
-        coefs.append([[det] * w] + [ops.mul_sum([[minor(t, k)] * w for t in range(m)], bs)
+        coefs.append([[det] * w] + [mul_sum(ops, [[minor(t, k)] * w for t in range(m)], bs)
                                     for k in range(m)])
     # column (i, j): g[i,j] det(V) + sum over d of g[i,d] (adj(V) B)[d][j], V = block kind[i]
     factors = [[c for t in kind for c in coefs[t][k]] for k in range(m + 1)]
     at = [[i * n + j for i in range(r) for j in js] for js in [alive] + [[d] * w for d in disks]]
-    return [ops.mul_sum(factors, [[g[c] for c in cols] for cols in at]) for g in glob]
+    return [mul_sum(ops, factors, [[g[c] for c in cols] for cols in at]) for g in glob]
 
 
 def _assert_plans_match_oracle(hm):
@@ -860,3 +861,19 @@ def test_shorten_rejects_bad_row_counts(gf16):
     for bad in (0, -1, 3, 4):
         with pytest.raises(BadRowCountError):
             shorten(hm, bad)
+
+
+def test_is_sd_leaves_numpy_unloaded(python):
+    # np_tables holds the library's only numpy import, and only sdbench
+    # calls it: is_sd over a field, a split ring and a tableless ring
+    # field must not load numpy
+    script = "\n".join([
+        "import sys",
+        "from sdcode import build_h2, is_sd, make_field, make_ring",
+        "for alg in (make_field(4), make_ring(17), make_ring(41)):",
+        "    assert is_sd(build_h2(2, 4, alg)).sd, alg",
+        "print('numpy loaded:', 'numpy' in sys.modules)",
+    ])
+    proc = python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["numpy loaded: False"]
