@@ -184,10 +184,13 @@ class _Gf2mOps:
             c += 1
 
     def reduce(self, a: int) -> int:
-        """a mod f, for a product a of two residues: one lookup per byte above d."""
+        """a mod f, for a product a of two residues: one lookup per byte above
+        d.  A longer a (bits at x^(2d-1) or above) raises ValueError."""
         top = a >> self.degree
         if not top:
             return a
+        if top >> (self.degree - 1):
+            raise ValueError(f"reduce takes a product of two residues, got {a.bit_length()} bits")
         out = a & self.qm1
         for table, byte in zip(self._fold, top.to_bytes((top.bit_length() + 7) >> 3, "little")):
             out ^= table[byte]

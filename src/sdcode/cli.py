@@ -98,7 +98,7 @@ def _cmd_verify(args) -> int:
         return 0
     print(f"patterns={report.patterns_checked} sd=no "
           f"witness={pattern_to_text(report.witness)} "
-          f"sd_up_to={sd_depth(hm, jobs=args.jobs)[0]}")
+          f"sd_up_to={sd_depth(hm)[0]}")
     return 2
 
 
@@ -134,6 +134,10 @@ def _cmd_search(args) -> int:
     cfg = SearchConfig(n=args.n, m=args.m, s=args.s, r_max=args.rmax,
                        trials=args.trials, seed=args.seed, algebra=algebra)
     records = run_search(cfg)
+    # how many trials are SD at each depth (achieved_r >= depth), no new scan
+    survived = ",".join(f"{r}:{sum(rec.achieved_r >= r for rec in records)}"
+                        for r in range(1, cfg.r_max + 1))
+    print(f"trials={cfg.trials} survived={survived}", file=sys.stderr)
     if args.output:
         write_report(records, args.output)
         print(f"wrote {args.output}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .algebra import Algebra, Element, key_values, parse_algebra, read_int
@@ -90,7 +91,8 @@ def _check_order(r: int, n: int, algebra: Algebra) -> None:
             f"the construction needs r*n <= O(alpha)")
 
 
-def _local_rows(spec: CodeSpec) -> list[list[int]]:
+@lru_cache(maxsize=64)
+def _local_rows(spec: CodeSpec) -> tuple[tuple[int, ...], ...]:
     """The mr local rows: parity t of block i puts alpha^(tj) at column in + j."""
     n, rn = spec.n, spec.total_columns
     parts = [[spec.algebra.alpha_pow_bits(t * j) for j in range(n)] for t in range(spec.m)]
@@ -99,8 +101,8 @@ def _local_rows(spec: CodeSpec) -> list[list[int]]:
         for part in parts:
             row = [0] * rn
             row[i * n:(i + 1) * n] = part
-            rows.append(row)
-    return rows
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _family(family: str, r: int, n: int, algebra: Algebra,
@@ -110,9 +112,7 @@ def _family(family: str, r: int, n: int, algebra: Algebra,
     m, s = _FIXED_MS[family]
     spec = CodeSpec(n=n, m=m, s=s, r=r, algebra=algebra, family=family)
     _check_order(r, n, algebra)
-    rows = _local_rows(spec)
-    rows += [list(map(algebra.alpha_pow_bits, exps)) for exps in global_exponents]
-    return ParityCheckMatrix(spec, Matrix(algebra, rows))
+    return _of_bits(spec, [list(map(algebra.alpha_pow_bits, exps)) for exps in global_exponents])
 
 
 def build_h1(r: int, n: int, algebra: Algebra) -> ParityCheckMatrix:
@@ -135,22 +135,28 @@ def build_h_generic(n: int, m: int, s: int, r: int,
     """Local structure as above for m parities per block, global rows
     supplied by the caller (every entry must be nonzero)."""
     spec = CodeSpec(n=n, m=m, s=s, r=r, algebra=algebra, family="generic")
-    rn = r * n
+    rn = spec.total_columns
     if len(global_rows) != s or any(len(row) != rn for row in global_rows):
         raise ShapeMismatchError(
             f"global rows must form an {s} x {rn} grid, got "
             f"{len(global_rows)} x {[len(row) for row in global_rows]}")
+    rows, check = [], algebra._check
     for gi, grow in enumerate(global_rows):
-        for gj, e in enumerate(grow):
-            if not isinstance(e, Element):
-                raise TypeError(f"global entry ({gi}, {gj}) is not an Element")
-            if e.algebra != algebra:
-                raise AlgebraMismatchError(
-                    f"global entry ({gi}, {gj}) belongs to {e.algebra}, expected {algebra}")
-            if e.bits == 0:
-                raise ZeroGlobalEntryError(f"global entry ({gi}, {gj}) is zero")
-    rows = _local_rows(spec) + [[e.bits for e in grow] for grow in global_rows]
-    return ParityCheckMatrix(spec, Matrix(algebra, rows))
+        try:
+            row = list(map(check, grow))
+        except (TypeError, AlgebraMismatchError) as ex:
+            raise type(ex)(f"global row {gi}: {ex}") from None
+        if not all(row):
+            raise ZeroGlobalEntryError(f"global entry ({gi}, {row.index(0)}) is zero")
+        rows.append(row)
+    return _of_bits(spec, rows)
+
+
+def _of_bits(spec: CodeSpec, global_rows: Sequence[Sequence[int]]) -> ParityCheckMatrix:
+    """spec's local rows (cached per spec) over its s global rows, given as
+    plain ints that the caller guarantees nonzero, in range and rn long:
+    the one builder, with no per-entry check."""
+    return ParityCheckMatrix(spec, Matrix._of_ints(spec.algebra, (*_local_rows(spec), *global_rows)))
 
 
 def _layout_fault(spec: CodeSpec, i: int, row: Sequence[int]) -> tuple[int, str] | None:
@@ -185,7 +191,7 @@ def shorten(hm: ParityCheckMatrix, r_new: int) -> ParityCheckMatrix:
     rows = [row[:keep_cols] for row in bits[:spec.m * r_new] + bits[spec.m * spec.r:]]
     new_spec = CodeSpec(n=spec.n, m=spec.m, s=spec.s, r=r_new,
                         algebra=spec.algebra, family=spec.family)
-    return ParityCheckMatrix(new_spec, Matrix(spec.algebra, rows))
+    return ParityCheckMatrix(new_spec, Matrix._of_ints(spec.algebra, rows))
 
 
 # -- text format -----------------------------------------------------------

@@ -74,6 +74,8 @@ class Matrix:
     raises TypeError, and a bool or a numpy integer is stored as an int.
     `entry` wraps them back into Elements on demand.  The hash is
     computed once, so caches keyed on a matrix cost O(1) per lookup.
+    Code whose rows are already plain in-range ints of one length builds
+    through ``_of_ints``, which skips those checks.
     """
 
     __slots__ = ("algebra", "rows", "cols", "bits", "_hash")
@@ -88,9 +90,20 @@ class Matrix:
             if r and (min(r) < 0 or max(r) >= limit):
                 v = next(v for v in r if not 0 <= v < limit)
                 raise ValueError(f"entry 0x{v:x} out of range for {algebra}")
+        self._fill(algebra, rows)
+
+    @classmethod
+    def _of_ints(cls, algebra: Algebra, rows: Iterable[Sequence[int]]) -> "Matrix":
+        """The trusted constructor: rows of plain ints in range for algebra,
+        all of one length, taken as they are (no index, range or shape pass)."""
+        m = object.__new__(cls)
+        m._fill(algebra, tuple(map(tuple, rows)))
+        return m
+
+    def _fill(self, algebra: Algebra, rows: tuple[tuple[int, ...], ...]) -> None:
         self.algebra = algebra
         self.rows = len(rows)
-        self.cols = ncols
+        self.cols = len(rows[0]) if rows else 0
         self.bits = rows
         self._hash = None
 
@@ -130,7 +143,7 @@ class Matrix:
 
 
 def identity(algebra: Algebra, k: int) -> Matrix:
-    return Matrix(algebra, [[1 if i == j else 0 for j in range(k)] for i in range(k)])
+    return Matrix._of_ints(algebra, [[1 if i == j else 0 for j in range(k)] for i in range(k)])
 
 
 def _check_index_seq(ids: Sequence[int], bound: int, what: str) -> None:
@@ -148,7 +161,7 @@ def submatrix(m: Matrix, row_ids: Sequence[int], col_ids: Sequence[int]) -> Matr
     """Rows and columns at the given strictly increasing index sets."""
     _check_index_seq(row_ids, m.rows, "row")
     _check_index_seq(col_ids, m.cols, "column")
-    return Matrix(m.algebra, [[m.bits[i][j] for j in col_ids] for i in row_ids])
+    return Matrix._of_ints(m.algebra, [[m.bits[i][j] for j in col_ids] for i in row_ids])
 
 
 def determinant(m: Matrix) -> Element:
@@ -406,7 +419,7 @@ def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:
     alg, k = m.algebra, m.cols
     b_bits = [alg._check(e) for e in b]
     eye = identity(alg, k).bits
-    status, x = solve_bits(Matrix(alg, [r + e for r, e in zip(m.bits, eye)]),
+    status, x = solve_bits(Matrix._of_ints(alg, [r + e for r, e in zip(m.bits, eye)]),
                            [0] * k + b_bits, range(k))
     if status != "ok":
         raise SingularSystemError(f"coefficient matrix is singular ({status})")

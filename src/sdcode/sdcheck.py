@@ -39,16 +39,21 @@ the global rows.
 ``sd_depth`` finds the largest depth r' at which the code is SD in one
 pass.  The code at depth d is the code at depth d + 1 with its last
 stripe row held at zero, so for any H a failure at depth d is one at
-d + 1: one bisection over 0..r per disk set finds its smallest failing
-depth, on the first d(n-m) columns of its one residual (the residual at
-survivor (i, j) depends only on stripe row i) or, in a factor view with
-a singular V_i, by eliminating that view's rows cut to depth d.
+d + 1 (the paper's shortening observation), and a disk set is tested at
+depth d on the first d(n-m) columns of its one residual (the residual
+at survivor (i, j) depends only on stripe row i) or, in a factor view
+with a singular V_i, by eliminating that view's rows cut to depth d.
+Disk sets go in lexicographic order carrying best, the smallest failing
+depth so far: a disk set that passes at best - 1 is skipped, and one
+that fails there bisects over 0..best - 1 for its own smallest failing
+depth, which becomes best.  So a tie keeps the earlier disk set's
+witness, and once one disk set fails early most others cost one test.
 
 The report is deterministic: all patterns are always counted, the
 witness is the first failing pattern in enumeration order (disk sets in
 lexicographic order, then sector subsets in lexicographic order over
-surviving sectors sorted by (row, disk)), and neither depends on the
-worker count.
+surviving sectors sorted by (row, disk)), and neither depends on
+is_sd's worker count; sd_depth runs on one thread.
 """
 
 from __future__ import annotations
@@ -350,40 +355,38 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     return SdReport(witness is None, witness, _patterns(spec, spec.r))
 
 
-def _depth_group(spec: CodeSpec, views, disks: Sequence[int]):
-    """(smallest depth whose shortened code fails at this disk set, its
-    first failing pattern there); (r + 1, None) when no depth fails."""
-    first_at = _group(spec, views, disks)
-    found = first_at(spec.r)
-    if found is None:
-        return spec.r + 1, None
-    lo, hi = 0, spec.r          # depth lo passes, depth hi fails with `found`
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        at_mid = first_at(mid)
-        if at_mid is None:
-            lo = mid
-        else:
-            hi, found = mid, at_mid
-    return hi, found
-
-
-def sd_depth(hm: ParityCheckMatrix, jobs: int = 1) -> tuple[int, SdReport]:
+def sd_depth(hm: ParityCheckMatrix) -> tuple[int, SdReport]:
     """The largest depth r' <= r at which the code is SD, and the report
     that is_sd(shorten(hm, r' + 1)) gives (is_sd(hm) when r' + 1 = r; an
     SD report for hm when r' = r).
 
-    Per disk set, one bisection over the depths finds the smallest that
-    fails (see the module docstring); the code's depth is the minimum
-    over disk sets, the witness the first failure of the first disk set
-    that reaches it.  `jobs` is as in is_sd.
+    The code's depth is the minimum over disk sets of the smallest depth
+    that fails there, the witness the first failure of the first disk
+    set that reaches it.  Disk sets go in lexicographic order, carrying
+    best, the smallest failing depth so far (r + 1 before any): a disk
+    set that passes at best - 1 cannot lower it and is skipped, and one
+    that fails bisects over 0..best - 1 (see the module docstring).
     """
     spec = hm.spec
     views = _local_blocks(spec, hm.matrix.bits)
-    found = _map_groups(spec, lambda d: _depth_group(spec, views, d), jobs, None)
-    failed_at, witness = min(found, key=lambda f: f[0])
-    return failed_at - 1, SdReport(witness is None, witness,
-                                   _patterns(spec, min(failed_at, spec.r)))
+    best, witness = spec.r + 1, None
+    for disks in combinations(range(spec.n), spec.m):
+        if best == 1:           # depth 0 always passes: no disk set goes lower
+            break
+        first_at = _group(spec, views, disks)
+        found = first_at(best - 1)
+        if found is None:
+            continue
+        lo, hi = 0, best - 1    # depth lo passes, depth hi fails with `found`
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            at_mid = first_at(mid)
+            if at_mid is None:
+                lo = mid
+            else:
+                hi, found = mid, at_mid
+        best, witness = hi, found
+    return best - 1, SdReport(witness is None, witness, _patterns(spec, min(best, spec.r)))
 
 
 # -- pattern text form -------------------------------------------------------

@@ -467,6 +467,23 @@ def test_reduce_matches_mod_on_every_factor(p):
         assert ops.reduce(0) == 0 and ops.reduce(f) == 0
 
 
+@pytest.mark.parametrize("p", [37, 41, 101])
+def test_reduce_rejects_more_than_a_product_of_two_residues(p):
+    # the fold tables cover x^d .. x^(2d-2); a longer input used to come
+    # back as a wrong residue (1 << 60 gave 0 on a degree-20 factor of
+    # M_41) or raise IndexError, by how many bytes it had above d
+    for f, ops in zip(make_ring(p).factorization.factors, make_ring(p).factor_ops):
+        d = ops.degree
+        widest = (1 << (2 * d - 1)) - 1         # every bit a product can have
+        assert ops.reduce(widest) == poly.mod(widest, f)
+        for v in (1 << (2 * d - 1), 1 << 2 * d, 1 << 3 * d, (1 << 4 * d) - 1):
+            with pytest.raises(ValueError, match="product of two residues"):
+                ops.reduce(v)
+    if p == 41:
+        with pytest.raises(ValueError):
+            make_ring(41).factor_ops[0].reduce(1 << 60)
+
+
 @pytest.mark.parametrize("n", [1, 5, 8, 13, 30, 100])
 def test_byte_tables_match_the_xor_of_images(n):
     rng = random.Random(f"byte_tables/{n}")

@@ -16,6 +16,7 @@ from sdcode import (
 )
 from sdcode.cli import main
 from sdcode.codec import data_columns
+from sdcode.search import SearchConfig, format_report, run_search
 
 
 def run(*argv):
@@ -320,6 +321,23 @@ def test_search_stdout_reproducibility(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert len(first.splitlines()) == 4
+
+
+def test_search_reports_survivors_per_depth_on_stderr(tmp_path, capsys):
+    # stdout is the report alone; stderr has one line: per depth r, the
+    # trials whose code is SD at r (achieved_r >= r)
+    argv = ("search", "--n", "3", "--m", "1", "--s", "2", "--rmax", "3",
+            "--trials", "12", "--seed", "3", "--field", "w=4")
+    assert run(*argv) == 0
+    captured = capsys.readouterr()
+    cfg = SearchConfig(n=3, m=1, s=2, r_max=3, trials=12, seed=3, algebra=make_field(4))
+    assert captured.out == format_report(run_search(cfg))
+    achieved = [int(line.split("\t")[1]) for line in captured.out.splitlines()]
+    counts = [sum(a >= r for a in achieved) for r in (1, 2, 3)]
+    assert captured.err == f"trials=12 survived=1:{counts[0]},2:{counts[1]},3:{counts[2]}\n"
+    assert counts[0] > counts[2] > 0
+    assert run(*argv, "-o", str(tmp_path / "report.tsv")) == 0
+    assert capsys.readouterr().err == captured.err
 
 
 def test_search_depth_beyond_order_exits_1(capsys):

@@ -175,7 +175,6 @@ def test_witness_independent_of_jobs(gf16):
     reports = [is_sd(bad, jobs=j) for j in (1, 2, 4)]
     assert len({(r.sd, r.witness, r.patterns_checked) for r in reports}) == 1
     assert not reports[0].sd
-    assert len({sd_depth(bad, jobs=j) for j in (1, 2, 4)}) == 1
 
 
 @pytest.mark.parametrize("p,r", [(29, 5), (41, 4), (127, 3)])
@@ -837,6 +836,40 @@ def test_sd_depth_falls_back_where_one_ring_factor_has_a_singular_block(monkeypa
         1, SdReport(False, ErasurePattern((0, 1), ((0, 2), (0, 3))), comb(4, 2) * comb(4, 2)))
 
 
+# Global rows of an n=4, m=1, s=2, r=3 code over GF(16) whose disk sets
+# (0,), (1,), (2,), (3,) first fail at depths 3, 2, 2 and 3: a later disk
+# set fails shallower than an earlier one, and the next one ties with it.
+_CARRIED = ("a^9 a^13 a^14 a^8 a^10 a^7 a^6 a^6 a^2 a^12 a^8 a^10",
+            "a^8 a^14 a^8 a^14 a^5 1 a^13 a^10 a^9 a^5 1 a^10")
+
+
+def test_sd_depth_carries_the_smallest_failing_depth_across_disk_sets(gf16, monkeypatch):
+    hm = build_h_generic(4, 1, 2, 3, [[gf16.parse_element(t) for t in row.split()]
+                                      for row in _CARRIED], gf16)
+
+    def fails(disks, depth):        # the per-pattern oracle at one disk set
+        code = hm if depth == 3 else shorten(hm, depth)
+        return any(not is_pattern_decodable(code, p)
+                   for p in enumerate_patterns(code.spec) if p.disks == disks)
+
+    assert [min(d for d in (1, 2, 3) if fails((k,), d)) for k in range(4)] == [3, 2, 2, 3]
+    asked, group = [], sdcheck._group
+
+    def recording(spec, views, disks):
+        first_at = group(spec, views, disks)
+        return lambda depth: asked.append((disks, depth)) or first_at(depth)
+
+    monkeypatch.setattr(sdcheck, "_group", recording)
+    got = sd_depth(hm)
+    # (0,) bisects over 0..3; (1,) fails at best - 1 = 2 and bisects over
+    # 0..2; (2,) and (3,) pass at best - 1 = 1 and are skipped, so the tie
+    # at depth 2 keeps (1,)'s witness
+    assert asked == [((0,), 3), ((0,), 1), ((0,), 2), ((1,), 2), ((1,), 1),
+                     ((2,), 1), ((3,), 1)]
+    assert got == per_depth_sd_depth(hm)
+    assert got[0] == 1 and got[1].witness.disks == (1,)
+
+
 def test_sd_depth_of_codes_sd_at_every_depth(gf16, ring17):
     for hm in (build_h1(3, 5, gf16), build_h2(4, 4, ring17), build_h2(1, 5, gf16)):
         assert sd_depth(hm) == per_depth_sd_depth(hm) == (hm.spec.r, is_sd(hm))
@@ -854,6 +887,27 @@ def test_shorten_equals_direct_build(gf16, ring17):
             assert short.spec == direct.spec
             assert short.matrix == direct.matrix
             assert is_sd(short).sd
+
+
+def test_shorten_and_submatrix_equal_the_checked_constructor(gf16, ring17):
+    # both pass rows of plain in-range ints to Matrix._of_ints, which
+    # skips Matrix's checks: the result must be the Matrix that the
+    # checked constructor makes of the same rows
+    def same(got, rows):
+        want = Matrix(got.algebra, rows)
+        assert type(got) is Matrix and got == want and hash(got) == hash(want)
+        assert (got.rows, got.cols, got.bits) == (want.rows, want.cols, want.bits)
+        assert all(type(row) is tuple for row in got.bits)
+
+    for hm in (build_h2(3, 5, gf16), build_h1(4, 4, ring17), _random_generic(
+            gf16, 5, 2, 3, 3, random.Random("trusted"))):
+        spec, bits = hm.spec, hm.matrix.bits
+        for r2 in range(1, spec.r):
+            same(shorten(hm, r2).matrix, [row[:r2 * spec.n] for row in
+                                          bits[:spec.m * r2] + bits[spec.m * spec.r:]])
+        for rows, cols in (([0, 2, len(bits) - 1], [1, 3, 4, 9]), (range(len(bits)), [0]),
+                           ([1], range(spec.total_columns)), ([], [0, 1]), ([0, 1], [])):
+            same(submatrix(hm.matrix, rows, cols), [[bits[i][j] for j in cols] for i in rows])
 
 
 def test_shorten_rejects_bad_row_counts(gf16):

@@ -1,4 +1,5 @@
 """Randomized search for deep stripes, with shortening-based pruning."""
+import hashlib
 import io
 
 import pytest
@@ -21,7 +22,8 @@ from sdcode.search import (
     trial_generator,
     write_report,
 )
-from sdcode.errors import OrderTooSmallError
+from sdcode.algebra import Element, Field
+from sdcode.errors import OrderTooSmallError, ZeroGlobalEntryError
 
 
 def config(gf16, **kw):
@@ -95,6 +97,45 @@ def test_search_report_is_pinned(gf16):
         "1\t0\t1\td=2 s=0:3,0:4\t11b3b3c4f3d6\n"
         "2\t0\t1\td=0 s=0:1,0:3\t9b8b73cdf5a4\n"
         "3\t0\t1\td=1 s=0:3,0:4\t5008d2765fd6\n")
+
+
+@pytest.mark.parametrize("w,seed,digest", [
+    (16, 1, "232b5f69b5036cc8"), (16, 7919, "c21cf28eede0309e"),
+    (8, 1, "eeab956b82fd24ca"), (8, 7919, "0f338b02d6cf1d1b")])
+def test_search_report_bytes_are_pinned(w, seed, digest):
+    # sdbench's search shape: the first 16 hex digits of the report's
+    # SHA-256, taken when trials drew Elements and scanned disk sets
+    # each from depth r_max; the int draws and the carried depth keep them
+    cfg = SearchConfig(n=8, m=2, s=2, r_max=8, trials=40, seed=seed, algebra=make_field(w))
+    text = format_report(run_search(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("alg_name", ["gf16", "ring17"])
+def test_default_search_builds_no_element(alg_name, monkeypatch):
+    alg = make_field(4) if alg_name == "gf16" else make_ring(17)
+    cfg = SearchConfig(n=5 if alg_name == "ring17" else 4, m=1, s=2, r_max=3, trials=8,
+                       seed=3, algebra=alg)
+    built = []
+    post_init, element = Element.__post_init__, Field.element
+    monkeypatch.setattr(Element, "__post_init__", lambda e: built.append(e) or post_init(e))
+    monkeypatch.setattr(Field, "element", lambda f, bits: built.append(bits) or element(f, bits))
+    records = run_search(cfg)
+    assert built == []
+    assert any(rec.witness for rec in records)
+    # the counters see the Element hook path
+    assert run_search(cfg, extend=extend_global_rows) == records and built
+
+
+def test_a_zero_from_an_extend_hook_raises(gf16):
+    def zero_last(rng, rows, n, algebra):
+        out = extend_global_rows(rng, rows, n, algebra)
+        out[-1][-1] = algebra.zero
+        return out
+
+    for check in (None, is_sd):
+        with pytest.raises(ZeroGlobalEntryError):
+            run_search(config(gf16), check=check, extend=zero_last)
 
 
 def test_search_results_are_consistent(gf16):
@@ -237,7 +278,8 @@ def test_report_format_and_file(tmp_path):
 
 
 def test_digest_depends_on_coefficients(gf16):
-    rows_a = [[gf16.one, gf16.alpha]]
-    rows_b = [[gf16.one, gf16.alpha_pow(2)]]
+    # the digest reads the rows' bits, as run_search keeps them
+    rows_a = [[1, gf16.alpha_pow_bits(1)]]
+    rows_b = [[1, gf16.alpha_pow_bits(2)]]
     assert _digest(rows_a, gf16) != _digest(rows_b, gf16)
     assert _digest(rows_a, gf16) == _digest([list(rows_a[0])], gf16)
