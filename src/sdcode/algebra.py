@@ -23,7 +23,10 @@ Elements are bit vectors packed into ints (bit k = coefficient of x^k),
 wrapped in :class:`Element` so that mixing contexts is detected.
 ``Field.element`` hands out one interned Element per bits value, at most
 2^w of them; a ring, with up to 2^(p-1) residues, builds a new one each
-call.  In both contexts ``alpha`` is the residue of x; in a field its
+call.  ``elements(bits)`` turns a solve's output into Elements in one
+batch: a field's interned ones, or a ring's new ones built by a trusted
+constructor that skips the checks its in-range ints do not need.  In
+both contexts ``alpha`` is the residue of x; in a field its
 multiplicative order divides 2^w - 1, in the ring it is exactly p, with
 the defining identity alpha^(p-1) = 1 + alpha + ... + alpha^(p-2).
 
@@ -275,6 +278,13 @@ class Element:
         return f"Element({self.algebra.element_token(self)!r}, {self.algebra})"
 
 
+# The trusted constructor's parts: Element's slot descriptors set the
+# fields of a bare instance, skipping the frozen __setattr__ and the checks.
+_new_element = object.__new__
+_set_algebra = Element.algebra.__set__
+_set_bits = Element.bits.__set__
+
+
 class Algebra:
     """Common surface of Field and Ring.  Instances are immutable and
     compare by their defining parameters, so independently constructed
@@ -287,6 +297,18 @@ class Algebra:
 
     def element(self, bits: int) -> Element:
         return Element(self, bits)
+
+    def elements(self, bits: Sequence[int]) -> list[Element]:
+        """The Elements of bits, plain ints in range (as linalg's solves
+        return them), built by the trusted constructor: no index or range
+        pass, as Matrix._of_ints."""
+        out = []
+        for v in bits:
+            e = _new_element(Element)
+            _set_algebra(e, self)
+            _set_bits(e, v)
+            out.append(e)
+        return out
 
     @property
     def zero(self) -> Element:
@@ -444,6 +466,14 @@ class Field(Algebra):
         if e is None:
             e = self._elements[bits] = Element(self, bits)
         return e
+
+    def elements(self, bits: Sequence[int]) -> list[Element]:
+        """The interned Elements of bits, in one lookup each; element builds
+        any not yet interned."""
+        try:
+            return list(map(self._elements.__getitem__, bits))
+        except KeyError:
+            return list(map(self.element, bits))
 
     def mul_bits(self, a: int, b: int) -> int:
         return self.ops.mul(a, b)

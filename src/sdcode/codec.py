@@ -13,27 +13,37 @@ by the parity checks; present symbols always get a syndrome check, so
 corrupt-but-complete inputs are rejected rather than silently accepted.
 
 Two bounded caches (64 entries each) serve encode and decode:
-_parity_layout, keyed on the CodeSpec, and linalg's solve plan, keyed on
-(H, unknown columns).  The plan is one packed map over H's known
-columns, the left inverse L of H at the unknown columns stacked over the
-residual check rows, times H at the known ones: it takes the present
-symbols straight to the unknown ones and the check values (Plank, Blaum
-& Hafner's decoding matrix for SD codes, FAST 2013).  The first call on
-a missing set (or the parity support) pays for the plan; later calls
-apply it, one table lookup per byte of each present symbol, and any
-nonzero check value means inconsistent input.  Every encode and decode
-calls solve_bits exactly once, through this module's name: sdbench's
-traced run patches codec.solve_bits and takes the median of its spans,
-so a path that skipped it would crash there.  The stripe returned holds
-the caller's data or present Elements, and at the slots solved for the
-field's interned Elements (a ring's are new).
+_parity_layout, keyed on the CodeSpec (the parity and data slots, the
+order that puts data then parity into stripe order, and the row
+slices), and linalg's solve plan, keyed on (H, unknown columns).  The
+plan is one packed map over H's known columns, the left inverse L of H
+at the unknown columns stacked over the residual check rows, times H at
+the known ones: it takes the present symbols straight to the unknown
+ones and the check values (Plank, Blaum & Hafner's decoding matrix for
+SD codes, FAST 2013).  The first call on a missing set (or the parity
+support) pays for the plan; later calls apply it, one table lookup per
+byte of each present symbol, and any nonzero check value means
+inconsistent input.
+
+A warm call does only what the solve needs around it: one pass that
+checks the input symbols and takes their bits, in column order, which
+is the order solve_bits reads its known values in (encode's data,
+decode's present symbols), so no full vector is built; one solve; one
+batch of Elements for the solved slots (Algebra.elements); and the cut
+into rows.  Every encode and decode calls solve_bits exactly once,
+through this module's name: sdbench's traced run patches
+codec.solve_bits and takes the median of its spans, so a path that
+skipped it would crash there.  The stripe returned holds the caller's
+data or present Elements, and at the slots solved for the field's
+interned Elements (a ring's are new).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import chain, compress
+from typing import NamedTuple, Sequence
 
 from .algebra import Element
 from .construct import (
@@ -83,57 +93,70 @@ def default_parity_pattern(spec: CodeSpec) -> ErasurePattern:
                           tuple(data[len(data) - spec.s:]))
 
 
+class _Layout(NamedTuple):
+    parity: tuple[int, ...]     # parity slots, ascending
+    data: tuple[int, ...]       # data slots, ascending
+    order: tuple[int, ...]      # per slot, its index in data + parity
+    rows: tuple[slice, ...]     # each stripe row's slots
+    flags: tuple[bool, ...]     # a stripe row's presence flags, all True
+
+
 @lru_cache(maxsize=64)
-def _parity_layout(spec: CodeSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(parity slots, data slots), each ascending."""
+def _parity_layout(spec: CodeSpec) -> _Layout:
+    """Where encode puts data and parity, and how a stripe is cut into rows."""
     pcols = tuple(erased_columns(default_parity_pattern(spec), spec))
     pset = set(pcols)
-    return pcols, tuple(c for c in range(spec.total_columns) if c not in pset)
+    dcols = tuple(c for c in range(spec.total_columns) if c not in pset)
+    order = sorted(range(spec.total_columns), key=(*dcols, *pcols).__getitem__)
+    n = spec.n
+    return _Layout(pcols, dcols, tuple(order),
+                   tuple(slice(k, k + n) for k in range(0, spec.total_columns, n)),
+                   (True,) * n)
 
 
 def data_columns(spec: CodeSpec) -> list[int]:
     """Non-parity vector slots in ascending order (the data fill order)."""
-    return list(_parity_layout(spec)[1])
+    return list(_parity_layout(spec).data)
 
 
-def _full_stripe(spec: CodeSpec, symbols: list[Element]) -> Stripe:
+def _full_stripe(spec: CodeSpec, layout: _Layout, symbols: list[Element]) -> Stripe:
     """A complete stripe of the row-major symbols, cut into fresh rows."""
-    n = spec.n
-    return Stripe(spec, [symbols[k:k + n] for k in range(0, len(symbols), n)],
-                  [[True] * n for _ in range(spec.r)])
+    flags = layout.flags
+    return Stripe(spec, [symbols[s] for s in layout.rows], [list(flags) for _ in layout.rows])
+
+
+def _bits(alg, symbols) -> list[int]:
+    """The bits of each symbol, checked as Algebra._check checks one, with
+    its error types and the first bad symbol deciding."""
+    return [e.bits if type(e) is Element and e.algebra is alg else alg._check(e)
+            for e in symbols]
 
 
 def encode(hm: ParityCheckMatrix, data: Sequence[Element]) -> Stripe:
-    """Fill data slots in column order, then solve for the parity slots
-    so that H·vec = 0.  The stripe holds the caller's data Elements."""
+    """Solve for the parity slots so that H·vec = 0, the data slots holding
+    data in column order.  The stripe holds the caller's data Elements."""
     spec = hm.spec
     alg = spec.algebra
-    pcols, dcols = _parity_layout(spec)
-    if len(data) != len(dcols):
+    layout = _parity_layout(spec)
+    if len(data) != len(layout.data):
         raise LengthMismatchError(
-            f"code dimension is {len(dcols)} symbols, got {len(data)}")
-    vec = [0] * spec.total_columns
-    symbols = [alg.zero] * spec.total_columns
-    for c, e in zip(dcols, data):
-        vec[c] = alg._check(e)
-        symbols[c] = e
-    status, x = solve_bits(hm.matrix, vec, pcols)
+            f"code dimension is {len(layout.data)} symbols, got {len(data)}")
+    status, x = solve_bits(hm.matrix, _bits(alg, data), layout.parity)
     if status != "ok":
         raise SingularParitySupportError(
             "parity support is not decodable for this matrix")
-    for c, v in zip(pcols, x):
-        symbols[c] = alg.element(v)
-    return _full_stripe(spec, symbols)
+    both = [*data, *alg.elements(x)]
+    return _full_stripe(spec, layout, list(map(both.__getitem__, layout.order)))
 
 
 def _check_compatible(hm: ParityCheckMatrix, st: Stripe) -> None:
     a, b = hm.spec, st.spec
-    if (a.n, a.m, a.s, a.r) != (b.n, b.m, b.s, b.r) or a.algebra != b.algebra:
+    if a is not b and ((a.n, a.m, a.s, a.r) != (b.n, b.m, b.s, b.r) or a.algebra != b.algebra):
         raise ShapeMismatchError(
             f"stripe parameters (n={b.n} m={b.m} s={b.s} r={b.r}, {b.algebra}) "
             f"do not match the matrix (n={a.n} m={a.m} s={a.s} r={a.r}, {a.algebra})")
     if (len(st.symbols) != a.r or len(st.present) != a.r
-            or any(len(row) != a.n for row in (*st.symbols, *st.present))):
+            or {*map(len, st.symbols), *map(len, st.present)} != {a.n}):
         raise ShapeMismatchError(f"stripe symbols and flags must form {a.r} x {a.n} grids")
 
 
@@ -143,25 +166,25 @@ def decode(hm: ParityCheckMatrix, st: Stripe) -> Stripe:
     Missing slots become unknowns of H·vec = 0; a solvable-but-violated
     system raises InconsistentSyndrome, an unsolvable missing set raises
     UndecodablePattern (rank deficiency wins when both apply).  A grid of
-    the wrong shape, or a present symbol of another algebra, is rejected.
+    the wrong shape, or a present symbol of another algebra, is rejected;
+    a missing slot is never read.
     """
     _check_compatible(hm, st)
     spec = hm.spec
     alg = spec.algebra
-    symbols = [e for row in st.symbols for e in row]
-    present = [f for row in st.present for f in row]
-    vec = [alg._check(e) if f else 0 for e, f in zip(symbols, present)]
-    cols = tuple(c for c, f in enumerate(present) if not f)
-    status, x = solve_bits(hm.matrix, vec, cols)
+    symbols = list(chain.from_iterable(st.symbols))
+    present = list(chain.from_iterable(st.present))
+    cols = tuple([c for c, f in enumerate(present) if not f])
+    status, x = solve_bits(hm.matrix, _bits(alg, compress(symbols, present)), cols)
     if status == "deficient":
         raise UndecodablePatternError(
             f"missing set {st.missing_positions()} is not recoverable from this code")
     if status == "inconsistent":
         raise InconsistentSyndromeError(
             "present symbols violate the parity checks on the known rows")
-    for c, v in zip(cols, x):
-        symbols[c] = alg.element(v)
-    return _full_stripe(spec, symbols)
+    for c, e in zip(cols, alg.elements(x)):
+        symbols[c] = e
+    return _full_stripe(spec, _parity_layout(spec), symbols)
 
 
 def erase(st: Stripe, p: ErasurePattern) -> Stripe:

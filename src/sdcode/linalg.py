@@ -28,19 +28,21 @@ entries per 8 basis ints).  ``unpack`` splits a result for both; a
 Schur plan's entries sit one per lane of 8, 16, 32 or 64 bits (the
 stride of ``x_powers``), which it splits without shifts.
 
-There is one solve, ``solve_bits(m, vec, cols)``: the values at cols
-that make m·vec = 0, the other entries of vec held fixed.  Its plan is
-built once per (m, cols) and cached: Gauss-Jordan in each factor field
-(``eliminate`` forward, then again over the pivot rows in reverse) on
-[A | B], A and B being m at cols and at the other columns, leaves the
+There is one solve, ``solve_bits(m, known, cols)``: the values at cols
+that make m·vec = 0, where known holds vec's other entries in ascending
+column order (encode's data, decode's present symbols, ``solve``'s
+right-hand side), so no caller builds or scatters a full vector.  Its
+plan is built once per (m, cols) and cached: Gauss-Jordan in each factor
+field (``eliminate`` forward, then again over the pivot rows in reverse)
+on [A | B], A and B being m at cols and at the other columns, leaves the
 left inverse L of A times B in the pivot rows and, in each row some
 factor field did not pivot on, a residual check times B.  Glued into
-the algebra, that stack is one packed map over the known columns, and
-a cache hit costs one dict lookup (the Matrix hash is computed once).
-Applying it takes vec's known entries straight to x and the checks,
-and vec is consistent exactly when the checks are all zero.  Every
-symbol-stripe of a sector-stripe shares its missing set, so they pay
-for the elimination once.  ``solve(m, b)`` is the solve of
+the algebra, that stack is one packed map over the known columns, in
+known's order, and a cache hit costs one dict lookup (the Matrix hash
+is computed once).  Applying it reads known as it is, straight to x and
+the checks, and known is consistent exactly when the checks are all
+zero.  Every symbol-stripe of a sector-stripe shares its missing set, so
+they pay for the elimination once.  ``solve(m, b)`` is the solve of
 [m | I]·(x, b) = 0 at x's slots.
 
 ``det_bits`` computes a determinant by dynamic programming over column
@@ -270,7 +272,8 @@ class PackedMap:
     bit `shift` to M[:, c]·(chunk << shift), packed: the ``byte_tables`` of
     the column's ``x_powers``, so no product is taken, in fields with or
     without log tables or in rings.  Applying M is one lookup and one XOR
-    per chunk, then one ``unpack``.
+    per chunk, then one ``unpack``.  x is read as it is; only when some
+    column is zero does a gather pick out the entries of the others.
     """
 
     __slots__ = ("width", "rows", "nonzero", "tables")
@@ -278,14 +281,15 @@ class PackedMap:
     def __init__(self, modulus: int, columns: Sequence[int], rows: int):
         self.width = modulus.bit_length() - 1
         self.rows = rows
-        self.nonzero = [c for c, t in enumerate(columns) if t]
-        self.tables = [table for basis in x_powers(modulus, [columns[c] for c in self.nonzero],
+        nonzero = [c for c, t in enumerate(columns) if t]
+        self.nonzero = None if len(nonzero) == len(columns) else nonzero
+        self.tables = [table for basis in x_powers(modulus, [columns[c] for c in nonzero],
                                                    rows, self.width)
                        for table in byte_tables(basis)]
 
     def packed(self, x: Sequence[int]) -> int:
         """M·x, its rows packed width bits apart."""
-        values = map(x.__getitem__, self.nonzero)
+        values = x if self.nonzero is None else map(x.__getitem__, self.nonzero)
         if self.width > 8:      # each value's bytes, low first: one per table
             nbytes = (self.width + 7) >> 3
             values = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
@@ -343,9 +347,11 @@ def packed_map(m: Matrix) -> PackedMap:
 
 @lru_cache(maxsize=64)
 def _solve_plan(m: Matrix, cols: tuple[int, ...]) -> PackedMap | None:
-    """The map from vec to the values at cols that make m·vec = 0, and the
-    checks, or None when the columns of m at cols are dependent in some
-    factor field.  It reads only vec's other slots.
+    """The map from v, vec's entries at the columns not in cols in
+    ascending order, to the values at cols that make m·vec = 0, and the
+    checks; or None when the columns of m at cols are dependent in some
+    factor field.  The map's columns are in v's order, so it reads v as
+    it is.
 
     With A = m at cols and B = m at the other columns, m·vec = 0 reads
     A·x = B·v (characteristic 2).  Each factor field runs Gauss-Jordan on
@@ -380,31 +386,31 @@ def _solve_plan(m: Matrix, cols: tuple[int, ...]) -> PackedMap | None:
         stack = stacks[0]
     else:
         stack = [list(map(alg.crt_bits, zip(*entries))) for entries in zip(*stacks)]
-    columns = [0] * m.cols
-    for c, col in zip(known, zip(*stack)):
-        columns[c] = pack(col, alg.element_bits)
-    return PackedMap(alg.modulus, columns, len(stack))
+    return PackedMap(alg.modulus, [pack(col, alg.element_bits) for col in zip(*stack)],
+                     len(stack))
 
 
-def solve_bits(m: Matrix, vec: Sequence[int], cols: Sequence[int]):
-    """Solve m·vec = 0 for the entries of vec at cols, the others held
-    fixed, on raw bit vectors: build the plan of (m, cols) once (cached),
-    then apply it to vec's other slots.  vec's entries at cols are not read.
+def solve_bits(m: Matrix, known: Sequence[int], cols: Sequence[int]):
+    """Solve m·vec = 0 for the entries of vec at cols, on raw bit vectors,
+    given known: vec's entries at the other columns, in ascending column
+    order.  The plan of (m, cols) is built once (cached), then applied to
+    known as it is.
 
     Returns (status, x): status "ok" with the unique values at cols,
     "deficient" when m's columns at cols are dependent, "inconsistent"
     when no values exist.  Over the ring, deficiency in any factor field
-    wins over inconsistency in another.  The plan takes vec to x, which
+    wins over inconsistency in another.  The plan takes known to x, which
     solves each factor field's pivot rows, above the residuals of the
-    other rows of m, so vec is consistent exactly when those are zero.
+    other rows of m, so known is consistent exactly when those are zero.
     """
-    if m.cols != len(vec):
-        raise ShapeMismatchError(f"{m.cols} columns but {len(vec)} vector entries")
     cols = tuple(cols)
+    if len(known) + len(cols) != m.cols:
+        raise ShapeMismatchError(
+            f"{m.cols} columns but {len(cols)} unknowns and {len(known)} known values")
     plan = _solve_plan(m, cols)
     if plan is None:
         return "deficient", None
-    acc = plan.packed(vec)
+    acc = plan.packed(known)
     if acc >> len(cols) * plan.width:
         return "inconsistent", None
     return "ok", unpack(acc, len(cols), plan.width)
@@ -420,10 +426,10 @@ def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:
     b_bits = [alg._check(e) for e in b]
     eye = identity(alg, k).bits
     status, x = solve_bits(Matrix._of_ints(alg, [r + e for r, e in zip(m.bits, eye)]),
-                           [0] * k + b_bits, range(k))
+                           b_bits, range(k))
     if status != "ok":
         raise SingularSystemError(f"coefficient matrix is singular ({status})")
-    return [m.algebra.element(v) for v in x]
+    return alg.elements(x)
 
 
 def mul_vector(m: Matrix, vec: Sequence[Element]) -> list[Element]:
@@ -431,4 +437,4 @@ def mul_vector(m: Matrix, vec: Sequence[Element]) -> list[Element]:
     if len(vec) != m.cols:
         raise ShapeMismatchError(f"vector length {len(vec)} != {m.cols} columns")
     alg = m.algebra
-    return [alg.element(v) for v in packed_map(m)([alg._check(e) for e in vec])]
+    return alg.elements(packed_map(m)([alg._check(e) for e in vec]))

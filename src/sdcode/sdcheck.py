@@ -348,8 +348,12 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     failure in enumeration order, and the outcome is independent of the
     worker count.  `progress(done, total)` runs as each disk set is done.
     """
-    spec = hm.spec
-    views = _local_blocks(spec, hm.matrix.bits)
+    return _is_sd(hm.spec, _local_blocks(hm.spec, hm.matrix.bits), jobs, progress)
+
+
+def _is_sd(spec: CodeSpec, views, jobs: int,
+           progress: Optional[Callable[[int, int], None]]) -> SdReport:
+    """is_sd on the views of _local_blocks."""
     found = _map_groups(spec, lambda d: _group(spec, views, d)(spec.r), jobs, progress)
     witness = next((w for w in found if w is not None), None)
     return SdReport(witness is None, witness, _patterns(spec, spec.r))
@@ -367,8 +371,11 @@ def sd_depth(hm: ParityCheckMatrix) -> tuple[int, SdReport]:
     set that passes at best - 1 cannot lower it and is skipped, and one
     that fails bisects over 0..best - 1 (see the module docstring).
     """
-    spec = hm.spec
-    views = _local_blocks(spec, hm.matrix.bits)
+    return _sd_depth(hm.spec, _local_blocks(hm.spec, hm.matrix.bits))
+
+
+def _sd_depth(spec: CodeSpec, views) -> tuple[int, SdReport]:
+    """sd_depth on the views of _local_blocks."""
     best, witness = spec.r + 1, None
     for disks in combinations(range(spec.n), spec.m):
         if best == 1:           # depth 0 always passes: no disk set goes lower
@@ -387,6 +394,17 @@ def sd_depth(hm: ParityCheckMatrix) -> tuple[int, SdReport]:
                 hi, found = mid, at_mid
         best, witness = hi, found
     return best - 1, SdReport(witness is None, witness, _patterns(spec, min(best, spec.r)))
+
+
+def _verify(hm: ParityCheckMatrix, jobs: int = 1,
+            progress: Optional[Callable[[int, int], None]] = None
+            ) -> tuple[SdReport, Optional[int]]:
+    """is_sd's report and, when the code is not SD, sd_depth's depth, both
+    from one set of views: the Schur residuals are built once."""
+    spec = hm.spec
+    views = _local_blocks(spec, hm.matrix.bits)
+    report = _is_sd(spec, views, jobs, progress)
+    return report, None if report.sd else _sd_depth(spec, views)[0]
 
 
 # -- pattern text form -------------------------------------------------------

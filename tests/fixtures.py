@@ -22,7 +22,7 @@ def solve_ab(a: Matrix, b) -> tuple:
     """solve_bits on A·x = b, as [A | I]·(x, b) = 0 solved at x's slots."""
     eye = identity(a.algebra, a.rows).bits
     return solve_bits(Matrix(a.algebra, [r + e for r, e in zip(a.bits, eye)]),
-                      [0] * a.cols + list(b), range(a.cols))
+                      list(b), range(a.cols))
 
 
 def mul_sum(ops, xs, ys) -> list:

@@ -14,8 +14,10 @@ from sdcode import (
     write_matrix,
     write_stripe,
 )
+from sdcode import sdcheck
 from sdcode.cli import main
 from sdcode.codec import data_columns
+from sdcode.sdcheck import is_sd, pattern_to_text, sd_depth
 from sdcode.search import SearchConfig, format_report, run_search
 
 
@@ -139,7 +141,7 @@ def test_verify_sd_exits_0(tmp_path, capsys):
     assert out.strip() == "patterns=330 sd=yes"
 
 
-def test_verify_not_sd_exits_2_with_witness(tmp_path, capsys):
+def make_not_sd_file(tmp_path):
     path = make_matrix_file(tmp_path)
     text = path.read_text().splitlines()
     toks = text[6].split()  # first global row (after 3 header + 3 local lines)
@@ -147,6 +149,11 @@ def test_verify_not_sd_exits_2_with_witness(tmp_path, capsys):
     text[6] = " ".join(toks)
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(text) + "\n")
+    return bad
+
+
+def test_verify_not_sd_exits_2_with_witness(tmp_path, capsys):
+    bad = make_not_sd_file(tmp_path)
     capsys.readouterr()
     assert run("verify", "-H", str(bad)) == 2
     out = capsys.readouterr().out
@@ -156,6 +163,31 @@ def test_verify_not_sd_exits_2_with_witness(tmp_path, capsys):
         short = tmp_path / f"bad{r2}.txt"
         assert run("shorten", "-H", str(bad), "--r2", r2, "-o", str(short)) == 0
         assert run("verify", "-H", str(short)) == code
+
+
+def test_verify_builds_the_schur_residuals_once(tmp_path, capsys, monkeypatch):
+    # a code that is not SD gets is_sd's witness and sd_depth's depth, from
+    # one _local_blocks call; the line is the one the two public calls give
+    bad = make_not_sd_file(tmp_path)
+    hm = read_matrix(bad)
+    report = is_sd(hm)
+    want = (f"patterns={report.patterns_checked} sd=no "
+            f"witness={pattern_to_text(report.witness)} sd_up_to={sd_depth(hm)[0]}\n")
+    assert want == "patterns=330 sd=no witness=d=0 s=0:2,1:4 sd_up_to=1\n"
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return local_blocks(*args)
+
+    local_blocks = sdcheck._local_blocks
+    monkeypatch.setattr(sdcheck, "_local_blocks", counting)
+    for path, code, line in ((bad, 2, want), (make_matrix_file(tmp_path), 0,
+                                              "patterns=330 sd=yes\n")):
+        capsys.readouterr()
+        calls.clear()
+        assert run("verify", "-H", str(path)) == code
+        assert capsys.readouterr().out == line and len(calls) == 1
 
 
 def test_verify_jobs_do_not_change_output(tmp_path, capsys):

@@ -26,6 +26,7 @@ from sdcode import (
     write_stripe,
 )
 from sdcode import codec, linalg
+from sdcode.algebra import Element
 from sdcode.codec import STRIPE_MAGIC, data_columns
 from sdcode.construct import ParityCheckMatrix
 from sdcode.linalg import Matrix, eliminate, mul_vector, packed_map
@@ -239,6 +240,73 @@ def test_encode_and_decode_reuse_the_callers_elements(gf16):
     assert damaged.vec_bits() == before and damaged.present[1][2]
 
 
+def test_encode_checks_every_data_symbol(gf16, gf256):
+    hm = build_h1(3, 5, gf16)
+    data = random_data(gf16, 10, random.Random(16))
+    for bad, error in ((3, TypeError), (None, TypeError),
+                       (gf256.element(3), AlgebraMismatchError),
+                       (make_ring(5).element(3), AlgebraMismatchError)):
+        with pytest.raises(error):
+            encode(hm, data[:4] + [bad] + data[5:])
+    # the first bad symbol decides the error, and the length comes first
+    with pytest.raises(TypeError):
+        encode(hm, [3, gf256.one] + data[2:])
+    with pytest.raises(AlgebraMismatchError):
+        encode(hm, [gf256.one, 3] + data[2:])
+    with pytest.raises(LengthMismatchError):
+        encode(hm, [3] + data)
+    # an equal Field built apart is the same algebra
+    twin = Field(4)
+    assert twin is not gf16 and twin == gf16
+    assert encode(hm, [twin.element(e.bits) for e in data]) == encode(hm, data)
+
+
+def test_decode_reads_no_missing_slot(gf16, ring17):
+    pattern = ErasurePattern((1,), ((0, 0), (2, 3)))
+    for hm in (build_h1(3, 5, gf16), build_h1(3, 5, ring17)):
+        alg = hm.spec.algebra
+        st = encode(hm, random_data(alg, len(data_columns(hm.spec)), random.Random(17)))
+        damaged = erase(st, pattern)
+        for i, j in damaged.missing_positions():
+            damaged.symbols[i][j] = None
+        assert decode(hm, damaged) == st
+        damaged.symbols[0][2] = 9       # a present slot is still checked
+        with pytest.raises(TypeError):
+            decode(hm, damaged)
+        damaged.symbols[0][2] = Field(4, 0x19).element(9)
+        with pytest.raises(AlgebraMismatchError):
+            decode(hm, damaged)
+
+
+def test_solved_symbols_are_interned_or_plain_in_range(gf16, ring17):
+    pattern = ErasurePattern((1,), ((0, 0), (2, 3)))
+    for hm in (build_h1(3, 5, gf16), build_h1(3, 5, make_field(16)), build_h1(3, 5, ring17)):
+        alg = hm.spec.algebra
+        st = encode(hm, random_data(alg, len(data_columns(hm.spec)), random.Random(18)))
+        out = decode(hm, erase(st, pattern))
+        solved = [flat[c] for flat in ([e for row in st.symbols for e in row],
+                                       [e for row in out.symbols for e in row])
+                  for c in sorted({*erased_columns(default_parity_pattern(hm.spec), hm.spec),
+                                   *erased_columns(pattern, hm.spec)})]
+        for e in solved:
+            assert type(e) is Element and e.algebra is alg and type(e.bits) is int
+            assert 0 <= e.bits < 1 << alg.element_bits and e == alg.element(e.bits)
+            assert hash(e) == hash(alg.element(e.bits))
+            if isinstance(alg, Field):
+                assert e is alg.element(e.bits)
+
+
+@pytest.mark.parametrize("alg", [make_field(4), make_field(8), make_field(16), make_ring(5),
+                                 make_ring(7), make_ring(17), make_ring(31)], ids=str)
+def test_decoded_stripes_equal_the_originals(alg):
+    hm = build_h2(*((2, 4) if alg.order_of_alpha() >= 8 else (1, 5)), alg)
+    rng = random.Random(f"round trip {alg}")
+    for p in enumerate_patterns(hm.spec):
+        st = encode(hm, random_data(alg, len(data_columns(hm.spec)), rng))
+        out = decode(hm, erase(st, p))
+        assert out == st and out.vec_bits() == st.vec_bits()
+
+
 def _round_trips(fresh: bool) -> list[list[int]]:
     """L = 2 encode/decode calls per pattern of a field and a ring code,
     as flat vectors (decoded, then encoded); with fresh set, each
@@ -375,7 +443,7 @@ def test_one_plan_matches_the_two_step_oracle(alg):
             linalg._solve_plan.cache_clear()
             for vec in ((clean, corrupt) if i % 2 else (corrupt, clean)):   # a miss, then a hit
                 want = two_step_solve(h, vec, cols)
-                assert linalg.solve_bits(h, vec, cols) == want, (spec, cols)
+                assert linalg.solve_bits(h, [vec[c] for c in present], cols) == want, (spec, cols)
                 if vec is clean and want[0] == "ok":
                     assert want[1] == [clean[c] for c in cols]
                 seen.add(want[0])

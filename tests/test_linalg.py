@@ -501,14 +501,21 @@ def test_cached_statuses_on_cache_hits(gf16, ring7):
 
 
 def test_solve_bits_reads_only_the_known_slots_and_checks_its_arguments(gf16):
-    # m·vec = 0 at cols: x_0 + 2·x_1 = 3·v and x_1 = v for v at slot 2
+    # m·vec = 0 at cols: x_0 + 2·x_1 = 3·v and x_1 = v for v at slot 2,
+    # the one known value; cols may come as any sequence
     m = Matrix(gf16, [[1, 2, 3], [0, 1, 1]])
-    want = solve_bits(m, [0, 0, 5], (0, 1))
-    assert want[0] == "ok" and want == solve_bits(m, [9, 14, 5], [0, 1])
+    want = solve_bits(m, [5], (0, 1))
+    assert want[0] == "ok" and want == solve_bits(m, (5,), [0, 1])
     x0, x1 = want[1]
     assert x0 ^ gf16.mul_bits(2, x1) ^ gf16.mul_bits(3, 5) == 0 and x1 == 5
-    with pytest.raises(ShapeMismatchError):
-        solve_bits(m, [0, 5], (0, 1))
+    # the known values sit at the other slots in ascending order: in
+    # x_0 + 2·v_1 + 3·v_2 = 0, (v_1, v_2) = (1, 0) gives x_0 = 2, (0, 1) 3
+    top = Matrix(gf16, [[1, 2, 3]])
+    assert [solve_bits(top, known, (0,)) for known in ([1, 0], [0, 1])] == [
+        ("ok", [2]), ("ok", [3])]
+    for known in ([0, 5], []):      # one known value too many, or none
+        with pytest.raises(ShapeMismatchError):
+            solve_bits(m, known, (0, 1))
     for cols in ((1, 0), (0, 3), (-1,), (1, 1)):
         with pytest.raises(IndexOutOfRangeError):
-            solve_bits(m, [0, 0, 5], cols)
+            solve_bits(m, [0] * (3 - len(cols)), cols)
