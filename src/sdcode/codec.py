@@ -98,7 +98,6 @@ class _Layout(NamedTuple):
     data: tuple[int, ...]       # data slots, ascending
     order: tuple[int, ...]      # per slot, its index in data + parity
     rows: tuple[slice, ...]     # each stripe row's slots
-    flags: tuple[bool, ...]     # a stripe row's presence flags, all True
 
 
 @lru_cache(maxsize=64)
@@ -110,8 +109,7 @@ def _parity_layout(spec: CodeSpec) -> _Layout:
     order = sorted(range(spec.total_columns), key=(*dcols, *pcols).__getitem__)
     n = spec.n
     return _Layout(pcols, dcols, tuple(order),
-                   tuple(slice(k, k + n) for k in range(0, spec.total_columns, n)),
-                   (True,) * n)
+                   tuple(slice(k, k + n) for k in range(0, spec.total_columns, n)))
 
 
 def data_columns(spec: CodeSpec) -> list[int]:
@@ -121,8 +119,8 @@ def data_columns(spec: CodeSpec) -> list[int]:
 
 def _full_stripe(spec: CodeSpec, layout: _Layout, symbols: list[Element]) -> Stripe:
     """A complete stripe of the row-major symbols, cut into fresh rows."""
-    flags = layout.flags
-    return Stripe(spec, [symbols[s] for s in layout.rows], [list(flags) for _ in layout.rows])
+    return Stripe(spec, [symbols[s] for s in layout.rows],
+                  [[True] * spec.n for _ in layout.rows])
 
 
 def _bits(alg, symbols) -> list[int]:

@@ -267,33 +267,28 @@ class PackedMap:
     M's entries are residues modulo a binary polynomial of degree w (a
     field's modulus, or the ring's M_p(x)); row i of M·x sits at bits
     [i·w, (i+1)·w) of one int, and M is given as its columns so packed
-    (zero for a column the map skips) and its row count.  Each nonzero
-    column c keeps one table per 8-bit chunk of x[c], mapping the chunk at
-    bit `shift` to M[:, c]·(chunk << shift), packed: the ``byte_tables`` of
-    the column's ``x_powers``, so no product is taken, in fields with or
-    without log tables or in rings.  Applying M is one lookup and one XOR
-    per chunk, then one ``unpack``.  x is read as it is; only when some
-    column is zero does a gather pick out the entries of the others.
+    and its row count.  Each column c keeps one table per 8-bit chunk of
+    x[c], mapping the chunk at bit `shift` to M[:, c]·(chunk << shift),
+    packed: the ``byte_tables`` of the column's ``x_powers``, so no product
+    is taken, in fields with or without log tables or in rings.  Applying
+    M is one lookup and one XOR per chunk, then one ``unpack``; x is read
+    as it is (a zero column's tables are all zero).
     """
 
-    __slots__ = ("width", "rows", "nonzero", "tables")
+    __slots__ = ("width", "rows", "tables")
 
     def __init__(self, modulus: int, columns: Sequence[int], rows: int):
         self.width = modulus.bit_length() - 1
         self.rows = rows
-        nonzero = [c for c, t in enumerate(columns) if t]
-        self.nonzero = None if len(nonzero) == len(columns) else nonzero
-        self.tables = [table for basis in x_powers(modulus, [columns[c] for c in nonzero],
-                                                   rows, self.width)
+        self.tables = [table for basis in x_powers(modulus, columns, rows, self.width)
                        for table in byte_tables(basis)]
 
     def packed(self, x: Sequence[int]) -> int:
         """M·x, its rows packed width bits apart."""
-        values = x if self.nonzero is None else map(x.__getitem__, self.nonzero)
         if self.width > 8:      # each value's bytes, low first: one per table
             nbytes = (self.width + 7) >> 3
-            values = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
-        return reduce(xor, map(getitem, self.tables, values), 0)
+            x = b"".join(map(int.to_bytes, x, repeat(nbytes), repeat("little")))
+        return reduce(xor, map(getitem, self.tables, x), 0)
 
     def __call__(self, x: Sequence[int]) -> list[int]:
         """M·x as a list."""
