@@ -458,8 +458,7 @@ class Field(Algebra):
 
     def element(self, bits: int) -> Element:
         """The one Element of these bits, built by the checked constructor
-        on first use; a rejected value leaves no entry.  Two threads that
-        miss at once may each build one: both are equal, one is kept."""
+        on first use; a rejected value leaves no entry."""
         if type(bits) is not int:
             bits = index(bits)
         e = self._elements.get(bits)

@@ -97,7 +97,7 @@ def _cmd_verify(args) -> int:
     progress = None
     if args.progress:
         progress = lambda done, total: print(f"disk-set {done}/{total}", file=sys.stderr)
-    report, depth = is_sd(hm, jobs=args.jobs, progress=progress)
+    report, depth = is_sd(hm, progress=progress)
     if report.sd:
         print(f"patterns={report.patterns_checked} sd=yes")
         return 0
@@ -170,7 +170,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="exhaustively test the SD property")
     p.add_argument("-H", dest="matrix", required=True, metavar="PATH")
     p.add_argument("--jobs", type=_jobs, default=1,
-                   help="worker threads (result is independent of this)")
+                   help="accepted, no effect: the scan runs on one thread")
     p.add_argument("--progress", action="store_true",
                    help="report disk-set progress on stderr")
     p.set_defaults(func=_cmd_verify)

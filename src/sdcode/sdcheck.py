@@ -49,22 +49,20 @@ that fails there bisects over 0..best - 1 for its own smallest failing
 depth, which becomes best.  So a tie keeps the earlier disk set's
 witness, and once one disk set fails early most others cost one test.
 
-The report is deterministic: all patterns are always counted, the
-witness is the first failing pattern in enumeration order (disk sets in
-lexicographic order, then sector subsets in lexicographic order over
-surviving sectors sorted by (row, disk)), and neither depends on
-is_sd's worker count; sd_depth runs on one thread.
+Both scans run on one thread.  A report counts every pattern of the
+code whatever the verdict, and its witness is the first failing pattern
+in enumeration order (disk sets in lexicographic order, then sector
+subsets in lexicographic order over surviving sectors sorted by (row,
+disk)), so is_sd stops at the first disk set that fails.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, compress, islice, repeat
 from math import comb
-from operator import getitem, xor
+from operator import getitem, index, xor
 from typing import Callable, Optional, Sequence
 
 from .algebra import key_values, lane_width, read_int
@@ -75,15 +73,17 @@ from .linalg import det_bits, eliminate, full_column_rank, pack, submatrix, unpa
 
 @dataclass(frozen=True)
 class ErasurePattern:
-    """Failed whole disks plus failed individual sectors (row, disk)."""
+    """Failed whole disks plus failed individual sectors (row, disk), each
+    number read through operator.index as Matrix reads its entries: a
+    float or a str raises TypeError instead of naming another pattern."""
 
     disks: tuple[int, ...] = ()
     sectors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "disks", tuple(sorted(self.disks)))
+        object.__setattr__(self, "disks", tuple(sorted(map(index, self.disks))))
         object.__setattr__(self, "sectors",
-                           tuple(sorted((int(a), int(b)) for a, b in self.sectors)))
+                           tuple(sorted((index(a), index(b)) for a, b in self.sectors)))
 
 
 @dataclass(frozen=True)
@@ -325,38 +325,30 @@ def _patterns(spec: CodeSpec, r: int) -> int:
     return comb(spec.n, spec.m) * comb((spec.n - spec.m) * r, spec.s)
 
 
-def _map_groups(spec: CodeSpec, scan: Callable, jobs: int,
-                progress: Optional[Callable[[int, int], None]]) -> list:
-    """scan(disks) for every disk set, in lexicographic order, on `jobs`
-    threads; `progress(done, total)` runs as each disk set is done."""
-    groups = list(combinations(range(spec.n), spec.m))
-    out = []
-    with ThreadPoolExecutor(jobs) if jobs and jobs > 1 else nullcontext() as pool:
-        results = map(scan, groups) if pool is None else pool.map(scan, groups)
-        for done, found in enumerate(results, start=1):
-            if progress is not None:
-                progress(done, len(groups))
-            out.append(found)
-    return out
-
-
 def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
           progress: Optional[Callable[[int, int], None]] = None) -> SdReport:
     """Exhaustively decide the SD property.
 
-    Every pattern is counted (no early exit), the witness is the first
-    failure in enumeration order, and the outcome is independent of the
-    worker count.  `progress(done, total)` runs as each disk set is done.
+    Disk sets go in lexicographic order and the scan stops at the first
+    that fails, whose first failing pattern is the witness; the count is
+    every pattern of the code whatever the verdict.  `progress(done,
+    total)` runs as each disk set is done.  jobs is not used (the scan
+    runs on one thread); it stays while sdbench passes it.
     """
-    return _is_sd(hm.spec, _local_blocks(hm.spec, hm.matrix.bits), jobs, progress)
+    return _is_sd(hm.spec, _local_blocks(hm.spec, hm.matrix.bits), progress)
 
 
-def _is_sd(spec: CodeSpec, views, jobs: int,
+def _is_sd(spec: CodeSpec, views,
            progress: Optional[Callable[[int, int], None]]) -> SdReport:
     """is_sd on the views of _local_blocks."""
-    found = _map_groups(spec, lambda d: _group(spec, views, d)(spec.r), jobs, progress)
-    witness = next((w for w in found if w is not None), None)
-    return SdReport(witness is None, witness, _patterns(spec, spec.r))
+    total, patterns = comb(spec.n, spec.m), _patterns(spec, spec.r)
+    for done, disks in enumerate(combinations(range(spec.n), spec.m), start=1):
+        witness = _group(spec, views, disks)(spec.r)
+        if progress is not None:
+            progress(done, total)
+        if witness is not None:
+            return SdReport(False, witness, patterns)
+    return SdReport(True, None, patterns)
 
 
 def sd_depth(hm: ParityCheckMatrix) -> tuple[int, SdReport]:
@@ -396,14 +388,14 @@ def _sd_depth(spec: CodeSpec, views) -> tuple[int, SdReport]:
     return best - 1, SdReport(witness is None, witness, _patterns(spec, min(best, spec.r)))
 
 
-def _verify(hm: ParityCheckMatrix, jobs: int = 1,
+def _verify(hm: ParityCheckMatrix,
             progress: Optional[Callable[[int, int], None]] = None
             ) -> tuple[SdReport, Optional[int]]:
     """is_sd's report and, when the code is not SD, sd_depth's depth, both
     from one set of views: the Schur residuals are built once."""
     spec = hm.spec
     views = _local_blocks(spec, hm.matrix.bits)
-    report = _is_sd(spec, views, jobs, progress)
+    report = _is_sd(spec, views, progress)
     return report, None if report.sd else _sd_depth(spec, views)[0]
 
 

@@ -103,8 +103,8 @@ def run_search(cfg: SearchConfig,
     a trial draws all r_max depths and scans once with sd_depth; a check
     (such as is_sd) is called on the matrix of each depth in turn
     instead, up to the first non-SD one.  Both give the same records.
-    jobs is not used (sd_depth runs on one thread); it stays while
-    sdbench passes it, and goes with is_sd's thread pool.
+    jobs is not used (both scans run on one thread); it stays while
+    sdbench passes it.
     """
     n, m, s, alg = cfg.n, cfg.m, cfg.s, cfg.algebra
     specs = [CodeSpec(n, m, s, r, alg, "generic") for r in range(1, cfg.r_max + 1)]

@@ -209,6 +209,16 @@ def test_verify_progress_goes_to_stderr(tmp_path, capsys):
     assert "disk-set" not in captured.out
 
 
+def test_verify_progress_stops_at_the_witness_disk_set(tmp_path, capsys):
+    # the witness d=0 is disk set 1 of 5: the scan reports no disk set after it
+    bad = make_not_sd_file(tmp_path)
+    capsys.readouterr()
+    assert run("verify", "-H", str(bad), "--progress") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "patterns=330 sd=no witness=d=0 s=0:2,1:4 sd_up_to=1\n"
+    assert captured.err == "disk-set 1/5\n"
+
+
 def test_verify_missing_file_exits_1(tmp_path, capsys):
     assert run("verify", "-H", str(tmp_path / "absent.txt")) == 1
     assert "error:" in capsys.readouterr().err

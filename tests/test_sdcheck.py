@@ -62,6 +62,15 @@ def test_pattern_normalizes_order():
     assert p.sectors == ((0, 4), (2, 0))
 
 
+def test_pattern_reads_numbers_through_index():
+    # int() would turn sector (0.9, 2) into (0, 2) and read "2"; a float
+    # disk would fail only later, inside submatrix
+    for disks, sectors in (((1,), ((0.9, 2),)), ((1,), (("2", 3),)),
+                           ((1.0,), ()), (("1",), ())):
+        with pytest.raises(TypeError):
+            ErasurePattern(disks, sectors)
+
+
 def test_validate_pattern_errors(gf16):
     spec = build_h1(3, 5, gf16).spec
     validate_pattern(ErasurePattern((2,), ((0, 0), (1, 4))), spec)
@@ -179,8 +188,8 @@ def test_witness_independent_of_jobs(gf16):
 
 @pytest.mark.parametrize("p,r", [(29, 5), (41, 4), (127, 3)])
 def test_jobs_invariant_on_cold_factor_tables(p, r):
-    # fresh rings, not the make_ring cache, so the threads of jobs=4 scan
-    # with factor fields, projection and CRT tables and Schur plans that
+    # fresh rings, not the make_ring cache, so jobs=4 scans with factor
+    # fields, projection and CRT tables and Schur plans that
     # no earlier call has used; M_29 is irreducible (one tableless
     # GF(2^28), whose fold tables are built with it)
     def reports(jobs):
@@ -429,6 +438,24 @@ def test_is_sd_progress_callback(gf16, monkeypatch):
         is_sd(hm, jobs=jobs,
               progress=lambda done, total: seen.append((done, total, len(scans))))
         assert seen == [(1, 5, 1), (2, 5, 2), (3, 5, 3), (4, 5, 4), (5, 5, 5)]
+
+
+def test_is_sd_stops_at_the_first_failing_disk_set(gf16, monkeypatch):
+    # the witness is in disk set 7 of 10: no disk set after it is scanned
+    # or reported, and the count is still every pattern
+    h = build_h2(3, 5, gf16)
+    bad = corrupt(h, 3, 9, h.matrix.bits[3][0])
+    naive_witness, checked = naive_is_sd(bad)
+    disk_sets = list(combinations(range(5), 2))
+    k = disk_sets.index(naive_witness.disks) + 1
+    assert k == 7
+    scans, seen = [], []
+    group = sdcheck._group
+    monkeypatch.setattr(sdcheck, "_group", lambda *a: scans.append(a[2]) or group(*a))
+    report = is_sd(bad, progress=lambda done, total: seen.append((done, total)))
+    assert report == SdReport(False, naive_witness, checked)
+    assert seen == [(done, 10) for done in range(1, k + 1)]
+    assert scans == disk_sets[:k]
 
 
 # ------------------------------------------ Schur residual against eliminate
@@ -920,14 +947,17 @@ def test_shorten_rejects_bad_row_counts(gf16):
 def test_is_sd_leaves_numpy_unloaded(python):
     # np_tables holds the library's only numpy import, and only sdbench
     # calls it: is_sd over a field, a split ring and a tableless ring
-    # field must not load numpy
+    # field must not load numpy, nor a thread pool (the scan runs on one
+    # thread)
     script = "\n".join([
         "import sys",
         "from sdcode import build_h2, is_sd, make_field, make_ring",
         "for alg in (make_field(4), make_ring(17), make_ring(41)):",
         "    assert is_sd(build_h2(2, 4, alg)).sd, alg",
         "print('numpy loaded:', 'numpy' in sys.modules)",
+        "print('concurrent.futures loaded:', 'concurrent.futures' in sys.modules)",
     ])
     proc = python("-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["numpy loaded: False"]
+    assert proc.stdout.splitlines() == ["numpy loaded: False",
+                                        "concurrent.futures loaded: False"]
