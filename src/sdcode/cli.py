@@ -25,13 +25,13 @@ from .errors import (
     SdCodeError,
     UndecodablePatternError,
 )
-from .sdcheck import _verify, pattern_to_text
+from .sdcheck import _scan, pattern_to_text
 from .search import SearchConfig, format_report, run_search, write_report
 
-# verify's one scan: is_sd's report and, for a code that is not SD,
-# sd_depth's depth, from one set of Schur residuals.  It goes by is_sd's
-# name, which sdbench's traced run patches to time the scan.
-is_sd = _verify
+# verify's one scan: is_sd's report and sd_depth's depth and report, from
+# one pass over the disk sets.  It goes by is_sd's name, which sdbench's
+# traced run patches to time the scan.
+is_sd = _scan
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,7 +97,7 @@ def _cmd_verify(args) -> int:
     progress = None
     if args.progress:
         progress = lambda done, total: print(f"disk-set {done}/{total}", file=sys.stderr)
-    report, depth = is_sd(hm, progress=progress)
+    report, depth, _ = is_sd(hm, progress=progress)
     if report.sd:
         print(f"patterns={report.patterns_checked} sd=yes")
         return 0

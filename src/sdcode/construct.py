@@ -79,8 +79,18 @@ class CodeSpec:
 
 @dataclass(frozen=True, slots=True)
 class ParityCheckMatrix:
+    """A matrix of the spec's shape (mr + s by rn) over the spec's algebra."""
+
     spec: CodeSpec
     matrix: Matrix
+
+    def __post_init__(self):
+        spec, h = self.spec, self.matrix
+        if (h.rows, h.cols) != (spec.parity_rows, spec.total_columns):
+            raise ShapeMismatchError(f"{h.rows} x {h.cols} matrix for a code of "
+                                     f"{spec.parity_rows} x {spec.total_columns}")
+        if h.algebra != spec.algebra:
+            raise AlgebraMismatchError(f"matrix over {h.algebra} for a code over {spec.algebra}")
 
 
 def _check_order(r: int, n: int, algebra: Algebra) -> None:
@@ -174,10 +184,8 @@ def _layout_fault(spec: CodeSpec, i: int, row: Sequence[int]) -> tuple[int, str]
 
 
 def validate_structure(pcm: ParityCheckMatrix) -> bool:
-    """True iff the matrix has the spec's shape and every row keeps the layout."""
-    spec, h = pcm.spec, pcm.matrix
-    return (h.rows == spec.parity_rows and h.cols == spec.total_columns
-            and not any(_layout_fault(spec, i, row) for i, row in enumerate(h.bits)))
+    """True iff every row keeps the layout (the shape is checked when pcm is built)."""
+    return not any(_layout_fault(pcm.spec, i, row) for i, row in enumerate(pcm.matrix.bits))
 
 
 def shorten(hm: ParityCheckMatrix, r_new: int) -> ParityCheckMatrix:

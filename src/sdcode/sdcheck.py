@@ -36,24 +36,26 @@ fails in any factor.  Only what the scan reads is projected into the
 factor fields: the distinct local blocks, told apart in the ring, and
 the global rows.
 
-``sd_depth`` finds the largest depth r' at which the code is SD in one
-pass.  The code at depth d is the code at depth d + 1 with its last
-stripe row held at zero, so for any H a failure at depth d is one at
-d + 1 (the paper's shortening observation), and a disk set is tested at
-depth d on the first d(n-m) columns of its one residual (the residual
-at survivor (i, j) depends only on stripe row i) or, in a factor view
-with a singular V_i, by eliminating that view's rows cut to depth d.
-Disk sets go in lexicographic order carrying best, the smallest failing
-depth so far: a disk set that passes at best - 1 is skipped, and one
-that fails there bisects over 0..best - 1 for its own smallest failing
-depth, which becomes best.  So a tie keeps the earlier disk set's
-witness, and once one disk set fails early most others cost one test.
-
-Both scans run on one thread.  A report counts every pattern of the
-code whatever the verdict, and its witness is the first failing pattern
-in enumeration order (disk sets in lexicographic order, then sector
-subsets in lexicographic order over surviving sectors sorted by (row,
-disk)), so is_sd stops at the first disk set that fails.
+One pass over the disk sets, on one thread, answers both ``is_sd`` and
+``sd_depth``, the largest depth r' at which the code is SD.  The code at
+depth d is the code at depth d + 1 with its last stripe row held at zero,
+so for any H a failure at depth d is one at d + 1 (the paper's
+shortening observation), and a disk set is tested at depth d on the
+first d(n-m) columns of its one residual (the residual at survivor
+(i, j) depends only on stripe row i) or, in a factor view with a
+singular V_i, by eliminating that view's rows cut to depth d.  Disk sets
+go in lexicographic order carrying best, the smallest failing depth so
+far (r + 1 before any): a disk set that passes at best - 1 is skipped,
+and one that fails there bisects over 0..best - 1 for its own smallest
+failing depth, which becomes best.  So a tie keeps the earlier disk
+set's witness, and once one disk set fails early most others cost one
+test.  Until the first failure best - 1 is r, so that failure is
+is_sd's witness, the first failing pattern in enumeration order (disk
+sets in lexicographic order, then sector subsets in lexicographic order
+over surviving sectors sorted by (row, disk)).  is_sd stops there, and
+the residuals come a plan batch at a time as the pass reaches them, so
+it builds no plan past that disk set's batch.  A report counts every
+pattern of the code whatever the verdict.
 """
 
 from __future__ import annotations
@@ -204,9 +206,9 @@ def _first_singular(ops, rows: list[list[int]], s: int):
 
 def _local_blocks(spec: CodeSpec, bits):
     """Per factor view of H's entries `bits`: (ops, the global rows, the
-    distinct local blocks, each stripe row's block index, each disk set's
-    Schur residual from _schur_residuals).  Blocks are told apart in the
-    algebra, and only they and the global rows are projected."""
+    distinct local blocks, each stripe row's block index).  Blocks are
+    told apart in the algebra, and only they and the global rows are
+    projected."""
     m, n, r = spec.m, spec.n, spec.r
     per_row = [tuple(tuple(row[i * n:(i + 1) * n]) for row in bits[i * m:(i + 1) * m])
                for i in range(r)]
@@ -216,8 +218,7 @@ def _local_blocks(spec: CodeSpec, bits):
     out = []
     for ops, rows in spec.algebra.factor_views(local + list(bits[m * r:])):
         blocks = [tuple(map(tuple, rows[k:k + m])) for k in range(0, len(local), m)]
-        glob = rows[len(local):]
-        out.append((ops, glob, blocks, kind, _schur_residuals(spec, ops, glob, blocks, kind)))
+        out.append((ops, rows[len(local):], blocks, kind))
     return out
 
 
@@ -254,16 +255,23 @@ def _schur_plan(ops, block, first: int, stop: int):
                               for t in basis + pad)
 
 
-def _schur_residuals(spec: CodeSpec, ops, glob, blocks, kind) -> dict:
-    """{disks: the global rows glob after the Schur step at disks, or None
-    where some V_i is singular}, every disk set's from one plan per block.
+def _schur_residuals(spec: CodeSpec, views):
+    """(disks, each view's global rows after the Schur step at disks, or
+    None where some V_i is singular) for every disk set in lexicographic
+    order, from one plan per view and block."""
+    return zip(combinations(range(spec.n), spec.m),
+               zip(*[_view_residuals(spec, *view) for view in views]))
+
+
+def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind):
+    """One factor view's residuals for _schur_residuals, disk set by disk set.
 
     A plan maps a stripe row's n entries to every disk set's residual
     entries there: the XOR of its basis ints at the entries' set bits,
     then one unpack, which splits lanes of 8 to 64 bits without shifts.
     Plans take the disk sets in batches of about _PLAN_BITS bits, which
     bounds a plan's ints (shift-and-mask, above 64 bits, is quadratic in
-    an int's size)."""
+    an int's size), and a batch is built only when the scan reaches it."""
     m, n, r, w, degree = spec.m, spec.n, spec.r, spec.n - spec.m, ops.degree
     nbytes, lane = (degree + 7) >> 3, lane_width(degree)
     span = 8 * nbytes * n               # selector bytes per stripe row
@@ -273,33 +281,32 @@ def _schur_residuals(spec: CodeSpec, ops, glob, blocks, kind) -> dict:
         bits = b"".join(map(_SELECT.__getitem__, data))
         selectors.append([bits[i * span:(i + 1) * span] for i in range(r)])
     total, per = comb(n, m), max(1, _PLAN_BITS // (lane * w))
-    disk_sets, out = combinations(range(n), m), {}
     for first in range(0, total, per):
         stop = min(first + per, total)
         plans = [_schur_plan(ops, block, first, stop) for block in blocks]
         values = [[unpack(reduce(xor, compress(plans[kind[i]][1], sel), 0),
                           (stop - first) * w, lane) for i, sel in enumerate(sels)]
                   for sels in selectors]
-        for t, disks in enumerate(islice(disk_sets, stop - first)):
+        for t in range(stop - first):
             at = repeat(slice(t * w, (t + 1) * w))
-            out[disks] = None if not all(dets[t] for dets, _ in plans) else [
+            yield None if not all(dets[t] for dets, _ in plans) else [
                 list(chain.from_iterable(map(getitem, per_row, at))) for per_row in values]
-    return out
 
 
-def _group(spec: CodeSpec, views, disks: Sequence[int]):
+def _group(spec: CodeSpec, views, disks: Sequence[int], residuals):
     """first_at(depth): the first failing pattern of this disk set in the
     code shortened to `depth` stripe rows; None when every pattern decodes
-    or when fewer than s sectors survive (the group has none)."""
+    or when fewer than s sectors survive (the group has none).  residuals
+    holds each view's Schur residual at disks, as _schur_residuals gives
+    them."""
     m, n, w, s = spec.m, spec.n, spec.n - spec.m, spec.s
     alive = [j for j in range(n) if j not in disks]     # survivor t is (t // w, alive[t % w])
-    residuals = [view[4][tuple(disks)] for view in views]
 
     def first_at(depth: int) -> Optional[ErasurePattern]:
         if depth * w < s:
             return None
         firsts = []
-        for (ops, glob, blocks, kind, _), residual in zip(views, residuals):
+        for (ops, glob, blocks, kind), residual in zip(views, residuals):
             if residual is None:
                 # a singular V_i: eliminate the rows cut as shorten cuts H,
                 # the local ones rebuilt from their blocks
@@ -335,20 +342,7 @@ def is_sd(hm: ParityCheckMatrix, jobs: int = 1,
     total)` runs as each disk set is done.  jobs is not used (the scan
     runs on one thread); it stays while sdbench passes it.
     """
-    return _is_sd(hm.spec, _local_blocks(hm.spec, hm.matrix.bits), progress)
-
-
-def _is_sd(spec: CodeSpec, views,
-           progress: Optional[Callable[[int, int], None]]) -> SdReport:
-    """is_sd on the views of _local_blocks."""
-    total, patterns = comb(spec.n, spec.m), _patterns(spec, spec.r)
-    for done, disks in enumerate(combinations(range(spec.n), spec.m), start=1):
-        witness = _group(spec, views, disks)(spec.r)
-        if progress is not None:
-            progress(done, total)
-        if witness is not None:
-            return SdReport(False, witness, patterns)
-    return SdReport(True, None, patterns)
+    return _scan(hm, progress, depth=False)[0]
 
 
 def sd_depth(hm: ParityCheckMatrix) -> tuple[int, SdReport]:
@@ -358,24 +352,31 @@ def sd_depth(hm: ParityCheckMatrix) -> tuple[int, SdReport]:
 
     The code's depth is the minimum over disk sets of the smallest depth
     that fails there, the witness the first failure of the first disk
-    set that reaches it.  Disk sets go in lexicographic order, carrying
-    best, the smallest failing depth so far (r + 1 before any): a disk
-    set that passes at best - 1 cannot lower it and is skipped, and one
-    that fails bisects over 0..best - 1 (see the module docstring).
+    set that reaches it (see the module docstring).
     """
-    return _sd_depth(hm.spec, _local_blocks(hm.spec, hm.matrix.bits))
+    return _scan(hm)[1:]
 
 
-def _sd_depth(spec: CodeSpec, views) -> tuple[int, SdReport]:
-    """sd_depth on the views of _local_blocks."""
-    best, witness = spec.r + 1, None
-    for disks in combinations(range(spec.n), spec.m):
-        if best == 1:           # depth 0 always passes: no disk set goes lower
-            break
-        first_at = _group(spec, views, disks)
+def _scan(hm: ParityCheckMatrix, progress: Optional[Callable[[int, int], None]] = None,
+          depth: bool = True) -> tuple[SdReport, int, SdReport]:
+    """is_sd's report, sd_depth's depth and sd_depth's report, from one
+    pass over the disk sets (see the module docstring).  progress(done,
+    total) runs for each disk set up to is_sd's witness's; with depth
+    false the pass stops there, and only is_sd's report holds."""
+    spec = hm.spec
+    views = _local_blocks(spec, hm.matrix.bits)
+    total, best, first, witness = comb(spec.n, spec.m), spec.r + 1, None, None
+    for done, (disks, residuals) in enumerate(_schur_residuals(spec, views), start=1):
+        first_at = _group(spec, views, disks, residuals)
         found = first_at(best - 1)
+        if progress is not None and first is None:
+            progress(done, total)
         if found is None:
             continue
+        if first is None:
+            first = found
+            if not depth:
+                break
         lo, hi = 0, best - 1    # depth lo passes, depth hi fails with `found`
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -385,18 +386,10 @@ def _sd_depth(spec: CodeSpec, views) -> tuple[int, SdReport]:
             else:
                 hi, found = mid, at_mid
         best, witness = hi, found
-    return best - 1, SdReport(witness is None, witness, _patterns(spec, min(best, spec.r)))
-
-
-def _verify(hm: ParityCheckMatrix,
-            progress: Optional[Callable[[int, int], None]] = None
-            ) -> tuple[SdReport, Optional[int]]:
-    """is_sd's report and, when the code is not SD, sd_depth's depth, both
-    from one set of views: the Schur residuals are built once."""
-    spec = hm.spec
-    views = _local_blocks(spec, hm.matrix.bits)
-    report = _is_sd(spec, views, progress)
-    return report, None if report.sd else _sd_depth(spec, views)[0]
+        if best == 1:           # depth 0 always passes: no disk set goes lower
+            break
+    return (SdReport(first is None, first, _patterns(spec, spec.r)), best - 1,
+            SdReport(witness is None, witness, _patterns(spec, min(best, spec.r))))
 
 
 # -- pattern text form -------------------------------------------------------

@@ -217,8 +217,30 @@ def test_validate_structure_rejects_tampering(gf16):
         ParityCheckMatrix(pcm.spec, Matrix(gf16, rows)))
     rows = [list(r) for r in pcm.matrix.bits]
     bad_spec = dataclasses.replace(pcm.spec, r=4)
-    assert not validate_structure(
-        ParityCheckMatrix(bad_spec, Matrix(gf16, rows)))
+    with pytest.raises(ShapeMismatchError):     # a wrong shape is refused when built
+        ParityCheckMatrix(bad_spec, Matrix(gf16, rows))
+
+
+@pytest.mark.parametrize("case, error", [
+    ("global row dropped", ShapeMismatchError), ("row added", ShapeMismatchError),
+    ("columns cut", ShapeMismatchError), ("other field", AlgebraMismatchError)])
+def test_parity_check_matrix_must_fit_its_spec(gf16, case, error):
+    # each once reached is_sd or encode and failed late with TypeError or
+    # IndexError, or (the same bits over GF(2^8)) answered sd=True
+    from sdcode import Matrix, ParityCheckMatrix
+
+    pcm = build_h2(3, 5, gf16)
+    rows, alg = [list(r) for r in pcm.matrix.bits], gf16
+    if case == "global row dropped":
+        rows.pop()
+    elif case == "row added":
+        rows.append(rows[-1])
+    elif case == "columns cut":
+        rows = [row[:-5] for row in rows]
+    else:
+        alg = make_field(8)
+    with pytest.raises(error):
+        ParityCheckMatrix(pcm.spec, Matrix(alg, rows))
 
 
 # ------------------------------------------------- file format

@@ -458,6 +458,22 @@ def test_is_sd_stops_at_the_first_failing_disk_set(gf16, monkeypatch):
     assert scans == disk_sets[:k]
 
 
+def test_is_sd_builds_no_schur_plan_past_its_witness_batch(gf16, monkeypatch):
+    # 72 bits hold 3 disk sets of w = 3 byte lanes: batches start at disk
+    # sets 0, 3, 6 and 9, and the witness, disk set 7 of 10, is in the third
+    monkeypatch.setattr(sdcheck, "_PLAN_BITS", 72)
+    h = build_h2(3, 5, gf16)
+    bad = corrupt(h, 3, 9, h.matrix.bits[3][0])
+    naive_witness, checked = naive_is_sd(bad)
+    firsts, plan = [], sdcheck._schur_plan
+    monkeypatch.setattr(sdcheck, "_schur_plan", lambda ops, block, first, stop:
+                        firsts.append(first) or plan(ops, block, first, stop))
+    assert is_sd(bad) == SdReport(False, naive_witness, checked)
+    assert sorted(set(firsts)) == [0, 3, 6]
+    firsts.clear()
+    assert is_sd(h).sd and firsts == [0, 3, 6, 9]
+
+
 # ------------------------------------------ Schur residual against eliminate
 
 def _eliminate_scan_group(views, spec, disks):
@@ -493,8 +509,8 @@ def _assert_groups_match_oracle(hm):
     codes = [(c.spec, spec.algebra.factor_views(c.matrix.bits))
              for c in [shorten(hm, d) for d in range(1, spec.r)] + [hm]]
     failing = 0
-    for disks in combinations(range(spec.n), spec.m):
-        first_at = sdcheck._group(spec, views, disks)
+    for disks, residuals in sdcheck._schur_residuals(spec, views):
+        first_at = sdcheck._group(spec, views, disks, residuals)
         assert first_at(0) is None
         for short, plain in codes:
             want = _eliminate_scan_group(plain, short, disks)
@@ -610,8 +626,9 @@ def test_schur_scan_fallback_on_hand_made_blocks(case, monkeypatch):
 def test_ring7_block_singular_in_one_factor_view_only():
     hm, _ = _fallback_cases()["ring7-one-factor"]
     views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
-    assert [v[4][(0, 1)] is None for v in views] == [True, False]
-    assert [_schur_residual(hm.spec, *v[:4], (0, 1)) is None for v in views] == [True, False]
+    residuals = dict(sdcheck._schur_residuals(hm.spec, views))[(0, 1)]
+    assert [res is None for res in residuals] == [True, False]
+    assert [_schur_residual(hm.spec, *v, (0, 1)) is None for v in views] == [True, False]
 
 
 def test_repeated_blocks_singular_in_one_ring_factor_match_eliminate_at_every_depth():
@@ -620,8 +637,8 @@ def test_repeated_blocks_singular_in_one_ring_factor_match_eliminate_at_every_de
     hm, _ = _fallback_cases()["ring7-repeated-blocks"]
     views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
     assert [(len(v[2]), v[3]) for v in views] == [(2, [0, 1, 0, 1])] * 2
-    assert [[v[4][d] is None for v in views]
-            for d in combinations(range(4), 2)] == [[True, False]] + [[False, False]] * 5
+    assert [[res is None for res in residuals] for _, residuals in
+            sdcheck._schur_residuals(hm.spec, views)] == [[True, False]] + [[False, False]] * 5
     _assert_groups_match_oracle(hm)
     assert sd_depth(hm) == per_depth_sd_depth(hm)
 
@@ -650,9 +667,9 @@ def _record_residuals(monkeypatch):
     schur = sdcheck._schur_residuals
 
     def record(*args):
-        found = schur(*args)
-        residuals.extend(found.values())
-        return found
+        for disks, found in schur(*args):
+            residuals.extend(found)
+            yield disks, found
     monkeypatch.setattr(sdcheck, "_schur_residuals", record)
     return residuals
 
@@ -683,10 +700,13 @@ def _assert_plans_match_oracle(hm):
     """Every factor view's residual at every disk set equals the oracle's;
     returns the number of (view, disk set) residuals that are None."""
     spec, nones = hm.spec, 0
-    for view in sdcheck._local_blocks(spec, hm.matrix.bits):
-        assert list(view[4]) == list(combinations(range(spec.n), spec.m))
-        for disks, residual in view[4].items():
-            assert residual == _schur_residual(spec, *view[:4], disks), (spec, disks)
+    views = sdcheck._local_blocks(spec, hm.matrix.bits)
+    stream = list(sdcheck._schur_residuals(spec, views))
+    assert [disks for disks, _ in stream] == list(combinations(range(spec.n), spec.m))
+    for disks, residuals in stream:
+        assert len(residuals) == len(views)
+        for view, residual in zip(views, residuals):
+            assert residual == _schur_residual(spec, *view, disks), (spec, disks)
             nones += residual is None
     return nones
 
@@ -846,8 +866,8 @@ x:2b x:37 x:14 x:11 x:27 x:e x:27 x:3 x:26 x:2c x:b x:1c
 def test_sd_depth_falls_back_where_one_ring_factor_has_a_singular_block(monkeypatch):
     hm = read_matrix(io.StringIO(_RING7_ONE_FACTOR_SINGULAR))
     views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
-    assert [[v[4][d] is None for v in views]
-            for d in combinations(range(4), 2)] == [[True, False]] + [[False, False]] * 5
+    assert [[res is None for res in residuals] for _, residuals in
+            sdcheck._schur_residuals(hm.spec, views)] == [[True, False]] + [[False, False]] * 5
     cut = []
     singular_ops = hm.spec.algebra.factor_ops[0]
     monkeypatch.setattr(sdcheck, "eliminate",
@@ -882,8 +902,8 @@ def test_sd_depth_carries_the_smallest_failing_depth_across_disk_sets(gf16, monk
     assert [min(d for d in (1, 2, 3) if fails((k,), d)) for k in range(4)] == [3, 2, 2, 3]
     asked, group = [], sdcheck._group
 
-    def recording(spec, views, disks):
-        first_at = group(spec, views, disks)
+    def recording(spec, views, disks, residuals):
+        first_at = group(spec, views, disks, residuals)
         return lambda depth: asked.append((disks, depth)) or first_at(depth)
 
     monkeypatch.setattr(sdcheck, "_group", recording)
