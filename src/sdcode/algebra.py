@@ -34,8 +34,11 @@ Field multiplication uses log/antilog tables built on a primitive element
 (found by search, since the residue of x need not generate the whole
 multiplicative group).  Ring factor fields of degree above 16 have none: a
 product there is a 4-bit-window carry-less multiply reduced one byte at a
-time through fold tables built with the field, and ``_Gf2mOps.ratios``
-takes one inverse per sweep, not per column.
+time through fold tables built with the field.  Their ``_Gf2mOps.ratios``
+sweep takes no inverse: it keys each column by y times the other nonzero
+xs, from prefix and suffix products of spread residues (one bit per byte,
+two bytes past degree 255), each one int multiply reduced by a fold at
+x^p when the factor is M_p(x) itself and by Barrett reduction otherwise.
 """
 
 from __future__ import annotations
@@ -105,6 +108,9 @@ def unpack(acc: int, count: int, width: int) -> list[int]:
     return [acc >> o & mask for o in range(0, count * width, width)]
 
 
+_SELECT = [bytes(v >> k & 1 for k in range(8)) for v in range(256)]    # a byte's bits, a byte each
+
+
 def byte_tables(images: Sequence[int]) -> list[list[int]]:
     """Split tables of the GF(2)-linear map that takes bit i to images[i]:
     table t maps a byte b to the XOR of images[8t + i] over the set bits i
@@ -141,10 +147,20 @@ class _Gf2mOps:
     ``poly.mul`` followed by ``reduce``, which folds the bits above the
     degree one byte at a time through tables built with the field, one per
     byte of x^d .. x^(2d-2): its domain is a product of two residues.
+
+    The tableless ``ratios`` sweep multiplies spread residues instead
+    (Kronecker substitution, as in Harvey, J. Symbolic Comput. 2009): bit
+    k of a residue goes to the low bit of slot k, a slot one byte wide, or
+    two where d > 255, since a slot of a product counts up to d pairs of
+    bits.  A carry-less product is then one int multiply, each slot's low
+    bit its coefficient.  ``_spread_mul`` reduces it by folding at x^p
+    when f is M_p(x) itself (x^p = 1 there) and by Barrett reduction with
+    floor(x^(2d) / f) otherwise; its constants are built with the field.
     """
 
     __slots__ = ("modulus", "degree", "q", "qm1", "has_tables", "exp", "log",
-                 "_fold", "_exp_np", "_log_np")
+                 "_fold", "_exp_np", "_log_np", "_slot", "_ones", "_shift", "_top", "_mu",
+                 "_tail", "_spread_mul")
 
     def __init__(self, modulus: int):
         self.modulus = modulus
@@ -177,6 +193,16 @@ class _Gf2mOps:
             self.exp = self.log = None
             d = self.degree
             self._fold = byte_tables([poly.mod(1 << k, modulus) for k in range(d, 2 * d - 1)])
+            self._slot = slot = 8 if d < 256 else 16
+            if modulus & (modulus + 1) == 0:        # M_p(x), p = d + 1: x^p = 1
+                self._shift, self._top = (d + 1) * slot, d * slot
+                self._spread_mul = self._mul_fold
+            else:
+                self._shift = d * slot
+                self._mu, self._tail = self._spread([poly.divmod_(1 << 2 * d, modulus)[0],
+                                                     modulus ^ 1 << d])
+                self._spread_mul = self._mul_barrett
+            self._ones = ((1 << self._shift) - 1) // ((1 << slot) - 1)    # 1s below _shift
 
     def _find_generator(self) -> int:
         primes = poly._prime_factors(self.qm1)
@@ -215,21 +241,55 @@ class _Gf2mOps:
 
     def ratios(self, xs: Sequence[int], ys: Sequence[int]) -> list:
         """One key per column: equal keys mean equal ratios y/x, and -1 marks
-        x = 0.  With tables the key is log y - log x mod q-1 (q-1 for y = 0);
-        without, y/x itself, from one inverse for the whole sweep."""
+        x = 0.  With tables the key is log y - log x mod q-1 (q-1 for y = 0).
+        Without, it is y times the product of the other nonzero xs, the
+        ratio times one constant of the sweep, as a spread residue (0 for
+        y = 0) from prefix and suffix products: no inverse."""
         if self.has_tables:
             log, qm1 = self.log, self.qm1
             return [-1 if not x else (log[y] - log[x]) % qm1 if y else qm1 for x, y in zip(xs, ys)]
+        n, mul = len(xs), self._spread_mul
+        spread = self._spread([*xs, *ys])
         prefix, acc = [], 1             # prefix[i] = product of the nonzero xs before i
-        for x in xs:
+        for x in spread[:n]:
             prefix.append(acc)
-            acc = self.mul(acc, x) if x else acc
-        inv, keys = self.inv(acc), [-1] * len(xs)   # inv: of the nonzero xs up to i
-        for i in range(len(xs) - 1, -1, -1):
-            if xs[i]:
-                keys[i] = self.mul(ys[i], self.mul(inv, prefix[i]))
-                inv = self.mul(inv, xs[i])
+            acc = mul(acc, x) if x else acc
+        keys, acc = [-1] * n, 1         # acc: product of the nonzero xs after i
+        for i in range(n - 1, -1, -1):
+            x, y = spread[i], spread[n + i]
+            if x:
+                keys[i] = mul(y, mul(prefix[i], acc)) if y else 0
+                acc = mul(acc, x)
         return keys
+
+    def _spread(self, values) -> list[int]:
+        """Each value with bit k moved to the low bit of slot k; a value may
+        have d + 1 bits, as floor(x^(2d) / f) does."""
+        nbytes, step = (self.degree >> 3) + 1, self._slot >> 3
+        data = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
+        bits = b"".join(map(_SELECT.__getitem__, data))
+        if step > 1:
+            wide = bytearray(step * len(bits))
+            wide[::step] = bits
+            bits = wide
+        span = 8 * nbytes * step
+        return [int.from_bytes(bits[o:o + span], "little") for o in range(0, len(bits), span)]
+
+    def _mul_fold(self, a: int, b: int) -> int:
+        """Product of two spread residues mod M_p(x): slot k + p adds onto
+        slot k, as x^p = 1, and a set slot p-1 clears by adding M_p(x)."""
+        t = a * b
+        t = (t + (t >> self._shift)) & self._ones
+        return t ^ self._ones if t >> self._top else t
+
+    def _mul_barrett(self, a: int, b: int) -> int:
+        """Product of two spread residues mod f, by Barrett reduction: as t
+        has degree below 2d, t div f is exactly (t div x^d) floor(x^(2d) /
+        f) div x^d, and the remainder is the low d slots of t + (t div f)
+        (f - x^d)."""
+        t, ones, shift = a * b, self._ones, self._shift
+        q = ((t >> shift) & ones) * self._mu >> shift & ones
+        return (t ^ q * self._tail) & ones
 
     def np_tables(self):
         """(exp, log) as int32 numpy arrays, or None when table-less.  Needs

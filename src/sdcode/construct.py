@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -46,7 +46,8 @@ _FIXED_MS = {"construction1": (1, 2), "construction2": (2, 2)}
 @dataclass(frozen=True, slots=True)
 class CodeSpec:
     """Code parameters: n disks, m coding disks, s extra coding sectors,
-    r sector rows per stripe."""
+    r sector rows per stripe.  The hash is computed once, as Matrix's is,
+    so caches keyed on a spec cost O(1) per lookup."""
 
     n: int
     m: int
@@ -54,6 +55,13 @@ class CodeSpec:
     r: int
     algebra: Algebra
     family: str
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, self.m, self.s, self.r,
+                                                    self.algebra, self.family)))
+        return self._hash
 
     def __post_init__(self):
         if not 0 < self.m < self.n:

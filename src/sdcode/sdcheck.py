@@ -25,10 +25,11 @@ Peel and sweep finds the first failing choice: a subset led by column i
 fails exactly when column i is zero or, once one pivot row clears column
 i, the other s-1 rows fail on the rest of it.  At s = 2 a pair fails
 exactly when a column is zero or both columns have the same ratio, so a
-disk set whose keys from ``ops.ratios`` (one inverse per sweep in a
-tableless field) are pairwise distinct, with no zero column, passes on
-one set-size test, and one backward pass over the keys finds the first
-failing pair elsewhere: O(N^(s-1)) per group and factor.
+disk set whose keys from ``ops.ratios`` (in a tableless field, the ratio
+times one constant of the sweep, with no inverse) are pairwise distinct,
+with no zero column, passes on one set-size test, and one backward pass
+over the keys finds the first failing pair elsewhere: O(N^(s-1)) per
+group and factor.
 
 Over the ring the same procedure runs once per factor view the algebra
 supplies, one per irreducible factor of M_p(x); a pattern fails if it
@@ -67,7 +68,7 @@ from math import comb
 from operator import getitem, index, xor
 from typing import Callable, Optional, Sequence
 
-from .algebra import key_values, lane_width, read_int
+from .algebra import _SELECT, key_values, lane_width, read_int
 from .construct import CodeSpec, ParityCheckMatrix
 from .errors import PatternInvalidError, TooManyErasuresError
 from .linalg import det_bits, eliminate, full_column_rank, pack, submatrix, unpack, x_powers
@@ -154,7 +155,8 @@ def _first_singular_pair(ops, r0: list[int], r1: list[int]):
 
     A pair is singular exactly when one of its columns is zero or both
     columns have the same ratio r1/r0, whose key ``ops.ratios`` gives (-1
-    when r0 is zero; a tableless field inverts once for all the columns).
+    when r0 is zero; a tableless field keys the ratio times the product
+    of the nonzero r0 entries, so it inverts nothing).
     So when the keys are pairwise distinct and the column keyed -1, if
     any, is not zero, no pair fails: one set test decides, and the
     backward pass runs only where keys collide or a column is zero.
@@ -223,7 +225,6 @@ def _local_blocks(spec: CodeSpec, bits):
 
 
 _PLAN_BITS = 1 << 14        # about the most bits one packed int of a plan holds
-_SELECT = [bytes(v >> k & 1 for k in range(8)) for v in range(256)]    # a byte's bits
 
 
 @lru_cache(maxsize=64)

@@ -16,7 +16,7 @@ from sdcode import (
     parse_algebra,
 )
 from sdcode import _gf2poly as poly
-from sdcode.algebra import DEFAULT_FIELD_POLY, byte_tables, lane_width, read_int
+from sdcode.algebra import DEFAULT_FIELD_POLY, _Gf2mOps, byte_tables, lane_width, read_int
 from sdcode.errors import (
     AlgebraMismatchError,
     BadWidthError,
@@ -504,8 +504,9 @@ def test_byte_tables_match_the_xor_of_images(n):
 
 
 def _tableless_ops():
-    ops = [make_ring(41).factor_ops[1], make_ring(101).factor_ops[0], make_ring(37).factor_ops[0]]
-    assert [o.degree for o in ops] == [20, 100, 36] and not any(o.has_tables for o in ops)
+    ops = [make_ring(41).factor_ops[1], make_ring(101).factor_ops[0], make_ring(37).factor_ops[0],
+           make_ring(269).factor_ops[0]]
+    assert [o.degree for o in ops] == [20, 100, 36, 268] and not any(o.has_tables for o in ops)
     return ops
 
 
@@ -521,22 +522,54 @@ def test_tableless_mul_and_inv_match_poly():
                 assert ops.inv(a) == poly.invmod(a, f)
 
 
+def _unspread(ops, v):
+    """The residue of a spread int: the low bit of each slot."""
+    return sum((v >> k * ops._slot & 1) << k for k in range(ops.degree))
+
+
+@pytest.mark.parametrize("modulus, slot, reduction", [
+    (make_ring(41).factor_ops[1].modulus, 8, "barrett"),
+    (0x100001B, 8, "barrett"),      # x^24+x^4+x^3+x+1: floor(x^48/f) fills a fourth byte
+    ((1 << 37) - 1, 8, "fold"), ((1 << 101) - 1, 8, "fold"),
+    ((1 << 269) - 1, 16, "fold"), (1 << 281 | 1 << 93 | 1, 16, "barrett")],
+    ids=["ring41", "deg24", "ring37", "ring101", "ring269", "deg281"])
+def test_spread_products_match_mulmod(modulus, slot, reduction):
+    # a slot counts up to d pairs of bits: one byte up to d = 255, two
+    # above; M_p(x) folds at x^p, any other f takes Barrett reduction
+    assert poly.is_irreducible(modulus)
+    ops = _Gf2mOps(modulus)
+    d = ops.degree
+    assert (ops._slot, ops._spread_mul.__name__) == (slot, f"_mul_{reduction}")
+    rng = random.Random(modulus)
+    operands = [0, 1, 2, ops.qm1, 1 << (d - 1)] + [rng.getrandbits(d) for _ in range(15)]
+    spread = ops._spread(operands)
+    assert [_unspread(ops, v) for v in spread] == operands
+    assert all(v >> d * slot == 0 and v & ~ops._ones == 0 for v in spread)
+    for a, sa in zip(operands, spread):
+        for b, sb in zip(operands, spread):
+            assert ops._spread_mul(sa, sb) == ops._spread([poly.mulmod(a, b, modulus)])[0]
+
+
 def test_ratios_key_each_column_by_its_ratio(gf16):
     rng = random.Random(16)
-    # every (x, y) of GF(16), then the tableless ring41 and ring101 fields
+    # every (x, y) of GF(16), then each tableless field
     pairs = [(x, y) for x in range(16) for y in range(16)]
     cases = [(gf16.ops, [x for x, _ in pairs], [y for _, y in pairs])]
-    for ops in _tableless_ops()[:2]:
+    for ops in _tableless_ops():
         alphabet = [0, 1] + [rng.getrandbits(ops.degree) for _ in range(4)]
         xs = rng.choices(alphabet, k=60) + [0, 0, 5, 5]
         ys = rng.choices(alphabet, k=60) + [0, 7, 0, 7]
+        # equal ratios from unequal columns: (x, y) and (cx, cy)
+        c = rng.getrandbits(ops.degree) | 1
+        xs += [ops.mul(c, x) for x in xs[:8]]
+        ys += [ops.mul(c, y) for y in ys[:8]]
         cases.append((ops, xs, ys))
+        assert ops.ratios([0] * 3, [0, 1, 5]) == [-1] * 3
     for ops, xs, ys in cases:
         keys = ops.ratios(xs, ys)
         want = [ops.mul(y, ops.inv(x)) if x else None for x, y in zip(xs, ys)]
+        assert len(keys) == len(xs)
         assert [k == -1 for k in keys] == [x == 0 for x in xs]
-        if not ops.has_tables:
-            assert keys == [-1 if w is None else w for w in want]
         # equal keys exactly when equal ratios; ratio 0 keeps its own key
         for i in range(len(xs)):
             for j in range(len(xs)):
@@ -544,6 +577,7 @@ def test_ratios_key_each_column_by_its_ratio(gf16):
                     assert (keys[i] == keys[j]) == (want[i] == want[j])
         zero_keys = {k for k, x, y in zip(keys, xs, ys) if x and not y}
         assert len(zero_keys) == 1 and -1 not in zero_keys
+        assert zero_keys.isdisjoint(k for k, x, y in zip(keys, xs, ys) if x and y)
 
 
 def test_descriptor_round_trip(gf16, gf256, ring17):

@@ -1,4 +1,5 @@
 """Systematic encoding, erasure decoding, and the stripe text format."""
+import dataclasses
 import io
 import json
 import random
@@ -28,7 +29,7 @@ from sdcode import (
 from sdcode import codec, linalg
 from sdcode.algebra import Element
 from sdcode.codec import STRIPE_MAGIC, data_columns
-from sdcode.construct import ParityCheckMatrix
+from sdcode.construct import CodeSpec, ParityCheckMatrix
 from sdcode.linalg import Matrix, eliminate, mul_vector, packed_map
 from sdcode.sdcheck import erased_columns
 from sdcode.errors import (
@@ -352,6 +353,26 @@ def test_one_solve_per_encode_and_decode(monkeypatch, gf16, ring17):
             assert decode(hm, erase(want, pattern)) == want and len(calls) == 2 * hits + 2
             assert linalg._solve_plan.cache_info().hits == 2 * hits
         monkeypatch.undo()
+
+
+def test_equal_specs_hash_equal_and_share_the_cached_layout(monkeypatch, gf16):
+    # CodeSpec keeps its hash once computed, outside comparison and repr:
+    # an equal spec built apart hashes equal and finds the cached layout
+    a = build_h2(3, 5, gf16).spec
+    b = CodeSpec(n=5, m=2, s=2, r=3, algebra=make_field(4), family="construction2")
+    calls = []
+    field_hash = Field.__hash__
+    monkeypatch.setattr(Field, "__hash__", lambda f: calls.append(f) or field_hash(f))
+    assert hash(b) == hash(b) and len(calls) == 1          # the algebra is hashed once
+    monkeypatch.undo()
+    assert a == b and a is not b and "_hash" not in repr(a)
+    assert hash(a) == hash(b) == hash(dataclasses.replace(b))
+    assert hash(a) == hash((5, 2, 2, 3, gf16, "construction2"))
+    assert dataclasses.replace(a, r=4) != a
+    codec._parity_layout.cache_clear()
+    assert data_columns(a) == data_columns(b)
+    info = codec._parity_layout.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 # --------------------------------------------- the two-step solve, as oracle

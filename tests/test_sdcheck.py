@@ -276,18 +276,28 @@ def _brute_first_pair(mul, r0, r1):
 
 
 @pytest.mark.parametrize("make", [lambda: make_field(4).ops, lambda: make_field(8).ops,
-                                  lambda: make_ring(41).factor_ops[0]],
-                         ids=["gf16", "gf256", "tableless-gf2^20"])
+                                  lambda: make_ring(41).factor_ops[0],
+                                  lambda: make_ring(37).factor_ops[0],
+                                  lambda: make_ring(101).factor_ops[0],
+                                  lambda: make_ring(269).factor_ops[0]],
+                         ids=["gf16", "gf256", "tableless-gf2^20", "fold-gf2^36", "fold-gf2^100",
+                              "wide-fold-gf2^268"])
 def test_the_set_test_agrees_with_the_backward_pass(make):
     # rows of pairwise distinct ratios, then with planted faults: a
     # duplicate ratio, one or two x = 0 columns, one or two y = 0 columns,
-    # and a lone all-zero column at the first, a middle and the last place
+    # and a lone all-zero column at the first, a middle and the last place;
+    # tableless keys are spread products, by Barrett reduction at degree
+    # 20 and by folding at x^p in M_37, M_101 and M_269 (two-byte slots)
     ops = make()
     rng = random.Random(f"set-test/{ops.modulus:x}")
     outcomes = {"set test": 0, "backward": 0}
     for _ in range(60):
         size = rng.randint(2, min(12, ops.qm1))
-        ratios = rng.sample(range(1, ops.q), size)
+        ratios = []                     # pairwise distinct and nonzero
+        while len(ratios) < size:
+            k = rng.randrange(1, ops.q)
+            if k not in ratios:
+                ratios.append(k)
         r0 = [rng.randrange(1, ops.q) for _ in range(size)]
         r1 = [ops.mul(x, k) for x, k in zip(r0, ratios)]
         i, j = sorted(rng.sample(range(size), 2))
@@ -553,9 +563,11 @@ def test_schur_scan_matches_eliminate_on_random_generic_codes(alg_name):
     lambda: build_h2(2, 16, make_field(16)), lambda: build_h1(3, 16, make_field(16)),
     lambda: build_h2(2, 16, make_field(8)), lambda: build_h2(3, 5, make_ring(127)),
     lambda: _random_generic(make_field(16), 6, 1, 3, 2, random.Random(7919)),
-    lambda: build_h2(2, 5, make_ring(101)), lambda: build_h2(2, 5, make_ring(41))],
+    lambda: build_h2(2, 5, make_ring(101)), lambda: build_h2(2, 5, make_ring(41)),
+    lambda: build_h2(2, 5, make_ring(37)), lambda: build_h2(2, 5, make_ring(269))],
     ids=["c2_r2_n16_gf65536", "c1_r3_n16_gf65536", "c2_r2_n16_gf256", "c2_r3_n5_ring127",
-         "generic_m1_s3_r2_n6_gf65536", "c2_r2_n5_ring101", "c2_r2_n5_ring41"])
+         "generic_m1_s3_r2_n6_gf65536", "c2_r2_n5_ring101", "c2_r2_n5_ring41",
+         "c2_r2_n5_ring37", "c2_r2_n5_ring269"])
 def test_schur_scan_matches_eliminate_on_small_ladder_shapes(build):
     hm = build()
     assert _assert_groups_match_oracle(hm) == 0
@@ -566,6 +578,12 @@ def test_schur_scan_matches_eliminate_on_small_ladder_shapes(build):
         row[2] = row[1]
     twin = ParityCheckMatrix(hm.spec, Matrix(hm.spec.algebra, rows))
     assert _assert_groups_match_oracle(twin) == comb(hm.spec.n, hm.spec.m)
+    # the n = 5 ring shapes, whose tableless keys fold at x^p (p = 37, 101,
+    # 269) or take Barrett reduction (p = 41), are small enough for naive
+    if sdcheck._patterns(hm.spec, hm.spec.r) <= 300:
+        for code in (hm, twin):
+            naive_witness, checked = naive_is_sd(code)
+            assert is_sd(code) == SdReport(naive_witness is None, naive_witness, checked)
 
 
 def _hand_made(alg, n, m, s, blocks, global_rows):
