@@ -568,7 +568,6 @@ def test_ratios_key_each_column_by_its_ratio(gf16):
     for ops, xs, ys in cases:
         keys = ops.ratios(xs, ys)
         want = [ops.mul(y, ops.inv(x)) if x else None for x, y in zip(xs, ys)]
-        assert len(keys) == len(xs)
         assert [k == -1 for k in keys] == [x == 0 for x in xs]
         # equal keys exactly when equal ratios; ratio 0 keeps its own key
         for i in range(len(xs)):
@@ -577,7 +576,6 @@ def test_ratios_key_each_column_by_its_ratio(gf16):
                     assert (keys[i] == keys[j]) == (want[i] == want[j])
         zero_keys = {k for k, x, y in zip(keys, xs, ys) if x and not y}
         assert len(zero_keys) == 1 and -1 not in zero_keys
-        assert zero_keys.isdisjoint(k for k, x, y in zip(keys, xs, ys) if x and y)
 
 
 def test_descriptor_round_trip(gf16, gf256, ring17):
