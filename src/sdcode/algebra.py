@@ -108,7 +108,17 @@ def unpack(acc: int, count: int, width: int) -> list[int]:
     return [acc >> o & mask for o in range(0, count * width, width)]
 
 
-_SELECT = [bytes(v >> k & 1 for k in range(8)) for v in range(256)]    # a byte's bits, a byte each
+_BIT = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]     # byte value -> its bit k
+
+
+def bit_bytes(data: bytes) -> bytes:
+    """Every bit of data as one byte, lowest bit first: byte 8t + k is bit
+    k of data[t], from one bytes.translate per bit position.  The result
+    is bytes, which iterates faster than a bytearray."""
+    out = bytearray(8 * len(data))
+    for k, table in enumerate(_BIT):
+        out[k::8] = data.translate(table)
+    return bytes(out)
 
 
 def byte_tables(images: Sequence[int]) -> list[list[int]]:
@@ -267,7 +277,7 @@ class _Gf2mOps:
         have d + 1 bits, as floor(x^(2d) / f) does."""
         nbytes, step = (self.degree >> 3) + 1, self._slot >> 3
         data = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
-        bits = b"".join(map(_SELECT.__getitem__, data))
+        bits = bit_bytes(data)
         if step > 1:
             wide = bytearray(step * len(bits))
             wide[::step] = bits

@@ -21,15 +21,19 @@ times per factor view and batch, one XOR per set bit of the input, for
 all disk sets at once.  Only a factor view with a singular V_i
 eliminates instead, on its rows cut as ``shorten`` cuts H, the local
 ones rebuilt from the blocks.
-Peel and sweep finds the first failing choice: a subset led by column i
-fails exactly when column i is zero or, once one pivot row clears column
-i, the other s-1 rows fail on the rest of it.  At s = 2 a pair fails
-exactly when a column is zero or both columns have the same ratio, so a
-disk set whose keys from ``ops.ratios`` (in a tableless field, the ratio
-times one constant of the sweep, with no inverse) are pairwise distinct,
-with no zero column, passes on one set-size test, and one backward pass
-over the keys finds the first failing pair elsewhere: O(N^(s-1)) per
-group and factor.
+Peel and sweep finds the first failing choice.  At s >= 3 a row with no
+zero entry is a chart: each column divided by its entry there, once per
+call, is a point (1, b) with every subset's singularity kept, and a
+subset led by column i fails exactly when the later points minus point
+i fail on the other s-1 rows, which are XORs, with no product.  Where
+every row has a zero, a subset led by column i fails exactly when column
+i is zero or, once one pivot row clears column i, the other s-1 rows
+fail on the rest of it.  At s = 2 a pair fails exactly when a column is
+zero or both columns have the same ratio, so a disk set whose keys from
+``ops.ratios`` (in a tableless field, the ratio times one constant of
+the sweep, with no inverse) are pairwise distinct, with no zero column,
+passes on one set-size test, and one backward pass over the keys finds
+the first failing pair elsewhere: O(N^(s-1)) per group and factor.
 
 Over the ring the same procedure runs once per factor view the algebra
 supplies, one per irreducible factor of M_p(x); a pattern fails if it
@@ -68,7 +72,7 @@ from math import comb
 from operator import getitem, index, xor
 from typing import Callable, Optional, Sequence
 
-from .algebra import _SELECT, key_values, lane_width, read_int
+from .algebra import bit_bytes, key_values, lane_width, read_int
 from .construct import CodeSpec, ParityCheckMatrix
 from .errors import PatternInvalidError, TooManyErasuresError
 from .linalg import det_bits, eliminate, full_column_rank, pack, submatrix, unpack, x_powers
@@ -191,9 +195,28 @@ def _first_pair_backward(r0: list[int], r1: list[int], keys: list):
 
 def _first_singular(ops, rows: list[list[int]], s: int):
     """First s-column subset, in lexicographic order, whose s x s
-    submatrix of the s rows is singular; None when there is none (s = 0)."""
+    submatrix of the s rows is singular; None when there is none (s = 0).
+
+    At s >= 3 the first row with no zero entry is the chart: each column
+    divided by its entry there (one inverse and s - 1 products a column,
+    once per call) is a point (1, b), as scaling a column keeps every
+    subset's singularity, and a subset led by column i fails exactly when
+    the later points minus point i (subtracting a column keeps the rank)
+    fail on the other s - 1 rows, so no level multiplies in its loop.
+    With no chart, column i fails alone when it is zero, and otherwise is
+    peeled by eliminating it with one pivot row."""
     if s == 2:
         return _first_singular_pair(ops, *rows)
+    chart = next((k for k, row in enumerate(rows) if all(row)), None) if s > 2 else None
+    if chart is not None:
+        scale = list(map(ops.inv, rows[chart]))
+        points = [list(map(ops.mul, row, scale)) for k, row in enumerate(rows) if k != chart]
+        for i in range(len(scale) - s + 1):
+            rest = _first_singular(ops, [list(map(xor, p[i + 1:], repeat(p[i]))) for p in points],
+                                   s - 1)
+            if rest is not None:
+                return (i, *(i + 1 + j for j in rest))
+        return None
     for i in range(len(rows[0]) - s + 1 if s else 0):
         if not any(row[i] for row in rows):
             return tuple(range(i, i + s))
@@ -279,7 +302,7 @@ def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind):
     selectors = []                      # per global row, per stripe row: its entries' bits
     for g in glob:
         data = b"".join(map(int.to_bytes, g, repeat(nbytes), repeat("little")))
-        bits = b"".join(map(_SELECT.__getitem__, data))
+        bits = bit_bytes(data)
         selectors.append([bits[i * span:(i + 1) * span] for i in range(r)])
     total, per = comb(n, m), max(1, _PLAN_BITS // (lane * w))
     for first in range(0, total, per):

@@ -16,7 +16,8 @@ from sdcode import (
     parse_algebra,
 )
 from sdcode import _gf2poly as poly
-from sdcode.algebra import DEFAULT_FIELD_POLY, _Gf2mOps, byte_tables, lane_width, read_int
+from sdcode.algebra import (DEFAULT_FIELD_POLY, _Gf2mOps, bit_bytes, byte_tables, lane_width,
+                            read_int)
 from sdcode.errors import (
     AlgebraMismatchError,
     BadWidthError,
@@ -548,6 +549,18 @@ def test_spread_products_match_mulmod(modulus, slot, reduction):
     for a, sa in zip(operands, spread):
         for b, sb in zip(operands, spread):
             assert ops._spread_mul(sa, sb) == ops._spread([poly.mulmod(a, b, modulus)])[0]
+
+
+def test_bit_bytes_match_a_join_of_each_bytes_bits():
+    # the join bit_bytes replaced, on every byte value, then on random
+    # 1-2 KB buffers
+    def join(data):
+        return b"".join(bytes(v >> k & 1 for k in range(8)) for v in data)
+
+    rng = random.Random("bit_bytes")
+    buffers = [bytes(range(256)), b""] + [rng.randbytes(rng.randint(1024, 2048)) for _ in range(4)]
+    for data in buffers:
+        assert bit_bytes(data) == join(data)
 
 
 def test_ratios_key_each_column_by_its_ratio(gf16):

@@ -321,6 +321,65 @@ def test_the_set_test_agrees_with_the_backward_pass(make):
     assert min(outcomes.values()) > 100
 
 
+def _brute_first_singular(mul, rows, s):
+    """The first s-column subset whose s x s determinant is zero, by trying
+    them all in combinations order."""
+    return next((c for c in combinations(range(len(rows[0])), s)
+                 if not det_bits(mul, [[row[j] for j in c] for row in rows])), None)
+
+
+@pytest.mark.parametrize("make", [lambda: make_field(4).ops, lambda: make_field(8).ops,
+                                  lambda: make_field(16).ops,
+                                  lambda: make_ring(41).factor_ops[0],
+                                  lambda: make_ring(101).factor_ops[0]],
+                         ids=["gf16", "gf256", "gf65536", "tableless-gf2^20", "fold-gf2^100"])
+def test_the_chart_peel_agrees_with_the_subset_oracle(make, monkeypatch):
+    # s = 3, 4 and 5 rows, zero-free, then with planted faults: a zero in
+    # every row (no chart: the elimination fallback), two coincident
+    # columns up to a factor, and a collinear triple among the last
+    # columns; eliminate runs only in a call whose every row has a zero
+    ops = make()
+    rng = random.Random(f"chart/{ops.modulus:x}")
+    calls, eliminated = [], []
+    first_singular = sdcheck._first_singular
+
+    def spy_first_singular(ops, rows, s):
+        calls.append(rows)
+        try:
+            return first_singular(ops, rows, s)
+        finally:
+            calls.pop()
+
+    def spy_eliminate(*args):
+        assert all(not all(row) for row in calls[-1])
+        eliminated.append(args)
+        return eliminate(*args)
+
+    monkeypatch.setattr(sdcheck, "_first_singular", spy_first_singular)
+    monkeypatch.setattr(sdcheck, "eliminate", spy_eliminate)
+    outcomes = {"fails": 0, "passes": 0, "fallback": 0}
+    for s in (3, 4, 5):
+        for _ in range(3 if ops.degree > 16 else 6):
+            size = rng.randint(s + 1, s + 4)
+            rows = [[rng.randrange(1, ops.q) for _ in range(size)] for _ in range(s)]
+            zeros = [list(row) for row in rows]
+            for row in zeros:
+                row[rng.randrange(size)] = 0
+            a, b = sorted(rng.sample(range(size), 2))
+            c = rng.randrange(1, ops.q)
+            coincident = [row[:b] + [ops.mul(c, row[a])] + row[b + 1:] for row in rows]
+            x, y = rng.randrange(1, ops.q), rng.randrange(1, ops.q)
+            collinear = [row[:-1] + [ops.mul(x, row[-3]) ^ ops.mul(y, row[-2])] for row in rows]
+            for case in (rows, zeros, coincident, collinear):
+                before = len(eliminated)
+                got = sdcheck._first_singular(ops, [list(row) for row in case], s)
+                assert got == _brute_first_singular(ops.mul, case, s), (s, case)
+                assert case is not rows or s > 3 or len(eliminated) == before
+                outcomes["fails" if got else "passes"] += 1
+                outcomes["fallback"] += case is zeros and len(eliminated) > before
+    assert all(outcomes.values()), outcomes
+
+
 # (name, matrix factory, first failing survivor triple of disk set (0,));
 # n = 4 and r = 2, so disk set (0,) has six survivors
 _CRAFTED_TRIPLES = [

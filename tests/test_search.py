@@ -111,6 +111,20 @@ def test_search_report_bytes_are_pinned(w, seed, digest):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("alg_name,n,s,r_max,trials,seed,digest", [
+    ("gf256", 6, 3, 6, 6, 1, "a15953333ae6d154"), ("gf256", 6, 3, 6, 6, 7919, "0a96e642c230a13f"),
+    ("gf256", 5, 4, 4, 4, 1, "7466fb35798cd4b8"), ("gf256", 5, 4, 4, 4, 7919, "e2638613a5a2e2c2"),
+    ("ring17", 5, 3, 3, 6, 1, "077729cd8e45ef40"), ("ring17", 5, 3, 3, 6, 7919, "881efd0d785d86f5"),
+    ("ring17", 4, 4, 4, 4, 1, "6eee7bfd4a605422"), ("ring17", 4, 4, 4, 4, 7919, "cbc54b50e13463ea")])
+def test_s3_and_s4_search_report_bytes_are_pinned(alg_name, n, s, r_max, trials, seed, digest):
+    # witnesses follow the enumeration order, not the scan's kernel: these
+    # digests were taken when the s >= 3 peel eliminated at every column
+    alg = make_field(8) if alg_name == "gf256" else make_ring(17)
+    cfg = SearchConfig(n=n, m=1, s=s, r_max=r_max, trials=trials, seed=seed, algebra=alg)
+    text = format_report(run_search(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("alg_name", ["gf16", "ring17"])
 def test_default_search_builds_no_element(alg_name, monkeypatch):
     alg = make_field(4) if alg_name == "gf16" else make_ring(17)
