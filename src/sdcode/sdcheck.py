@@ -17,10 +17,10 @@ calls: det(V) and adj(V) B_i per disk set, and the map's columns times
 each x^k, with every disk set's residual entries packed in one int, one
 entry per lane of 8, 16, 32 or 64 bits (``linalg.x_powers`` with a lane
 stride), which ``unpack`` splits without shifts.  A call applies it r s
-times per factor view and batch, one XOR per set bit of the input, for
-all disk sets at once.  Only a factor view with a singular V_i
-eliminates instead, on its rows cut as ``shorten`` cuts H, the local
-ones rebuilt from the blocks.
+times per factor view and batch (s times in a row-scaled view, below),
+one XOR per set bit of the input, for all disk sets at once.  Only a
+factor view with a singular V_i eliminates instead, on its rows cut as
+``shorten`` cuts H, the local ones rebuilt from the blocks.
 Peel and sweep finds the first failing choice.  At s >= 3 a row with no
 zero entry is a chart: each column divided by its entry there, once per
 call, is a point (1, b) with every subset's singularity kept, and a
@@ -34,6 +34,18 @@ zero or both columns have the same ratio, so a disk set whose keys from
 the sweep, with no inverse) are pairwise distinct, with no zero column,
 passes on one set-size test, and one backward pass over the keys finds
 the first failing pair elsewhere: O(N^(s-1)) per group and factor.
+
+At s = 2, a factor view with one local block is row-scaled when stripe
+row i of each global row g is a nonzero lambda_{g,i} times its stripe
+row 0 part, as in both constructions (alpha^(a_g in) there).  Its Schur
+residual at (i, j) is then lambda_{g,i} times the one at (0, j), so the
+plans run on stripe row 0 alone, and ``_row_scaled`` gives from that
+row's n - m columns the smallest depth at which the disk set fails:
+column (i, j) has the ratio mu_i rho_j, mu_i = lambda_{1,i} /
+lambda_{0,i} fixed per call, rho_j read from row 0, and past depth 1 the
+disk set passes exactly when row 0 has no zero entry and these ratios
+all differ.  Only a disk set that fails expands its full residual
+(lambda_{g,i} times row 0's) and sweeps it, so the witness is the same.
 
 Over the ring the same procedure runs once per factor view the algebra
 supplies, one per irreducible factor of M_p(x); a pattern fails if it
@@ -54,22 +66,24 @@ far (r + 1 before any): a disk set that passes at best - 1 is skipped,
 and one that fails there bisects over 0..best - 1 for its own smallest
 failing depth, which becomes best.  So a tie keeps the earlier disk
 set's witness, and once one disk set fails early most others cost one
-test.  Until the first failure best - 1 is r, so that failure is
-is_sd's witness, the first failing pattern in enumeration order (disk
-sets in lexicographic order, then sector subsets in lexicographic order
-over surviving sectors sorted by (row, disk)).  is_sd stops there, and
-the residuals come a plan batch at a time as the pass reaches them, so
-it builds no plan past that disk set's batch.  A report counts every
-pattern of the code whatever the verdict.
+test.  Where every view is row-scaled ``_least`` gives that depth from
+the views' depth tests, and no bisection runs.  Until the first failure
+best - 1 is r, so that failure is is_sd's witness, the first failing
+pattern in enumeration order (disk sets in lexicographic order, then
+sector subsets in lexicographic order over surviving sectors sorted by
+(row, disk)).  is_sd stops there, and the residuals come a plan batch at
+a time as the pass reaches them, so it builds no plan past that disk
+set's batch.  A report counts every pattern of the code whatever the
+verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, islice, repeat, starmap
 from math import comb
-from operator import getitem, index, xor
+from operator import getitem, index, mod, neg, sub, xor
 from typing import Callable, Optional, Sequence
 
 from .algebra import bit_bytes, key_values, lane_width, read_int
@@ -231,9 +245,9 @@ def _first_singular(ops, rows: list[list[int]], s: int):
 
 def _local_blocks(spec: CodeSpec, bits):
     """Per factor view of H's entries `bits`: (ops, the global rows, the
-    distinct local blocks, each stripe row's block index).  Blocks are
-    told apart in the algebra, and only they and the global rows are
-    projected."""
+    distinct local blocks, each stripe row's block index, and the view's
+    depth test from _row_scaled, or None).  Blocks are told apart in the
+    algebra, and only they and the global rows are projected."""
     m, n, r = spec.m, spec.n, spec.r
     per_row = [tuple(tuple(row[i * n:(i + 1) * n]) for row in bits[i * m:(i + 1) * m])
                for i in range(r)]
@@ -243,7 +257,86 @@ def _local_blocks(spec: CodeSpec, bits):
     out = []
     for ops, rows in spec.algebra.factor_views(local + list(bits[m * r:])):
         blocks = [tuple(map(tuple, rows[k:k + m])) for k in range(0, len(local), m)]
-        out.append((ops, rows[len(local):], blocks, kind))
+        glob = rows[len(local):]
+        least = _row_scaled(ops, glob, n, r) if spec.s == 2 and len(blocks) == 1 else None
+        out.append((ops, glob, blocks, kind, least))
+    return out
+
+
+def _row_scaled(ops, glob, n: int, r: int):
+    """least(x, y) for a row-scaled view of the two global rows glob, else
+    None: the smallest depth at which a disk set whose stripe row 0
+    residual is (x, y) fails, r + 1 when none.  That is 1 where row 0
+    fails alone, else 2 where some x_j or y_j is zero, else the first d at
+    which two ratios mu_i rho_j, i < d, meet (mu_i = mu_i', or rho_j /
+    rho_j' = mu_i' / mu_i): with tables, by w(w-1)/2 lookups of the rho_j
+    log differences among the mu quotients; without, by a set of the r w
+    spread products of ``ops.ratios`` keys.  The test of the view stops
+    at its first global row that is not row-scaled."""
+    if not all(map(all, glob)):
+        return None
+    ratios, zero = ops.ratios, {-1, ops.qm1 if ops.has_tables else 0}   # x = 0, y = 0 keys
+    if ops.has_tables:
+        log, qm1, logs = ops.log, ops.qm1, []
+        for g in glob:                  # log lambda_{g,i}, n times each, or not row-scaled
+            if len(set(map(sub, map(log.__getitem__, g[n:2 * n]),
+                           map(log.__getitem__, g[:n])))) > 2:    # a quick no: stripe row 1
+                return None
+            lg = list(map(log.__getitem__, g))
+            lam = list(map(mod, map(sub, lg, lg[:n] * r), repeat(qm1)))
+            if lam != list(chain.from_iterable(map(repeat, lam[::n], repeat(n)))):
+                return None
+            logs.append(lam[::n])
+        mu = list(map(sub, logs[1], logs[0]))
+        # each quotient mu_i' / mu_i, i != i', with the first depth it
+        # appears at: the pairs go deepest first, so the shallowest stays
+        ahead = list(starmap(sub, combinations(mu[::-1], 2)))
+        quotients = chain.from_iterable(zip(map(mod, ahead, repeat(qm1)),
+                                            map(mod, map(neg, ahead), repeat(qm1))))
+        depths = map(repeat, range(r, 1, -1), range(2 * r - 2, 0, -2))    # d, 2(d-1) times
+        first = dict(zip(quotients, chain.from_iterable(depths)))
+        repeated = first.get(0, r + 1)  # the first depth with mu_i = mu_i'
+
+        def deeper(keys):               # distinct keys descending: differences in 1..q-2
+            hits = first.keys() & starmap(sub, combinations(sorted(keys, reverse=True), 2))
+            return min([repeated, *map(first.__getitem__, hits)])
+    else:
+        spread, mul = ops._spread, ops._spread_mul
+        for g in glob:
+            sp = spread(g)
+            if any(mul(a, sp[0]) != mul(sp[o], b)
+                   for o in range(n, n * r, n) for a, b in zip(sp[o + 1:o + n], sp[1:n])):
+                return None
+        mus = ratios(glob[0][::n], glob[1][::n])        # mu_i times one constant
+
+        def deeper(keys):
+            w, keys = len(keys), [mul(mu, k) for mu in mus for k in keys]
+            if len(set(keys)) == len(keys):
+                return r + 1
+            seen = set()
+            for i in range(r):
+                seen.update(keys[i * w:(i + 1) * w])
+                if len(seen) < (i + 1) * w:
+                    return i + 1
+
+    def least(x, y):
+        keys = ratios(x, y)
+        distinct = set(keys)
+        if len(distinct) < len(keys) or not zero.isdisjoint(distinct):
+            return 2 if _first_singular_pair(ops, x, y) is None else 1
+        return deeper(keys)
+    return least
+
+
+def _unscaled(ops, glob, rows, n: int, depth: int):
+    """A row-scaled view's residual rows over the first `depth` stripe
+    rows, from their stripe row 0 parts `rows`: lambda_{g,i} times row 0's
+    on stripe row i, lambda_{g,i} = g[in] / g[0]."""
+    mul, out = ops.mul, []
+    for g, row in zip(glob, rows):
+        inv = ops.inv(g[0])
+        out.append([mul(lam, v) for lam in [mul(g[o], inv) for o in range(0, n * depth, n)]
+                    for v in row])
     return out
 
 
@@ -287,8 +380,9 @@ def _schur_residuals(spec: CodeSpec, views):
                zip(*[_view_residuals(spec, *view) for view in views]))
 
 
-def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind):
-    """One factor view's residuals for _schur_residuals, disk set by disk set.
+def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind, least):
+    """One factor view's residuals for _schur_residuals, disk set by disk set:
+    of every stripe row, or of stripe row 0 alone in a row-scaled view.
 
     A plan maps a stripe row's n entries to every disk set's residual
     entries there: the XOR of its basis ints at the entries' set bits,
@@ -296,12 +390,13 @@ def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind):
     Plans take the disk sets in batches of about _PLAN_BITS bits, which
     bounds a plan's ints (shift-and-mask, above 64 bits, is quadratic in
     an int's size), and a batch is built only when the scan reaches it."""
-    m, n, r, w, degree = spec.m, spec.n, spec.r, spec.n - spec.m, ops.degree
+    m, n, w, degree = spec.m, spec.n, spec.n - spec.m, ops.degree
+    r = 1 if least else spec.r          # the stripe rows the scan reads
     nbytes, lane = (degree + 7) >> 3, lane_width(degree)
     span = 8 * nbytes * n               # selector bytes per stripe row
     selectors = []                      # per global row, per stripe row: its entries' bits
     for g in glob:
-        data = b"".join(map(int.to_bytes, g, repeat(nbytes), repeat("little")))
+        data = b"".join(map(int.to_bytes, g[:r * n], repeat(nbytes), repeat("little")))
         bits = bit_bytes(data)
         selectors.append([bits[i * span:(i + 1) * span] for i in range(r)])
     total, per = comb(n, m), max(1, _PLAN_BITS // (lane * w))
@@ -322,7 +417,8 @@ def _group(spec: CodeSpec, views, disks: Sequence[int], residuals):
     code shortened to `depth` stripe rows; None when every pattern decodes
     or when fewer than s sectors survive (the group has none).  residuals
     holds each view's Schur residual at disks, as _schur_residuals gives
-    them."""
+    them; a row-scaled view sweeps its full residual only at a depth
+    where its depth test fails."""
     m, n, w, s = spec.m, spec.n, spec.n - spec.m, spec.s
     alive = [j for j in range(n) if j not in disks]     # survivor t is (t // w, alive[t % w])
 
@@ -330,8 +426,12 @@ def _group(spec: CodeSpec, views, disks: Sequence[int], residuals):
         if depth * w < s:
             return None
         firsts = []
-        for (ops, glob, blocks, kind), residual in zip(views, residuals):
-            if residual is None:
+        for (ops, glob, blocks, kind, least), residual in zip(views, residuals):
+            if least and residual is not None:
+                if depth < least(*residual):
+                    continue
+                residual = _unscaled(ops, glob, residual, n, depth)
+            elif residual is None:
                 # a singular V_i: eliminate the rows cut as shorten cuts H,
                 # the local ones rebuilt from their blocks
                 work = [[0] * (i * n) + list(part) + [0] * ((depth - 1 - i) * n)
@@ -349,6 +449,15 @@ def _group(spec: CodeSpec, views, disks: Sequence[int], residuals):
                                                                  for t in first])
 
     return first_at
+
+
+def _least(views, residuals) -> Optional[int]:
+    """The smallest depth at which a disk set fails (r + 1 when none) where
+    every view is row-scaled with its Schur step, from the views' depth
+    tests; else None."""
+    if all(view[4] and residual is not None for view, residual in zip(views, residuals)):
+        return min(view[4](*residual) for view, residual in zip(views, residuals))
+    return None
 
 
 def _patterns(spec: CodeSpec, r: int) -> int:
@@ -402,6 +511,9 @@ def _scan(hm: ParityCheckMatrix, progress: Optional[Callable[[int, int], None]] 
             if not depth:
                 break
         lo, hi = 0, best - 1    # depth lo passes, depth hi fails with `found`
+        least = _least(views, residuals)
+        if least is not None:   # no bisection
+            lo, hi, found = least - 1, least, found if least == hi else first_at(least)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             at_mid = first_at(mid)

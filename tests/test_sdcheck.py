@@ -25,8 +25,8 @@ from sdcode import (
     shorten,
 )
 from sdcode import sdcheck
-from sdcode.search import random_nonzero
-from sdcode.construct import CodeSpec, ParityCheckMatrix
+from sdcode.search import SearchConfig, random_nonzero, run_search
+from sdcode.construct import CodeSpec, ParityCheckMatrix, _of_bits
 from sdcode.linalg import Matrix, det_bits, determinant, eliminate, submatrix
 from sdcode.sdcheck import SdReport, validate_pattern
 from sdcode.errors import (
@@ -571,8 +571,9 @@ def _eliminate_scan_group(views, spec, disks):
 
 def _assert_groups_match_oracle(hm):
     """Every disk set's witness at every depth d equals the oracle's on
-    the code shortened to d stripe rows; returns the number of groups
-    that fail at depth r."""
+    the code shortened to d stripe rows, and its smallest failing depth,
+    where sdcheck._least gives one, is the oracle's; returns the number
+    of groups that fail at depth r."""
     spec = hm.spec
     views = sdcheck._local_blocks(spec, hm.matrix.bits)
     codes = [(c.spec, spec.algebra.factor_views(c.matrix.bits))
@@ -580,10 +581,14 @@ def _assert_groups_match_oracle(hm):
     failing = 0
     for disks, residuals in sdcheck._schur_residuals(spec, views):
         first_at = sdcheck._group(spec, views, disks, residuals)
+        least = sdcheck._least(views, residuals)
         assert first_at(0) is None
+        fails = []
         for short, plain in codes:
             want = _eliminate_scan_group(plain, short, disks)
             assert first_at(short.r) == want, (spec, short.r, disks)
+            fails.append(want is not None)
+        assert least in (None, fails.index(True) + 1 if True in fails else spec.r + 1)
         failing += want is not None
     return failing
 
@@ -705,7 +710,7 @@ def test_ring7_block_singular_in_one_factor_view_only():
     views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
     residuals = dict(sdcheck._schur_residuals(hm.spec, views))[(0, 1)]
     assert [res is None for res in residuals] == [True, False]
-    assert [_schur_residual(hm.spec, *v, (0, 1)) is None for v in views] == [True, False]
+    assert [_schur_residual(hm.spec, *v[:4], (0, 1)) is None for v in views] == [True, False]
 
 
 def test_repeated_blocks_singular_in_one_ring_factor_match_eliminate_at_every_depth():
@@ -782,8 +787,12 @@ def _assert_plans_match_oracle(hm):
     assert [disks for disks, _ in stream] == list(combinations(range(spec.n), spec.m))
     for disks, residuals in stream:
         assert len(residuals) == len(views)
-        for view, residual in zip(views, residuals):
-            assert residual == _schur_residual(spec, *view, disks), (spec, disks)
+        for (ops, glob, blocks, kind, least), residual in zip(views, residuals):
+            want = _schur_residual(spec, ops, glob, blocks, kind, disks)
+            if least and residual is not None:  # row-scaled: stripe row 0 alone
+                assert residual == [row[:spec.n - spec.m] for row in want]
+                residual = sdcheck._unscaled(ops, glob, residual, spec.n, spec.r)
+            assert residual == want, (spec, disks)
             nones += residual is None
     return nones
 
@@ -846,6 +855,161 @@ def test_construction_scan_runs_no_elimination_and_one_block(gf256, monkeypatch)
     calls = []
     monkeypatch.setattr(sdcheck, "eliminate", lambda *a: calls.append(a) or eliminate(*a))
     assert is_sd(hm).sd and not calls
+
+
+# ------------------------------------------------ the row-scaled s = 2 scan
+
+def _formula(alg, m, n, r, exponents):
+    """The code whose global row g holds alpha^(a in + b j) at column
+    in + j, (a, b) = exponents[g], each exponent reduced mod O(alpha):
+    the form of both constructions, built through _of_bits at any r, past
+    rn <= O(alpha) too."""
+    order = alg.order_of_alpha()
+    spec = CodeSpec(n=n, m=m, s=2, r=r, algebra=alg, family="generic")
+    return _of_bits(spec, [[alg.alpha_pow_bits((a * i * n + b * j) % order)
+                            for i in range(r) for j in range(n)] for a, b in exponents])
+
+
+_H1, _H2 = ((1, 1), (2, -1)), ((3, -1), (2, 2))      # the constructions' (a_g, b_g)
+
+
+def _scaled(hm):
+    """Whether each factor view of hm is row-scaled."""
+    return [least is not None for *_, least in sdcheck._local_blocks(hm.spec, hm.matrix.bits)]
+
+
+def _scans(hm):
+    """is_sd's report, from its early-stopping pass, and _scan's triple:
+    is_sd's report, sd_depth's depth and its report, which verify prints."""
+    return is_sd(hm), sdcheck._scan(hm)
+
+
+def _formula_cases(alg, name):
+    """(case, code): the two constructions inside the bound; a_0 = a_1, so
+    mu_i is one value; a b_g in 0..m-1, so global row g is in the local
+    span and its residual is zero; both constructions past the bound,
+    whose stripe row 0 passes and which fail across stripe rows; random
+    exponents inside and past the bound."""
+    rng = random.Random(f"formula/{name}")
+    order = alg.order_of_alpha()
+    expo = lambda: rng.randrange(order)
+    cases = [("h1", _formula(alg, 1, 5, order // 5, _H1)),
+             ("h2", _formula(alg, 2, 4, order // 4, _H2)),
+             ("repeated-mu", _formula(alg, 2, 5, 3, ((7, expo()), (7, expo())))),
+             ("in-local-span", _formula(alg, 1, 4, 3, ((expo(), 0), (expo(), expo())))),
+             ("in-local-span", _formula(alg, 2, 5, 2, ((expo(), expo()), (expo(), 1)))),
+             ("past-bound", _formula(alg, 1, 3, order // 3 + 1, _H1)),
+             ("past-bound", _formula(alg, 2, 4, order // 4 + 2, _H2))]
+    for k in range(6):
+        n = rng.randint(3, 7)
+        m, bound = rng.randint(1, min(3, n - 2)), max(1, order // n)
+        r = rng.randint(1, bound) if k % 2 else rng.randint(bound + 1, bound + 3)
+        cases.append(("random", _formula(alg, m, n, r, ((expo(), expo()), (expo(), expo())))))
+    return cases
+
+
+_FORMULA_ALGEBRAS = {"gf16": lambda: make_field(4), "gf32": lambda: make_field(5),
+                     "gf256": lambda: make_field(8), "ring7": lambda: make_ring(7),
+                     "ring17": lambda: make_ring(17), "ring31": lambda: make_ring(31),
+                     "ring37": lambda: make_ring(37), "ring41": lambda: make_ring(41),
+                     "ring101": lambda: make_ring(101)}
+
+
+@pytest.mark.parametrize("alg_name", sorted(_FORMULA_ALGEBRAS))
+def test_row_scaled_scan_matches_the_generic_path_on_formula_codes(alg_name, monkeypatch):
+    # table factors up to p = 31; GF(2^36), GF(2^20) and GF(2^100), the
+    # factors of p = 37, 41 and 101, are tableless
+    alg = _FORMULA_ALGEBRAS[alg_name]()
+    cases = _formula_cases(alg, alg_name)
+    assert cases[0][1].matrix == build_h1(alg.order_of_alpha() // 5, 5, alg).matrix
+    assert cases[1][1].matrix == build_h2(alg.order_of_alpha() // 4, 4, alg).matrix
+    assert all(all(_scaled(hm)) for _, hm in cases)
+    got = [_scans(hm) for _, hm in cases]
+    kinds = {}
+    for (case, hm), (_, (_, depth, _)) in zip(cases, got):
+        kinds.setdefault(case, set()).add(_depth_kind(hm, depth))
+        if sdcheck._patterns(hm.spec, hm.spec.r) <= 300:
+            naive_witness, checked = naive_is_sd(hm)
+            assert is_sd(hm) == SdReport(naive_witness is None, naive_witness, checked)
+    assert kinds["h1"] == kinds["h2"] == {"all"}
+    assert kinds["repeated-mu"] <= {"none", "some"} and kinds["in-local-span"] == {"none"}
+    assert kinds["past-bound"] == {"some"}
+    monkeypatch.setattr(sdcheck, "_row_scaled", lambda *a: None)
+    assert not any(any(_scaled(hm)) for _, hm in cases)
+    assert [_scans(hm) for _, hm in cases] == got
+
+
+def test_the_constructions_are_sd_up_to_the_bound_and_no_further(monkeypatch):
+    # built past rn <= O(alpha), at r = O(alpha) // n + 3, the depth is
+    # O(alpha) // n on both paths, except h2 at n = 3 over GF(2^5), which
+    # stays SD up to the + 3 cap
+    for path in ("row-scaled", "generic"):
+        for w in (4, 5):
+            alg = make_field(w)
+            order = alg.order_of_alpha()
+            for n in range(3, 9):
+                for name, m, exponents in (("h1", 1, _H1), ("h2", 2, _H2)):
+                    hm = _formula(alg, m, n, order // n + 3, exponents)
+                    want = order // n + 3 if (w, n, name) == (5, 3, "h2") else order // n
+                    assert sd_depth(hm)[0] == want, (path, w, n, name)
+                    assert _scaled(hm) == [path == "row-scaled"]
+        monkeypatch.setattr(sdcheck, "_row_scaled", lambda *a: None)
+
+
+def test_the_row_scaled_test_declines_every_other_view():
+    gf256, ring41 = make_field(8), make_ring(41)
+    for hm in (build_h2(4, 6, gf256), build_h1(8, 5, ring41)):
+        assert all(_scaled(hm))
+        # global row 1 at stripe row 2, disk 3: no longer its row 0 part
+        # times one factor (mod both factors of M_41(x), as 0x3 is a unit)
+        spec, row = hm.spec, hm.matrix.bits[-1]
+        bad = corrupt(hm, len(hm.matrix.bits) - 1, 2 * spec.n + 3,
+                      spec.algebra.mul_bits(row[2 * spec.n + 3], 3))
+        assert not any(_scaled(bad))
+    # two local blocks, s = 3, a global row with a zero entry
+    assert _scaled(_fallback_cases()["ring7-repeated-blocks"][0]) == [False, False]
+    assert _scaled(_random_generic(gf256, 6, 1, 3, 2, random.Random(3))) == [False]
+    hm = build_h1(3, 4, gf256)
+    assert _scaled(corrupt(hm, 3, 5, 0)) == [False]
+
+
+def test_a_ring_code_row_scaled_in_one_factor_view_only(monkeypatch):
+    # adding 0xb, a factor of M_7(x), to one global entry of h1 keeps that
+    # entry mod 0xb and changes it mod 0xd: one view row-scaled, one not
+    ring7 = make_ring(7)
+    hm = build_h1(2, 3, ring7)
+    codes = [corrupt(hm, g, col, hm.matrix.bits[g][col] ^ 0xB) for g in (2, 3) for col in range(6)]
+    assert all(_scaled(code) == [True, False] for code in codes)
+    got = [_scans(code) for code in codes]
+    assert {report.sd for report, _ in got} == {True, False}
+    for code, (report, (_, depth, depth_report)) in zip(codes, got):
+        naive_witness, checked = naive_is_sd(code)
+        assert report == SdReport(naive_witness is None, naive_witness, checked)
+        assert (depth, depth_report) == per_depth_sd_depth(code)
+    monkeypatch.setattr(sdcheck, "_row_scaled", lambda *a: None)
+    assert [_scans(code) for code in codes] == got
+
+
+def test_the_row_scaled_test_runs_on_every_construction_disk_set_and_never_in_search(
+        monkeypatch):
+    tests, calls, row_scaled = [], [], sdcheck._row_scaled
+
+    def spy(*args):
+        least = row_scaled(*args)
+        tests.append(least is not None)
+        return least and (lambda x, y: calls.append(1) or least(x, y))
+
+    monkeypatch.setattr(sdcheck, "_row_scaled", spy)
+    # sdbench's search shape: generic global rows, never row-scaled
+    run_search(SearchConfig(n=8, m=2, s=2, r_max=8, trials=3, seed=7919,
+                            algebra=make_field(16)))
+    assert tests and not any(tests) and not calls
+    for hm in (build_h1(5, 6, make_field(8)), build_h2(3, 5, make_field(4)),
+               build_h2(4, 5, make_ring(31)), build_h1(8, 5, make_ring(41))):
+        tests.clear()
+        calls.clear()
+        assert is_sd(hm).sd and all(tests)
+        assert len(calls) == comb(hm.spec.n, hm.spec.m) * len(tests)
 
 
 # ------------------------------------------- sd_depth against per-depth is_sd
