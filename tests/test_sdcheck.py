@@ -960,8 +960,8 @@ def test_the_row_scaled_test_declines_every_other_view():
     gf256, ring41 = make_field(8), make_ring(41)
     for hm in (build_h2(4, 6, gf256), build_h1(8, 5, ring41)):
         assert all(_scaled(hm))
-        # global row 1 at stripe row 2, disk 3: no longer its row 0 part
-        # times one factor (mod both factors of M_41(x), as 0x3 is a unit)
+        # global row 1 at stripe row 2, disk 3, times the unit 1 + x: in
+        # no view is it still its stripe row 0 part times one factor
         spec, row = hm.spec, hm.matrix.bits[-1]
         bad = corrupt(hm, len(hm.matrix.bits) - 1, 2 * spec.n + 3,
                       spec.algebra.mul_bits(row[2 * spec.n + 3], 3))
