@@ -66,15 +66,13 @@ far (r + 1 before any): a disk set that passes at best - 1 is skipped,
 and one that fails there bisects over 0..best - 1 for its own smallest
 failing depth, which becomes best.  So a tie keeps the earlier disk
 set's witness, and once one disk set fails early most others cost one
-test.  Where every view is row-scaled ``_least`` gives that depth from
-the views' depth tests, and no bisection runs.  Until the first failure
-best - 1 is r, so that failure is is_sd's witness, the first failing
-pattern in enumeration order (disk sets in lexicographic order, then
-sector subsets in lexicographic order over surviving sectors sorted by
-(row, disk)).  is_sd stops there, and the residuals come a plan batch at
-a time as the pass reaches them, so it builds no plan past that disk
-set's batch.  A report counts every pattern of the code whatever the
-verdict.
+test.  Until the first failure best - 1 is r, so that failure is
+is_sd's witness, the first failing pattern in enumeration order (disk
+sets in lexicographic order, then sector subsets in lexicographic order
+over surviving sectors sorted by (row, disk)).  is_sd stops there, and
+the residuals come a plan batch at a time as the pass reaches them, so
+it builds no plan past that disk set's batch.  A report counts every
+pattern of the code whatever the verdict.
 """
 
 from __future__ import annotations
@@ -269,28 +267,24 @@ def _row_scaled(ops, glob, n: int, r: int):
     residual is (x, y) fails, r + 1 when none.  That is 1 where row 0
     fails alone, else 2 where some x_j or y_j is zero, else the first d at
     which two ratios mu_i rho_j, i < d, meet (mu_i = mu_i', or rho_j /
-    rho_j' = mu_i' / mu_i): with tables, by w(w-1)/2 lookups of the rho_j
-    log differences among the mu quotients; without, by a set of the r w
-    spread products of ``ops.ratios`` keys.  The test of the view stops
-    at its first global row that is not row-scaled."""
+    rho_j' = mu_i' / mu_i).  With tables the view is tested by log
+    differences, and a disk set by w(w-1)/2 lookups of the rho_j log
+    differences among the mu quotients; without, by cross products, and by
+    a set of the r w spread products of ``ops.ratios`` keys.  The test of
+    the view stops at its first global row that is not row-scaled."""
     if not all(map(all, glob)):
         return None
-    ratios, zero = ops.ratios, {-1, ops.qm1 if ops.has_tables else 0}   # x = 0, y = 0 keys
+    ratios = ops.ratios
+    mus = ratios(glob[0][::n], glob[1][::n])    # mu_i, times one constant without tables
     if ops.has_tables:
-        log, qm1, logs = ops.log, ops.qm1, []
+        zero, qm1 = {-1, ops.qm1}, ops.qm1      # the x = 0 and y = 0 keys
         for g in glob:                  # log lambda_{g,i}, n times each, or not row-scaled
-            if len(set(map(sub, map(log.__getitem__, g[n:2 * n]),
-                           map(log.__getitem__, g[:n])))) > 2:    # a quick no: stripe row 1
+            lam = ratios(g[:n] * (r - 1), g[n:])
+            if any(len(set(lam[o:o + n])) > 1 for o in range(0, len(lam), n)):
                 return None
-            lg = list(map(log.__getitem__, g))
-            lam = list(map(mod, map(sub, lg, lg[:n] * r), repeat(qm1)))
-            if lam != list(chain.from_iterable(map(repeat, lam[::n], repeat(n)))):
-                return None
-            logs.append(lam[::n])
-        mu = list(map(sub, logs[1], logs[0]))
         # each quotient mu_i' / mu_i, i != i', with the first depth it
         # appears at: the pairs go deepest first, so the shallowest stays
-        ahead = list(starmap(sub, combinations(mu[::-1], 2)))
+        ahead = list(starmap(sub, combinations(mus[::-1], 2)))
         quotients = chain.from_iterable(zip(map(mod, ahead, repeat(qm1)),
                                             map(mod, map(neg, ahead), repeat(qm1))))
         depths = map(repeat, range(r, 1, -1), range(2 * r - 2, 0, -2))    # d, 2(d-1) times
@@ -301,13 +295,12 @@ def _row_scaled(ops, glob, n: int, r: int):
             hits = first.keys() & starmap(sub, combinations(sorted(keys, reverse=True), 2))
             return min([repeated, *map(first.__getitem__, hits)])
     else:
-        spread, mul = ops._spread, ops._spread_mul
+        spread, mul, zero = ops._spread, ops._spread_mul, {-1, 0}
         for g in glob:
             sp = spread(g)
             if any(mul(a, sp[0]) != mul(sp[o], b)
                    for o in range(n, n * r, n) for a, b in zip(sp[o + 1:o + n], sp[1:n])):
                 return None
-        mus = ratios(glob[0][::n], glob[1][::n])        # mu_i times one constant
 
         def deeper(keys):
             w, keys = len(keys), [mul(mu, k) for mu in mus for k in keys]
@@ -417,18 +410,19 @@ def _group(spec: CodeSpec, views, disks: Sequence[int], residuals):
     code shortened to `depth` stripe rows; None when every pattern decodes
     or when fewer than s sectors survive (the group has none).  residuals
     holds each view's Schur residual at disks, as _schur_residuals gives
-    them; a row-scaled view sweeps its full residual only at a depth
-    where its depth test fails."""
+    them; a row-scaled view takes its depth test once and sweeps its full
+    residual only at a depth where that test fails."""
     m, n, w, s = spec.m, spec.n, spec.n - spec.m, spec.s
-    alive = [j for j in range(n) if j not in disks]     # survivor t is (t // w, alive[t % w])
+    fails = [view[4] and residual and view[4](*residual)    # a row-scaled view's depth
+             for view, residual in zip(views, residuals)]
 
     def first_at(depth: int) -> Optional[ErasurePattern]:
         if depth * w < s:
             return None
         firsts = []
-        for (ops, glob, blocks, kind, least), residual in zip(views, residuals):
-            if least and residual is not None:
-                if depth < least(*residual):
+        for (ops, glob, blocks, kind, _), residual, fail in zip(views, residuals, fails):
+            if fail:
+                if depth < fail:
                     continue
                 residual = _unscaled(ops, glob, residual, n, depth)
             elif residual is None:
@@ -441,23 +435,16 @@ def _group(spec: CodeSpec, views, disks: Sequence[int], residuals):
                 if len(used) < m * depth:   # dependent disk columns: every pattern fails
                     firsts.append(tuple(range(s)))
                     break
-                residual = [[work[t][i * n + j] for i in range(depth) for j in alive]
-                            for t in range(len(work)) if t not in used]
+                residual = [[row[c] for c in range(depth * n) if c % n not in disks]
+                            for t, row in enumerate(work) if t not in used]
             firsts.append(_first_singular(ops, [row[:depth * w] for row in residual], s))
         first = min((f for f in firsts if f is not None), default=None)
-        return None if first is None else ErasurePattern(disks, [(t // w, alive[t % w])
-                                                                 for t in first])
+        if first is None:
+            return None
+        alive = [j for j in range(n) if j not in disks]     # survivor t is (t // w, alive[t % w])
+        return ErasurePattern(disks, [(t // w, alive[t % w]) for t in first])
 
     return first_at
-
-
-def _least(views, residuals) -> Optional[int]:
-    """The smallest depth at which a disk set fails (r + 1 when none) where
-    every view is row-scaled with its Schur step, from the views' depth
-    tests; else None."""
-    if all(view[4] and residual is not None for view, residual in zip(views, residuals)):
-        return min(view[4](*residual) for view, residual in zip(views, residuals))
-    return None
 
 
 def _patterns(spec: CodeSpec, r: int) -> int:
@@ -511,9 +498,6 @@ def _scan(hm: ParityCheckMatrix, progress: Optional[Callable[[int, int], None]] 
             if not depth:
                 break
         lo, hi = 0, best - 1    # depth lo passes, depth hi fails with `found`
-        least = _least(views, residuals)
-        if least is not None:   # no bisection
-            lo, hi, found = least - 1, least, found if least == hi else first_at(least)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             at_mid = first_at(mid)
