@@ -36,16 +36,17 @@ passes on one set-size test, and one backward pass over the keys finds
 the first failing pair elsewhere: O(N^(s-1)) per group and factor.
 
 At s = 2, a factor view with one local block is row-scaled when stripe
-row i of each global row g is a nonzero lambda_{g,i} times its stripe
-row 0 part, as in both constructions (alpha^(a_g in) there).  Its Schur
-residual at (i, j) is then lambda_{g,i} times the one at (0, j), so the
-plans run on stripe row 0 alone, and ``_row_scaled`` gives from that
-row's n - m columns the smallest depth at which the disk set fails:
-column (i, j) has the ratio mu_i rho_j, mu_i = lambda_{1,i} /
-lambda_{0,i} fixed per call, rho_j read from row 0, and past depth 1 the
-disk set passes exactly when row 0 has no zero entry and these ratios
-all differ.  Only a disk set that fails expands its full residual
-(lambda_{g,i} times row 0's) and sweeps it, so the witness is the same.
+row i + 1 of each global row g is one nonzero c_g times its stripe row
+i, as in both constructions and every exponent formula alpha^(a_g in +
+b_g j) (c_g = alpha^(a_g n) there).  Its Schur residual at (i, j) is
+then c_g^i times the one at (0, j), so the plans run on stripe row 0
+alone, and ``_row_scaled`` gives from that row's n - m columns the
+smallest depth at which the disk set fails: column (i, j) has the ratio
+mu^i rho_j, mu = c_1 / c_0 fixed per call, rho_j read from row 0, and
+past depth 1 the disk set passes exactly when row 0 has no zero entry
+and these ratios all differ.  A disk set that fails sweeps the same
+ratio keys, row 0's scaled by mu^i, so the witness is the same, and no
+residual past row 0 is built.
 
 Over the ring the same procedure runs once per factor view the algebra
 supplies, one per irreducible factor of M_p(x); a pattern fails if it
@@ -81,7 +82,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, compress, islice, repeat, starmap
 from math import comb
-from operator import getitem, index, mod, neg, sub, xor
+from operator import getitem, index, sub, xor
 from typing import Callable, Optional, Sequence
 
 from .algebra import bit_bytes, key_values, lane_width, read_int
@@ -263,33 +264,37 @@ def _local_blocks(spec: CodeSpec, bits):
 
 def _row_scaled(ops, glob, n: int, r: int):
     """least(x, y) for a row-scaled view of the two global rows glob, else
-    None: the smallest depth at which a disk set whose stripe row 0
-    residual is (x, y) fails, r + 1 when none.  That is 1 where row 0
-    fails alone, else 2 where some x_j or y_j is zero, else the first d at
-    which two ratios mu_i rho_j, i < d, meet (mu_i = mu_i', or rho_j /
-    rho_j' = mu_i' / mu_i).  With tables the view is tested by log
-    differences, and a disk set by w(w-1)/2 lookups of the rho_j log
-    differences among the mu quotients; without, by cross products, and by
-    a set of the r w spread products of ``ops.ratios`` keys.  The test of
-    the view stops at its first global row that is not row-scaled."""
+    None: stripe row i + 1 of each g is one c_g times its stripe row i, so
+    column (i, j) of a disk set whose stripe row 0 residual is (x, y) has
+    the ratio mu^i rho_j, mu = c_1 / c_0, rho_j = y_j / x_j.  least gives
+    (depth, at): the smallest depth at which the disk set fails, r + 1
+    when none, and at(d), d >= depth, its first failing pair there.  depth
+    is 1 where row 0 fails alone, else 2 where some x_j or y_j is zero,
+    else the first t + 1 with mu^t = 1 or some rho_j / rho_j' = mu^t.  at
+    sweeps row 0's keys scaled by mu^i (the x = 0 and y = 0 keys kept), a
+    log sum with tables and a spread product without, so it needs no
+    residual past row 0.  With tables the view is tested by one set of
+    ``ops.ratios`` keys per global row, and a disk set by w(w-1)/2 lookups
+    of the rho_j log differences among the 2(r-1) logs of mu^t and mu^-t;
+    without, by cross products, and by one set of the r w scaled keys."""
     if not all(map(all, glob)):
         return None
     ratios = ops.ratios
-    mus = ratios(glob[0][::n], glob[1][::n])    # mu_i, times one constant without tables
     if ops.has_tables:
-        zero, qm1 = {-1, ops.qm1}, ops.qm1      # the x = 0 and y = 0 keys
-        for g in glob:                  # log lambda_{g,i}, n times each, or not row-scaled
-            lam = ratios(g[:n] * (r - 1), g[n:])
-            if any(len(set(lam[o:o + n])) > 1 for o in range(0, len(lam), n)):
+        qm1, zero = ops.qm1, {-1, ops.qm1}      # the x = 0 and y = 0 keys
+        logs = []                       # {log c_g} per global row; {0} at r = 1
+        for g in glob:
+            logs.append(set(ratios(g[:-n], g[n:])) or {0})
+            if len(logs[-1]) > 1:
                 return None
-        # each quotient mu_i' / mu_i, i != i', with the first depth it
-        # appears at: the pairs go deepest first, so the shallowest stays
-        ahead = list(starmap(sub, combinations(mus[::-1], 2)))
-        quotients = chain.from_iterable(zip(map(mod, ahead, repeat(qm1)),
-                                            map(mod, map(neg, ahead), repeat(qm1))))
-        depths = map(repeat, range(r, 1, -1), range(2 * r - 2, 0, -2))    # d, 2(d-1) times
-        first = dict(zip(quotients, chain.from_iterable(depths)))
-        repeated = first.get(0, r + 1)  # the first depth with mu_i = mu_i'
+        (c0,), (c1,) = logs
+        step, first = c1 - c0, {}       # log mu; log mu^(+-t) -> t + 1
+        for t in range(r - 1, 0, -1):   # deepest first, so the shallowest t stays
+            first[t * step % qm1] = first[-t * step % qm1] = t + 1
+        repeated = first.get(0, r + 1)  # the first depth with mu^t = 1
+
+        def scaled(keys, d):
+            return [(k + i * step) % qm1 if -1 < k < qm1 else k for i in range(d) for k in keys]
 
         def deeper(keys):               # distinct keys descending: differences in 1..q-2
             hits = first.keys() & starmap(sub, combinations(sorted(keys, reverse=True), 2))
@@ -298,12 +303,15 @@ def _row_scaled(ops, glob, n: int, r: int):
         spread, mul, zero = ops._spread, ops._spread_mul, {-1, 0}
         for g in glob:
             sp = spread(g)
-            if any(mul(a, sp[0]) != mul(sp[o], b)
-                   for o in range(n, n * r, n) for a, b in zip(sp[o + 1:o + n], sp[1:n])):
+            if any(mul(a, sp[0]) != mul(sp[n], b) for a, b in zip(sp[n:], sp)):
                 return None
+        mus = ratios(glob[0][::n], glob[1][::n])    # mu^i times one constant
+
+        def scaled(keys, d):
+            return [k if k == -1 else mul(mu, k) for mu in mus[:d] for k in keys]
 
         def deeper(keys):
-            w, keys = len(keys), [mul(mu, k) for mu in mus for k in keys]
+            w, keys = len(keys), scaled(keys, r)
             if len(set(keys)) == len(keys):
                 return r + 1
             seen = set()
@@ -315,22 +323,12 @@ def _row_scaled(ops, glob, n: int, r: int):
     def least(x, y):
         keys = ratios(x, y)
         distinct = set(keys)
-        if len(distinct) < len(keys) or not zero.isdisjoint(distinct):
-            return 2 if _first_singular_pair(ops, x, y) is None else 1
-        return deeper(keys)
+        if len(distinct) == len(keys) and zero.isdisjoint(distinct):
+            depth = deeper(keys)
+        else:
+            depth = 2 if _first_pair_backward(x, y, keys) is None else 1
+        return depth, lambda d: _first_pair_backward(x * d, y * d, scaled(keys, d))
     return least
-
-
-def _unscaled(ops, glob, rows, n: int, depth: int):
-    """A row-scaled view's residual rows over the first `depth` stripe
-    rows, from their stripe row 0 parts `rows`: lambda_{g,i} times row 0's
-    on stripe row i, lambda_{g,i} = g[in] / g[0]."""
-    mul, out = ops.mul, []
-    for g, row in zip(glob, rows):
-        inv = ops.inv(g[0])
-        out.append([mul(lam, v) for lam in [mul(g[o], inv) for o in range(0, n * depth, n)]
-                    for v in row])
-    return out
 
 
 _PLAN_BITS = 1 << 14        # about the most bits one packed int of a plan holds
@@ -410,22 +408,23 @@ def _group(spec: CodeSpec, views, disks: Sequence[int], residuals):
     code shortened to `depth` stripe rows; None when every pattern decodes
     or when fewer than s sectors survive (the group has none).  residuals
     holds each view's Schur residual at disks, as _schur_residuals gives
-    them; a row-scaled view takes its depth test once and sweeps its full
-    residual only at a depth where that test fails."""
+    them; a row-scaled view takes its depth test once, and its witness
+    from at(depth) only at a depth where that test fails."""
     m, n, w, s = spec.m, spec.n, spec.n - spec.m, spec.s
-    fails = [view[4] and residual and view[4](*residual)    # a row-scaled view's depth
+    tests = [view[4] and residual and view[4](*residual)    # a row-scaled view's (depth, at)
              for view, residual in zip(views, residuals)]
 
     def first_at(depth: int) -> Optional[ErasurePattern]:
         if depth * w < s:
             return None
         firsts = []
-        for (ops, glob, blocks, kind, _), residual, fail in zip(views, residuals, fails):
-            if fail:
-                if depth < fail:
-                    continue
-                residual = _unscaled(ops, glob, residual, n, depth)
-            elif residual is None:
+        for (ops, glob, blocks, kind, _), residual, test in zip(views, residuals, tests):
+            if test:
+                fail, at = test
+                if depth >= fail:
+                    firsts.append(at(depth))
+                continue
+            if residual is None:
                 # a singular V_i: eliminate the rows cut as shorten cuts H,
                 # the local ones rebuilt from their blocks
                 work = [[0] * (i * n) + list(part) + [0] * ((depth - 1 - i) * n)

@@ -786,7 +786,10 @@ def _assert_plans_match_oracle(hm):
             want = _schur_residual(spec, ops, glob, blocks, kind, disks)
             if least and residual is not None:  # row-scaled: stripe row 0 alone
                 assert residual == [row[:spec.n - spec.m] for row in want]
-                residual = sdcheck._unscaled(ops, glob, residual, spec.n, spec.r)
+                # on stripe row i, lambda_{g,i} = g[in] / g[0] times row 0's
+                residual = [[ops.mul(ops.mul(g[i * spec.n], ops.inv(g[0])), v)
+                             for i in range(spec.r) for v in row]
+                            for g, row in zip(glob, residual)]
             assert residual == want, (spec, disks)
             nones += residual is None
     return nones
@@ -951,6 +954,52 @@ def test_the_constructions_are_sd_up_to_the_bound_and_no_further(monkeypatch):
         monkeypatch.setattr(sdcheck, "_row_scaled", lambda *a: None)
 
 
+@pytest.mark.parametrize("alg_name", ["gf16", "gf256", "ring7", "ring37", "ring41"])
+def test_the_depth_test_and_the_key_witness_match_the_expanded_residual(alg_name):
+    # stripe row 0 residuals (x, y) drawn from four values, zero among
+    # them, so ratios repeat and x = 0 and y = 0 columns occur; nonzero at
+    # random; and nonzero with rho_1 = rho_0 mu^t planted.  h1 and h2 go
+    # past the bound, so mu^t = 1 within r over GF(2^4) and ring 7.  The
+    # oracle expands row 0 by lambda_{g,i} = g[in] / g[0] and tries every
+    # pair: a pair (a, b), a < b, fails from depth b // w + 1 on
+    alg = _FORMULA_ALGEBRAS[alg_name]()
+    rng = random.Random(f"key-witness/{alg_name}")
+    n, r = 5, 9
+    for m, exponents in ((1, _H1), (2, _H2)):
+        hm = _formula(alg, m, n, r, exponents)
+        w = n - m
+        for ops, glob, *_, least in sdcheck._local_blocks(hm.spec, hm.matrix.bits):
+            lam = [[ops.mul(g[i * n], ops.inv(g[0])) for i in range(r)] for g in glob]
+            for k in range(12):
+                pool = [0] + [rng.randrange(1, ops.q) for _ in range(3)] if k % 3 == 0 else []
+                x, y = ([rng.choice(pool) if pool else rng.randrange(1, ops.q)
+                         for _ in range(w)] for _ in range(2))
+                if k % 3 == 2:
+                    t = rng.randrange(1, r)
+                    mu_t = ops.mul(lam[1][t], ops.inv(lam[0][t]))
+                    y[1] = ops.mul(ops.mul(y[0], ops.inv(x[0])), ops.mul(x[1], mu_t))
+                r0, r1 = ([ops.mul(c, v) for c in lam_g for v in row]
+                          for lam_g, row in zip(lam, (x, y)))
+                fails = [(a, b) for a, b in combinations(range(r * w), 2)
+                         if ops.mul(r0[a], r1[b]) == ops.mul(r0[b], r1[a])]
+                wants = [next((p for p in fails if p[1] < d * w), None) for d in range(1, r + 1)]
+                depth, at = least(x, y)
+                assert depth == next((d for d, want in enumerate(wants, 1) if want), r + 1)
+                assert [at(d) for d in range(depth, r + 1)] == wants[depth - 1:]
+
+
+def test_the_bounds_exceptions_reach_to_the_order_of_alpha():
+    # h1 at n = 2 and h2 at n = 3 stay SD past rn <= O(alpha), built at
+    # r = O(alpha) + 3, up to depth O(alpha), where stripe row O(alpha)
+    # repeats stripe row 0; h2 over GF(2^4) and GF(2^8) is tight instead
+    for alg in (make_field(4), make_field(5), make_field(8), make_ring(17), make_ring(31)):
+        order = alg.order_of_alpha()
+        assert sd_depth(_formula(alg, 1, 2, order + 3, _H1))[0] == order, alg
+        tight = alg in (make_field(4), make_field(8))
+        assert sd_depth(_formula(alg, 2, 3, order + 3, _H2))[0] == (
+            order // 3 if tight else order), alg
+
+
 def test_the_row_scaled_test_declines_every_other_view():
     gf256, ring41 = make_field(8), make_ring(41)
     for hm in (build_h2(4, 6, gf256), build_h1(8, 5, ring41)):
@@ -961,6 +1010,26 @@ def test_the_row_scaled_test_declines_every_other_view():
         bad = corrupt(hm, len(hm.matrix.bits) - 1, 2 * spec.n + 3,
                       spec.algebra.mul_bits(row[2 * spec.n + 3], 3))
         assert not any(_scaled(bad))
+    # stripe row 2 times one unit beta != 1, in both global rows (each
+    # stripe row still a multiple of stripe row 0, mu unchanged) or in
+    # global row 0 alone: stripe row i + 1 is no longer one constant
+    # times stripe row i, and the generic scan decides the code
+    n, r = 4, 4
+    for alg in (gf256, make_ring(7), ring41):
+        beta = alg.alpha_pow_bits(1)
+        for m, exponents in ((1, _H1), (2, _H2)):
+            hm = _formula(alg, m, n, r, exponents)
+            assert all(_scaled(hm))
+            for scaled_rows in ((0, 1), (0,)):
+                glob = [list(g) for g in hm.matrix.bits[m * r:]]
+                for g in scaled_rows:
+                    glob[g][2 * n:3 * n] = [alg.mul_bits(v, beta) for v in glob[g][2 * n:3 * n]]
+                code = _of_bits(hm.spec, glob)
+                assert not any(_scaled(code))
+                report, (_, depth, depth_report) = _scans(code)
+                naive_witness, checked = naive_is_sd(code)
+                assert report == SdReport(naive_witness is None, naive_witness, checked)
+                assert (depth, depth_report) == per_depth_sd_depth(code)
     # two local blocks, s = 3, a global row with a zero entry
     assert _scaled(_fallback_cases()["ring7-repeated-blocks"][0]) == [False, False]
     assert _scaled(_random_generic(gf256, 6, 1, 3, 2, random.Random(3))) == [False]
