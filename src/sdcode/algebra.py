@@ -166,18 +166,22 @@ class _Gf2mOps:
     bit its coefficient.  ``_spread_mul`` reduces it by folding at x^p
     when f is M_p(x) itself (x^p = 1 there) and by Barrett reduction with
     floor(x^(2d) / f) otherwise; its constants are built with the field.
+    With tables false none are built at any degree: ``Ring.ops`` is such
+    a one for an M_p(x) that splits, whose products (``mul``,
+    ``_spread_mul``) need no irreducible f, though inverses and ratio
+    keys do.
     """
 
     __slots__ = ("modulus", "degree", "q", "qm1", "has_tables", "exp", "log",
                  "_fold", "_exp_np", "_log_np", "_slot", "_ones", "_shift", "_top", "_mu",
                  "_tail", "_spread_mul")
 
-    def __init__(self, modulus: int):
+    def __init__(self, modulus: int, tables: bool = True):
         self.modulus = modulus
         self.degree = poly.degree(modulus)
         self.q = 1 << self.degree
         self.qm1 = self.q - 1
-        self.has_tables = self.degree <= _TABLE_DEGREE_MAX
+        self.has_tables = tables and self.degree <= _TABLE_DEGREE_MAX
         self._fold = None
         self._exp_np = None
         self._log_np = None
@@ -362,6 +366,7 @@ class Algebra:
 
     element_bits: int
     modulus: int        # degree element_bits: elements are residues mod it
+    ops: _Gf2mOps       # arithmetic mod modulus on raw ints (see Ring.ops)
 
     # -- element plumbing ------------------------------------------------
 
@@ -638,6 +643,15 @@ class Ring(Algebra):
     @cached_property
     def factor_ops(self) -> list[_Gf2mOps]:
         return [_Gf2mOps(f) for f in self.factorization.factors]
+
+    @cached_property
+    def ops(self) -> _Gf2mOps:
+        """Arithmetic mod M_p(x): its one factor field where M_p(x) is
+        irreducible; where it splits, a tableless one whose products alone
+        hold (a zero divisor has no inverse), for tests run once in the
+        ring rather than once per factor view."""
+        factors = self.factor_ops
+        return factors[0] if len(factors) == 1 else _Gf2mOps(self.modulus, tables=False)
 
     def factor_views(self, rows) -> list[tuple[_Gf2mOps, list[list[int]]]]:
         # one projection per distinct entry (a constructed H holds powers

@@ -17,7 +17,7 @@ calls: det(V) and adj(V) B_i per disk set, and the map's columns times
 each x^k, with every disk set's residual entries packed in one int, one
 entry per lane of 8, 16, 32 or 64 bits (``linalg.x_powers`` with a lane
 stride), which ``unpack`` splits without shifts.  A call applies it r s
-times per factor view and batch (s times in a row-scaled view, below),
+times per factor view and batch (s times in a row-scaled code, below),
 one XOR per set bit of the input, for all disk sets at once.  Only a
 factor view with a singular V_i eliminates instead, on its rows cut as
 ``shorten`` cuts H, the local ones rebuilt from the blocks.
@@ -35,24 +35,29 @@ the sweep, with no inverse) are pairwise distinct, with no zero column,
 passes on one set-size test, and one backward pass over the keys finds
 the first failing pair elsewhere: O(N^(s-1)) per group and factor.
 
-At s = 2, a factor view with one local block is row-scaled when stripe
-row i + 1 of each global row g is one nonzero c_g times its stripe row
-i, as in both constructions and every exponent formula alpha^(a_g in +
-b_g j) (c_g = alpha^(a_g n) there).  Its Schur residual at (i, j) is
-then c_g^i times the one at (0, j), so the plans run on stripe row 0
-alone, and ``_row_scaled`` gives from that row's n - m columns the
-smallest depth at which the disk set fails: column (i, j) has the ratio
-mu^i rho_j, mu = c_1 / c_0 fixed per call, rho_j read from row 0, and
-past depth 1 the disk set passes exactly when row 0 has no zero entry
-and these ratios all differ.  A disk set that fails sweeps the same
-ratio keys, row 0's scaled by mu^i, so the witness is the same, and no
-residual past row 0 is built.
+At s = 2, a code with one local block is row-scaled when stripe row
+i + 1 of each global row g is one unit c_g times its stripe row i, as in
+both constructions and every exponent formula alpha^(a_g in + b_g j)
+(c_g = alpha^(a_g n) there).  ``_row_scaled`` tests this once in the
+algebra: in a field, or a ring whose M_p(x) is irreducible, in its one
+view; in a split ring by the cross products g[k] g[0] = g[n] g[k-n] mod
+M_p(x), with g[0..n] nonzero in every factor view, so that every view is
+row-scaled or none is.  Then each view's Schur residual at (i, j) is
+c_g^i times the one at (0, j), so only stripe row 0 and g[n] of the
+global rows are projected, and the plans run on stripe row 0 alone.
+Column (i, j) has the ratio mu^i rho_j, mu = c_1 / c_0, rho_j read from
+row 0, and past depth 1 a disk set passes exactly when row 0 has no zero
+entry and these ratios all differ, so ``_depth_test`` gives from one
+``ops.ratios`` call per plan batch every disk set's smallest failing
+depth; the scan builds no group for a disk set that passes at best - 1
+in every view.  A disk set that fails sweeps its slice of the same keys,
+row 0's scaled by mu^i, so the witness is the same, and no residual past
+row 0 is built.
 
-Over the ring the same procedure runs once per factor view the algebra
-supplies, one per irreducible factor of M_p(x); a pattern fails if it
-fails in any factor.  Only what the scan reads is projected into the
-factor fields: the distinct local blocks, told apart in the ring, and
-the global rows.
+Over the ring the rest runs once per factor view the algebra supplies,
+one per irreducible factor of M_p(x); a pattern fails if it fails in any
+factor.  Only what the scan reads is projected into the factor fields:
+the distinct local blocks, told apart in the ring, and the global rows.
 
 One pass over the disk sets, on one thread, answers both ``is_sd`` and
 ``sd_depth``, the largest depth r' at which the code is SD.  The code at
@@ -81,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, combinations, compress, islice, repeat, starmap
-from math import comb
+from math import comb, gcd
 from operator import getitem, index, sub, xor
 from typing import Callable, Optional, Sequence
 
@@ -245,67 +250,118 @@ def _first_singular(ops, rows: list[list[int]], s: int):
 def _local_blocks(spec: CodeSpec, bits):
     """Per factor view of H's entries `bits`: (ops, the global rows, the
     distinct local blocks, each stripe row's block index, and the view's
-    depth test from _row_scaled, or None).  Blocks are told apart in the
-    algebra, and only they and the global rows are projected."""
+    batch depth test from _depth_test where the code is row-scaled, else
+    None).  Blocks are told apart in the algebra, and only they and the
+    global rows are projected; of a row-scaled code's global rows, only
+    stripe row 0 and g[n], from which the depth test and the scan read."""
     m, n, r = spec.m, spec.n, spec.r
     per_row = [tuple(tuple(row[i * n:(i + 1) * n]) for row in bits[i * m:(i + 1) * m])
                for i in range(r)]
     seen = {}                           # block -> its index, in first-seen order
     kind = [seen.setdefault(block, len(seen)) for block in per_row]
     local = [row for block in seen for row in block]
+    glob = list(bits[m * r:])
+    scaled = spec.s == 2 and len(seen) == 1 and _row_scaled(spec.algebra.ops, glob, n)
+    views = spec.algebra.factor_views(local + ([g[:n + 1] for g in glob] if scaled else glob))
+    if scaled and not all(all(g) for _, rows in views for g in rows[len(local):]):
+        # a g[j], j <= n, that is a zero divisor of a split ring: no view is row-scaled
+        scaled, views = False, spec.algebra.factor_views(local + glob)
     out = []
-    for ops, rows in spec.algebra.factor_views(local + list(bits[m * r:])):
+    for ops, rows in views:
         blocks = [tuple(map(tuple, rows[k:k + m])) for k in range(0, len(local), m)]
         glob = rows[len(local):]
-        least = _row_scaled(ops, glob, n, r) if spec.s == 2 and len(blocks) == 1 else None
-        out.append((ops, glob, blocks, kind, least))
+        out.append((ops, glob, blocks, kind, _depth_test(ops, glob, n, r) if scaled else None))
     return out
 
 
-def _row_scaled(ops, glob, n: int, r: int):
-    """least(x, y) for a row-scaled view of the two global rows glob, else
-    None: stripe row i + 1 of each g is one c_g times its stripe row i, so
-    column (i, j) of a disk set whose stripe row 0 residual is (x, y) has
-    the ratio mu^i rho_j, mu = c_1 / c_0, rho_j = y_j / x_j.  least gives
-    (depth, at): the smallest depth at which the disk set fails, r + 1
-    when none, and at(d), d >= depth, its first failing pair there.  depth
-    is 1 where row 0 fails alone, else 2 where some x_j or y_j is zero,
-    else the first t + 1 with mu^t = 1 or some rho_j / rho_j' = mu^t.  at
-    sweeps row 0's keys scaled by mu^i (the x = 0 and y = 0 keys kept), a
-    log sum with tables and a spread product without, so it needs no
-    residual past row 0.  With tables the view is tested by one set of
-    ``ops.ratios`` keys per global row, and a disk set by w(w-1)/2 lookups
-    of the rho_j log differences among the 2(r-1) logs of mu^t and mu^-t;
-    without, by cross products, and by one set of the r w scaled keys."""
+def _row_scaled(ops, glob, n: int) -> bool:
+    """Whether each global row has no zero entry and is geometric in the
+    algebra of ops, its stripe row i + 1 one constant c_g times its stripe
+    row i: with tables, the ``ops.ratios`` keys of each entry against the
+    one a stripe row above are all equal; without, the cross products
+    g[k] g[0] = g[n] g[k - n] of spread residues hold.  Stripe row 1 goes
+    first, so a generic row declines after n keys.  For a split ring ops
+    is ``Ring.ops``, whose spread products hold mod M_p(x): the test runs
+    once, not once per factor view, and _local_blocks asks that each g[j],
+    j <= n, be a unit, nonzero in every view, which with the cross products
+    makes every entry one and every view's rows geometric."""
     if not all(map(all, glob)):
-        return None
+        return False
+    for g in glob:
+        keys, sp = set(), []
+        for lo, hi in ((n, min(2 * n, len(g))), (2 * n, len(g))):
+            if lo >= hi:
+                break
+            if ops.has_tables:
+                keys.update(ops.ratios(g[lo - n:hi - n], g[lo:hi]))
+                if len(keys) > 1:
+                    return False
+            else:
+                mul = ops._spread_mul
+                sp += ops._spread(g[len(sp):hi])
+                if ([*map(mul, sp[lo:hi], repeat(sp[0]))]
+                        != [*map(mul, repeat(sp[n]), sp[lo - n:hi - n])]):
+                    return False
+    return True
+
+
+def _depth_test(ops, glob, n: int, r: int):
+    """batch(x, y, w) for a row-scaled view whose global rows glob hold
+    stripe row 0 and g[n] (stripe row 0 alone at r = 1): x and y are the
+    stripe row 0 residuals of a plan batch's disk sets, w entries each,
+    and batch gives (depths, at): each disk set's smallest failing depth,
+    r + 1 when none, and at(t, d), d at or past that depth, disk set t's
+    first failing pair there.  Column (i, j) of a disk set has the ratio
+    mu^i rho_j, mu = c_1 / c_0, rho_j = y_j / x_j, so its depth is 1 where
+    row 0 fails alone, else 2 where some x_j or y_j is zero, else the
+    first t + 1 with mu^t = 1 or some rho_j / rho_j' = mu^t.  One
+    ``ops.ratios`` call keys the whole batch (without tables each key is
+    its ratio times one constant of the batch), and at sweeps a disk set's
+    keys scaled by mu^i (the x = 0 and y = 0 keys kept), a log sum with
+    tables and a spread product without, so nothing past row 0 is read.
+    With tables, where mu generates the field's units, a disk set sorts
+    its keys' logs to base mu, as two keys meet at mu^t for t their
+    cyclic distance; where it does not, it takes w(w-1)/2 lookups of its
+    key differences among the 2(r-1) logs of mu^t and mu^-t.  Without
+    tables it takes one set of its r w scaled keys.  Each gives 1 where
+    two keys of row 0 are equal."""
     ratios = ops.ratios
+    # log c_g, or c_g times one constant without tables; g[-1] is g[n],
+    # or at r = 1, where mu is not read, g[n - 1]
+    c0, c1 = ratios([g[0] for g in glob], [g[-1] for g in glob])
     if ops.has_tables:
         qm1, zero = ops.qm1, {-1, ops.qm1}      # the x = 0 and y = 0 keys
-        logs = []                       # {log c_g} per global row; {0} at r = 1
-        for g in glob:
-            logs.append(set(ratios(g[:-n], g[n:])) or {0})
-            if len(logs[-1]) > 1:
-                return None
-        (c0,), (c1,) = logs
-        step, first = c1 - c0, {}       # log mu; log mu^(+-t) -> t + 1
-        for t in range(r - 1, 0, -1):   # deepest first, so the shallowest t stays
-            first[t * step % qm1] = first[-t * step % qm1] = t + 1
-        repeated = first.get(0, r + 1)  # the first depth with mu^t = 1
+        step = c1 - c0                  # log mu
+        order = qm1 // gcd(step, qm1)   # of mu: mu^t = 1 exactly where it divides t
+        repeated = order + 1 if order < r else r + 1
 
         def scaled(keys, d):
             return [(k + i * step) % qm1 if -1 < k < qm1 else k for i in range(d) for k in keys]
 
-        def deeper(keys):               # distinct keys descending: differences in 1..q-2
-            hits = first.keys() & starmap(sub, combinations(sorted(keys, reverse=True), 2))
-            return min([repeated, *map(first.__getitem__, hits)])
+        if order == qm1:                # mu generates: keys k, k' meet at the cyclic
+            inv = pow(step, -1, qm1)    # distance of k / log mu and k' / log mu
+
+            def deeper(keys):
+                line = sorted([k * inv % qm1 for k in keys])
+                return min(repeated, 1 + min([qm1 - line[-1] + line[0], *map(sub, line[1:], line)]))
+        else:
+            first = {}                      # log mu^(+-t) -> t + 1
+            for t in range(r - 1, 0, -1):   # deepest first, so the shallowest t stays
+                first[t * step % qm1] = first[-t * step % qm1] = t + 1
+            first[0] = 1                    # two equal keys fail in row 0
+
+            def deeper(keys):               # keys descending: differences in 0..q-2
+                hits = first.keys() & starmap(sub, combinations(sorted(keys, reverse=True), 2))
+                return min([repeated, *map(first.__getitem__, hits)])
     else:
-        spread, mul, zero = ops._spread, ops._spread_mul, {-1, 0}
-        for g in glob:
-            sp = spread(g)
-            if any(mul(a, sp[0]) != mul(sp[n], b) for a, b in zip(sp[n:], sp)):
-                return None
-        mus = ratios(glob[0][::n], glob[1][::n])    # mu^i times one constant
+        mul, zero = ops._spread_mul, {-1, 0}
+        mus, power = [], 1              # mus[i] = c_1^i c_0^(r-1-i), mu^i times one constant
+        for _ in range(r):
+            mus.append(power)
+            power = mul(power, c1)
+        power = 1
+        for i in range(r - 1, -1, -1):
+            mus[i], power = mul(mus[i], power), mul(power, c0)
 
         def scaled(keys, d):
             return [k if k == -1 else mul(mu, k) for mu in mus[:d] for k in keys]
@@ -320,15 +376,35 @@ def _row_scaled(ops, glob, n: int, r: int):
                 if len(seen) < (i + 1) * w:
                     return i + 1
 
-    def least(x, y):
-        keys = ratios(x, y)
-        distinct = set(keys)
-        if len(distinct) == len(keys) and zero.isdisjoint(distinct):
-            depth = deeper(keys)
-        else:
-            depth = 2 if _first_pair_backward(x, y, keys) is None else 1
-        return depth, lambda d: _first_pair_backward(x * d, y * d, scaled(keys, d))
-    return least
+    def batch(x, y, w: int):
+        keys, depths = ratios(x, y), []
+        for o in range(0, len(keys), w):
+            own = keys[o:o + w]
+            if zero.isdisjoint(own):    # deeper gives 1 where two keys are equal
+                depths.append(deeper(own))
+            else:
+                depths.append(2 if _first_pair_backward(x[o:o + w], y[o:o + w], own) is None else 1)
+
+        def at(t: int, d: int):
+            o = t * w
+            return _first_pair_backward(x[o:o + w] * d, y[o:o + w] * d, scaled(keys[o:o + w], d))
+        return depths, at
+    return batch
+
+
+def _geometric_rows(ops, glob, n: int, depth: int):
+    """A row-scaled view's global rows, which hold stripe row 0 and g[n],
+    rebuilt to depth stripe rows: each stripe row c_g = g[n] / g[0] times
+    the one before."""
+    out = []
+    for g in glob:
+        row = g[:n]
+        if depth > 1:
+            c = ops.mul(g[n], ops.inv(g[0]))
+            for k in range(n, depth * n):
+                row.append(ops.mul(c, row[k - n]))
+        out.append(row)
+    return out
 
 
 _PLAN_BITS = 1 << 14        # about the most bits one packed int of a plan holds
@@ -364,16 +440,18 @@ def _schur_plan(ops, block, first: int, stop: int):
 
 
 def _schur_residuals(spec: CodeSpec, views):
-    """(disks, each view's global rows after the Schur step at disks, or
-    None where some V_i is singular) for every disk set in lexicographic
-    order, from one plan per view and block."""
+    """(disks, each view's item at disks, as _view_residuals gives them)
+    for every disk set in lexicographic order, from one plan per view and
+    block."""
     return zip(combinations(range(spec.n), spec.m),
                zip(*[_view_residuals(spec, *view) for view in views]))
 
 
-def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind, least):
-    """One factor view's residuals for _schur_residuals, disk set by disk set:
-    of every stripe row, or of stripe row 0 alone in a row-scaled view.
+def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind, test):
+    """One factor view's items for _schur_residuals, disk set by disk set:
+    None where some V_i is singular, else the global rows after the Schur
+    step, of every stripe row, or in a row-scaled view (depth, t, at) from
+    test on the batch's stripe row 0 residuals (see _depth_test).
 
     A plan maps a stripe row's n entries to every disk set's residual
     entries there: the XOR of its basis ints at the entries' set bits,
@@ -382,14 +460,14 @@ def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind, least):
     bounds a plan's ints (shift-and-mask, above 64 bits, is quadratic in
     an int's size), and a batch is built only when the scan reaches it."""
     m, n, w, degree = spec.m, spec.n, spec.n - spec.m, ops.degree
-    r = 1 if least else spec.r          # the stripe rows the scan reads
+    r = 1 if test else spec.r           # the stripe rows the scan reads
     nbytes, lane = (degree + 7) >> 3, lane_width(degree)
     span = 8 * nbytes * n               # selector bytes per stripe row
-    selectors = []                      # per global row, per stripe row: its entries' bits
-    for g in glob:
-        data = b"".join(map(int.to_bytes, g[:r * n], repeat(nbytes), repeat("little")))
-        bits = bit_bytes(data)
-        selectors.append([bits[i * span:(i + 1) * span] for i in range(r)])
+    data = b"".join(map(int.to_bytes, chain.from_iterable(g[:r * n] for g in glob),
+                        repeat(nbytes), repeat("little")))
+    bits = bit_bytes(data)              # per global row, per stripe row: its entries' bits
+    selectors = [[bits[(k + i) * span:(k + i + 1) * span] for i in range(r)]
+                 for k in range(0, r * len(glob), r)]
     total, per = comb(n, m), max(1, _PLAN_BITS // (lane * w))
     for first in range(0, total, per):
         stop = min(first + per, total)
@@ -397,6 +475,12 @@ def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind, least):
         values = [[unpack(reduce(xor, compress(plans[kind[i]][1], sel), 0),
                           (stop - first) * w, lane) for i, sel in enumerate(sels)]
                   for sels in selectors]
+        if test:
+            (x,), (y,) = values
+            depths, at = test(x, y, w)
+            for t, (depth, det) in enumerate(zip(depths, plans[0][0])):
+                yield (depth, t, at) if det else None
+            continue
         for t in range(stop - first):
             at = repeat(slice(t * w, (t + 1) * w))
             yield None if not all(dets[t] for dets, _ in plans) else [
@@ -407,29 +491,29 @@ def _group(spec: CodeSpec, views, disks: Sequence[int], residuals):
     """first_at(depth): the first failing pattern of this disk set in the
     code shortened to `depth` stripe rows; None when every pattern decodes
     or when fewer than s sectors survive (the group has none).  residuals
-    holds each view's Schur residual at disks, as _schur_residuals gives
-    them; a row-scaled view takes its depth test once, and its witness
-    from at(depth) only at a depth where that test fails."""
+    holds each view's item at disks, as _schur_residuals gives them; a
+    row-scaled view's (depth, t, at) gives its witness at(t, d) only at a
+    depth d where it fails."""
     m, n, w, s = spec.m, spec.n, spec.n - spec.m, spec.s
-    tests = [view[4] and residual and view[4](*residual)    # a row-scaled view's (depth, at)
-             for view, residual in zip(views, residuals)]
 
     def first_at(depth: int) -> Optional[ErasurePattern]:
         if depth * w < s:
             return None
         firsts = []
-        for (ops, glob, blocks, kind, _), residual, test in zip(views, residuals, tests):
-            if test:
-                fail, at = test
+        for (ops, glob, blocks, kind, test), residual in zip(views, residuals):
+            if test and residual is not None:
+                fail, t, at = residual
                 if depth >= fail:
-                    firsts.append(at(depth))
+                    firsts.append(at(t, depth))
                 continue
             if residual is None:
                 # a singular V_i: eliminate the rows cut as shorten cuts H,
-                # the local ones rebuilt from their blocks
+                # the local ones rebuilt from their blocks, and the global
+                # ones of a row-scaled view from stripe row 0 and g[n]
                 work = [[0] * (i * n) + list(part) + [0] * ((depth - 1 - i) * n)
                         for i in range(depth) for part in blocks[kind[i]]]
-                work += [g[:depth * n] for g in glob]
+                work += _geometric_rows(ops, glob, n, depth) if test else [
+                    g[:depth * n] for g in glob]
                 used = eliminate(ops, work, [c for c in range(depth * n) if c % n in disks])
                 if len(used) < m * depth:   # dependent disk columns: every pattern fails
                     firsts.append(tuple(range(s)))
@@ -484,10 +568,14 @@ def _scan(hm: ParityCheckMatrix, progress: Optional[Callable[[int, int], None]] 
     false the pass stops there, and only is_sd's report holds."""
     spec = hm.spec
     views = _local_blocks(spec, hm.matrix.bits)
+    scaled = all(view[4] for view in views)     # every item a depth, bar singular blocks
     total, best, first, witness = comb(spec.n, spec.m), spec.r + 1, None, None
     for done, (disks, residuals) in enumerate(_schur_residuals(spec, views), start=1):
-        first_at = _group(spec, views, disks, residuals)
-        found = first_at(best - 1)
+        if scaled and None not in residuals and min(item[0] for item in residuals) >= best:
+            found = None        # passes at best - 1 in every view: no group is built
+        else:
+            first_at = _group(spec, views, disks, residuals)
+            found = first_at(best - 1)
         if progress is not None and first is None:
             progress(done, total)
         if found is None:

@@ -551,6 +551,27 @@ def test_spread_products_match_mulmod(modulus, slot, reduction):
             assert ops._spread_mul(sa, sb) == ops._spread([poly.mulmod(a, b, modulus)])[0]
 
 
+@pytest.mark.parametrize("p", [7, 17, 31, 41, 101, 127])
+def test_ring_ops_multiply_in_the_ring(p):
+    # an irreducible M_p(x) (p = 101) keeps its one factor field; a split
+    # one gets tableless arithmetic mod M_p(x) itself, whose products, on
+    # units and zero divisors alike, are the ring's
+    ring = make_ring(p)
+    ops = ring.ops
+    if len(ring.factor_ops) == 1:
+        assert ops is ring.factor_ops[0]
+    assert (ops.modulus, ops.has_tables) == (ring.modulus, False) and ops is ring.ops
+    rng = random.Random(f"ring-ops/{p}")
+    operands = [0, 1, ring.all_ones]
+    operands += [f for f in ring.factorization.factors[:2] if f != ring.modulus]
+    operands += [rng.getrandbits(p - 1) for _ in range(10)]
+    spread = ops._spread(operands)
+    for a, sa in zip(operands, spread):
+        for b, sb in zip(operands, spread):
+            assert ops._spread_mul(sa, sb) == ops._spread([ring.mul_bits(a, b)])[0]
+            assert ops.mul(a, b) == ring.mul_bits(a, b)
+
+
 def test_bit_bytes_match_a_join_of_each_bytes_bits():
     # the join bit_bytes replaced, on every byte value, then on random
     # 1-2 KB buffers

@@ -167,8 +167,9 @@ def test_verify_not_sd_exits_2_with_witness(tmp_path, capsys):
 
 def test_verify_builds_the_schur_residuals_once(tmp_path, capsys, monkeypatch):
     # a code that is not SD gets is_sd's witness and sd_depth's depth, from
-    # one _local_blocks call and one _group call per disk set; the line is
-    # the one the two public calls give
+    # one _local_blocks call and at most one _group call per disk set; the
+    # line is the one the two public calls give.  The SD code is row-scaled:
+    # every disk set passes on its batch depth, so it builds no group
     bad = make_not_sd_file(tmp_path)
     hm = read_matrix(bad)
     report = is_sd(hm)
@@ -184,14 +185,14 @@ def test_verify_builds_the_schur_residuals_once(tmp_path, capsys, monkeypatch):
     local_blocks, group = sdcheck._local_blocks, sdcheck._group
     monkeypatch.setattr(sdcheck, "_local_blocks", counting)
     monkeypatch.setattr(sdcheck, "_group", lambda *a: groups.append(a[2]) or group(*a))
-    for path, code, line in ((bad, 2, want), (make_matrix_file(tmp_path), 0,
-                                              "patterns=330 sd=yes\n")):
+    for path, code, line, grouped in ((bad, 2, want, True), (make_matrix_file(tmp_path), 0,
+                                                            "patterns=330 sd=yes\n", False)):
         capsys.readouterr()
         calls.clear()
         groups.clear()
         assert run("verify", "-H", str(path)) == code
         assert capsys.readouterr().out == line and len(calls) == 1
-        assert groups and len(groups) == len(set(groups))
+        assert bool(groups) == grouped and len(groups) == len(set(groups))
 
 
 def test_verify_jobs_do_not_change_output(tmp_path, capsys):

@@ -25,6 +25,7 @@ from sdcode import (
     shorten,
 )
 from sdcode import sdcheck
+from sdcode.algebra import _Gf2mOps
 from sdcode.search import SearchConfig, random_nonzero, run_search
 from sdcode.construct import CodeSpec, ParityCheckMatrix, _of_bits
 from sdcode.linalg import Matrix, det_bits, determinant, eliminate, submatrix
@@ -496,17 +497,21 @@ def test_is_sd_generic_s_values(gf16):
 
 
 def test_is_sd_progress_callback(gf16, monkeypatch):
-    # each disk set is reported as its scan finishes, not after all of them
-    scans = []
-    group = sdcheck._group
-    monkeypatch.setattr(sdcheck, "_group", lambda *a: scans.append(a) or group(*a))
+    # each disk set is reported as its scan finishes, not after all of
+    # them: when the residual stream has handed out that disk set's item,
+    # on the row-scaled path (which builds no group for an SD code) and on
+    # the generic one
+    scans = _record_residuals(monkeypatch)
     hm = build_h1(3, 5, gf16)
-    for jobs in (0, 1):
-        seen = []
-        scans.clear()
-        is_sd(hm, jobs=jobs,
-              progress=lambda done, total: seen.append((done, total, len(scans))))
-        assert seen == [(1, 5, 1), (2, 5, 2), (3, 5, 3), (4, 5, 4), (5, 5, 5)]
+    for path in ("row-scaled", "generic"):
+        assert _scaled(hm) == [path == "row-scaled"]
+        for jobs in (0, 1):
+            seen = []
+            scans.clear()
+            is_sd(hm, jobs=jobs,
+                  progress=lambda done, total: seen.append((done, total, len(scans))))
+            assert seen == [(1, 5, 1), (2, 5, 2), (3, 5, 3), (4, 5, 4), (5, 5, 5)]
+        monkeypatch.setattr(sdcheck, "_row_scaled", lambda *a: None)
 
 
 def test_is_sd_stops_at_the_first_failing_disk_set(gf16, monkeypatch):
@@ -721,19 +726,21 @@ def test_repeated_blocks_singular_in_one_ring_factor_match_eliminate_at_every_de
 
 
 def test_scans_project_only_the_distinct_blocks_and_the_global_rows(monkeypatch):
-    # m rows of n entries per distinct local block, then the s global rows
+    # m rows of n entries per distinct local block, then the s global rows:
+    # of a row-scaled code's, stripe row 0 and g[n] alone
     cases = [(build_h2(3, 5, make_ring(17)), 1), (build_h1(3, 5, make_field(4)), 1),
              (_fallback_cases()["ring7-repeated-blocks"][0], 2),
              (_fallback_cases()["differing-blocks"][0], 3)]
-    for hm, distinct in cases:
+    for (hm, distinct), scaled in zip(cases, (True, True, False, False)):
         alg, spec = hm.spec.algebra, hm.spec
+        assert all(_scaled(hm)) == scaled
         lengths, project = [], alg.factor_views
         monkeypatch.setattr(alg, "factor_views",
                             lambda rows: lengths.append([len(r) for r in rows]) or project(rows))
         is_sd(hm)
         sd_depth(hm)
         monkeypatch.undo()
-        want = [spec.n] * (spec.m * distinct) + [spec.r * spec.n] * spec.s
+        want = [spec.n] * (spec.m * distinct) + [spec.n + 1 if scaled else spec.r * spec.n] * spec.s
         assert lengths == [want, want], spec
 
 
@@ -774,25 +781,42 @@ def _schur_residual(spec, ops, glob, blocks, kind, disks):
 
 
 def _assert_plans_match_oracle(hm):
-    """Every factor view's residual at every disk set equals the oracle's;
-    returns the number of (view, disk set) residuals that are None."""
+    """Every factor view's residual at every disk set equals the oracle's,
+    and a row-scaled view's depth and witnesses are those of the oracle's
+    residual; returns the number of (view, disk set) items that are None."""
     spec, nones = hm.spec, 0
     views = sdcheck._local_blocks(spec, hm.matrix.bits)
+    whole = spec.algebra.factor_views(hm.matrix.bits[spec.m * spec.r:])   # every global entry
     stream = list(sdcheck._schur_residuals(spec, views))
     assert [disks for disks, _ in stream] == list(combinations(range(spec.n), spec.m))
     for disks, residuals in stream:
         assert len(residuals) == len(views)
-        for (ops, glob, blocks, kind, least), residual in zip(views, residuals):
+        for (ops, _, blocks, kind, test), (_, glob), item in zip(views, whole, residuals):
             want = _schur_residual(spec, ops, glob, blocks, kind, disks)
-            if least and residual is not None:  # row-scaled: stripe row 0 alone
-                assert residual == [row[:spec.n - spec.m] for row in want]
-                # on stripe row i, lambda_{g,i} = g[in] / g[0] times row 0's
-                residual = [[ops.mul(ops.mul(g[i * spec.n], ops.inv(g[0])), v)
-                             for i in range(spec.r) for v in row]
-                            for g, row in zip(glob, residual)]
-            assert residual == want, (spec, disks)
-            nones += residual is None
+            if test and item is not None:   # row-scaled: (depth, t, at) from stripe row 0
+                _assert_depth_item(item, _expanded_pairs(ops, want, spec.n - spec.m, spec.r))
+            else:
+                assert item == want, (spec, disks)
+            nones += item is None
     return nones
+
+
+def _expanded_pairs(ops, rows, w, r):
+    """The row-scaled depth test's oracle: at each depth d = 1..r, the
+    first pair (a, b), a < b < d w, of the columns of the two expanded
+    residual rows whose 2 x 2 determinant is zero, or None."""
+    r0, r1 = rows
+    fails = [(a, b) for a, b in combinations(range(r * w), 2)
+             if ops.mul(r0[a], r1[b]) == ops.mul(r0[b], r1[a])]
+    return [next((p for p in fails if p[1] < d * w), None) for d in range(1, r + 1)]
+
+
+def _assert_depth_item(item, wants):
+    """A row-scaled item (depth, t, at): depth is the first depth with a
+    failing pair (r + 1 when none), and at(t, d) that pair from there on."""
+    depth, t, at = item
+    assert depth == next((d for d, want in enumerate(wants, 1) if want), len(wants) + 1)
+    assert [at(t, d) for d in range(depth, len(wants) + 1)] == wants[depth - 1:]
 
 
 _PLAN_ALGEBRAS = {"gf16": lambda: make_field(4), "gf256": lambda: make_field(8),
@@ -956,20 +980,26 @@ def test_the_constructions_are_sd_up_to_the_bound_and_no_further(monkeypatch):
 
 @pytest.mark.parametrize("alg_name", ["gf16", "gf256", "ring7", "ring37", "ring41"])
 def test_the_depth_test_and_the_key_witness_match_the_expanded_residual(alg_name):
-    # stripe row 0 residuals (x, y) drawn from four values, zero among
-    # them, so ratios repeat and x = 0 and y = 0 columns occur; nonzero at
-    # random; and nonzero with rho_1 = rho_0 mu^t planted.  h1 and h2 go
-    # past the bound, so mu^t = 1 within r over GF(2^4) and ring 7.  The
-    # oracle expands row 0 by lambda_{g,i} = g[in] / g[0] and tries every
-    # pair: a pair (a, b), a < b, fails from depth b // w + 1 on
+    # one batch of 12 disk sets' stripe row 0 residuals (x, y): drawn from
+    # four values, zero among them, so ratios repeat and x = 0 and y = 0
+    # columns occur; nonzero at random; nonzero with rho_1 = rho_0 mu^t
+    # planted; and some with a planted zero column or a planted repeated
+    # ratio, (x_1, y_1) = a (x_0, y_0).  h1 and h2 go past the
+    # bound, so mu^t = 1 within r over GF(2^4) and ring 7; mu generates
+    # the field's units or does not (n = 4 and 5 over GF(2^8)).  Each disk set's
+    # depth and every at(t, d) must be those of its own residual, expanded
+    # by lambda_{g,i} = g[in] / g[0], whatever the rest of the batch holds
+    # (without tables the batch's keys share one constant)
     alg = _FORMULA_ALGEBRAS[alg_name]()
     rng = random.Random(f"key-witness/{alg_name}")
-    n, r = 5, 9
-    for m, exponents in ((1, _H1), (2, _H2)):
+    r = 9
+    for n, m, exponents in ((4, 1, _H1), (5, 1, _H1), (4, 2, _H2), (5, 2, _H2)):
         hm = _formula(alg, m, n, r, exponents)
         w = n - m
-        for ops, glob, *_, least in sdcheck._local_blocks(hm.spec, hm.matrix.bits):
+        views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
+        for (ops, _, _, _, test), (_, glob) in zip(views, alg.factor_views(hm.matrix.bits[m * r:])):
             lam = [[ops.mul(g[i * n], ops.inv(g[0])) for i in range(r)] for g in glob]
+            cases = []
             for k in range(12):
                 pool = [0] + [rng.randrange(1, ops.q) for _ in range(3)] if k % 3 == 0 else []
                 x, y = ([rng.choice(pool) if pool else rng.randrange(1, ops.q)
@@ -978,14 +1008,61 @@ def test_the_depth_test_and_the_key_witness_match_the_expanded_residual(alg_name
                     t = rng.randrange(1, r)
                     mu_t = ops.mul(lam[1][t], ops.inv(lam[0][t]))
                     y[1] = ops.mul(ops.mul(y[0], ops.inv(x[0])), ops.mul(x[1], mu_t))
-                r0, r1 = ([ops.mul(c, v) for c in lam_g for v in row]
-                          for lam_g, row in zip(lam, (x, y)))
-                fails = [(a, b) for a, b in combinations(range(r * w), 2)
-                         if ops.mul(r0[a], r1[b]) == ops.mul(r0[b], r1[a])]
-                wants = [next((p for p in fails if p[1] < d * w), None) for d in range(1, r + 1)]
-                depth, at = least(x, y)
-                assert depth == next((d for d, want in enumerate(wants, 1) if want), r + 1)
-                assert [at(d) for d in range(depth, r + 1)] == wants[depth - 1:]
+                if k % 4 == 1:
+                    j = rng.randrange(w)
+                    x[j] = y[j] = 0
+                if k % 4 == 3:
+                    a = rng.randrange(1, ops.q)
+                    x[1], y[1] = ops.mul(a, x[0]), ops.mul(a, y[0])
+                cases.append((x, y))
+            depths, at = test([v for x, _ in cases for v in x], [v for _, y in cases for v in y], w)
+            assert len(depths) == len(cases)
+            for t, (x, y) in enumerate(cases):
+                rows = [[ops.mul(c, v) for c in lam_g for v in row]
+                        for lam_g, row in zip(lam, (x, y))]
+                _assert_depth_item((depths[t], t, at), _expanded_pairs(ops, rows, w, r))
+
+
+def test_a_singular_block_in_a_row_scaled_batch_takes_the_elimination_path(monkeypatch):
+    # one local block on every stripe row and h2's geometric global rows,
+    # each times alpha^(g+1) so that g[0] is not 1, inside the bound and
+    # past it, with a block singular at one disk set:
+    # its second row repeats an entry (singular in every view), or over ring
+    # 7 holds 0xa + 1 = 0xb, zero mod that factor of M_7(x) alone.  That
+    # disk set's item is None in that view and it eliminates, on global
+    # rows rebuilt from stripe row 0 and g[n]; the rest of its batch keeps
+    # batch depths.  Every disk set's witness at every depth equals the
+    # eliminate oracle's, and reports equal the generic path's and the
+    # naive and per-depth oracles'
+    m, same_mu = 2, ((3, -1), (3, 2))
+    cases = [(make_field(4), [[1, 1, 1, 1], [1, 2, 2, 8]], (1, 2), 1, _H2),
+             (make_ring(7), [[1, 1, 1, 1], [0xA, 1, 4, 8]], (0, 1), 1, _H2),
+             (make_ring(41), [[1, 1, 1, 1], [1, 2, 2, 8]], (1, 2), 2, _H2),
+             # one survivor per stripe row and mu = 1: at depth 2 the
+             # rebuilt stripe row 1 decides whether the disk set fails
+             (make_field(4), [[1, 1, 1], [1, 2, 2]], (1, 2), 1, same_mu),
+             (make_ring(7), [[1, 1, 1], [1, 2, 2]], (1, 2), 2, same_mu),
+             (make_ring(41), [[1, 1, 1], [2, 2, 8]], (0, 1), 2, same_mu)]
+    codes = []
+    for alg, block, singular, nones, exponents in cases:
+        n = len(block[0])
+        for r in (3, 5):
+            glob = [[alg.mul_bits(v, alg.alpha_pow_bits(g + 1)) for v in row]
+                    for g, row in enumerate(_formula(alg, m, n, r, exponents).matrix.bits[m * r:])]
+            hm = _hand_made(alg, n, m, 2, [block] * r, glob)
+            assert all(_scaled(hm))
+            views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
+            stream = sdcheck._schur_residuals(hm.spec, views)
+            assert [disks for disks, items in stream if None in items] == [singular]
+            assert _assert_plans_match_oracle(hm) == nones    # the singular views' items
+            _assert_groups_match_oracle(hm)
+            naive_witness, checked = naive_is_sd(hm)
+            assert is_sd(hm) == SdReport(naive_witness is None, naive_witness, checked)
+            assert sd_depth(hm) == per_depth_sd_depth(hm)
+            codes.append(hm)
+    got = [_scans(hm) for hm in codes]
+    monkeypatch.setattr(sdcheck, "_row_scaled", lambda *a: None)
+    assert [_scans(hm) for hm in codes] == got
 
 
 def test_the_bounds_exceptions_reach_to_the_order_of_alpha():
@@ -1039,11 +1116,12 @@ def test_the_row_scaled_test_declines_every_other_view():
 
 def test_a_ring_code_row_scaled_in_one_factor_view_only(monkeypatch):
     # adding 0xb, a factor of M_7(x), to one global entry of h1 keeps that
-    # entry mod 0xb and changes it mod 0xd: one view row-scaled, one not
+    # entry mod 0xb and changes it mod 0xd: one view geometric, one not, so
+    # the ring test declines and neither view is row-scaled
     ring7 = make_ring(7)
     hm = build_h1(2, 3, ring7)
     codes = [corrupt(hm, g, col, hm.matrix.bits[g][col] ^ 0xB) for g in (2, 3) for col in range(6)]
-    assert all(_scaled(code) == [True, False] for code in codes)
+    assert all(_scaled(code) == [False, False] for code in codes)
     got = [_scans(code) for code in codes]
     assert {report.sd for report, _ in got} == {True, False}
     for code, (report, (_, depth, depth_report)) in zip(codes, got):
@@ -1054,26 +1132,101 @@ def test_a_ring_code_row_scaled_in_one_factor_view_only(monkeypatch):
     assert [_scans(code) for code in codes] == got
 
 
+def _view_geometric(ops, glob, n):
+    """The per-view geometric test that the ring test replaced, kept as its
+    oracle: no zero entry in the view and, with tables, one ratio key of
+    each entry against the one a stripe row above per global row; without,
+    the cross products g[k] g[0] = g[n] g[k - n] of spread residues."""
+    if not all(map(all, glob)):
+        return False
+    for g in glob:
+        if ops.has_tables:
+            if len(set(ops.ratios(g[:-n], g[n:]))) > 1:
+                return False
+        else:
+            sp, mul = ops._spread(g), ops._spread_mul
+            if any(mul(a, sp[0]) != mul(sp[n], b) for a, b in zip(sp[n:], sp)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [7, 17, 31, 41, 127])
+def test_the_ring_test_accepts_exactly_where_every_view_test_does(p):
+    # formula codes inside the bound and past it, and from each: one global
+    # entry changed at random; one plus z, a factor of M_p(x), which keeps
+    # it in z's view alone; column j of a global row times z in every
+    # stripe row, a row-0 entry that is a nonzero zero divisor with the
+    # cross products still holding in the ring; and c_g = z, so that g[n] =
+    # z g[0] is one.  The ring test runs once: every view is row-scaled, or
+    # none is, exactly when every view's own test accepts
+    ring = make_ring(p)
+    rng = random.Random(f"ring-test/{p}")
+    z, mul = ring.factorization.factors[0], ring.mul_bits
+    codes = []
+    for k in range(6):
+        n, m = rng.randint(3, 6), rng.randint(1, 2)
+        r = rng.randint(1, 4) if k % 2 else p // n + 1
+        hm = _formula(ring, m, n, r, [(rng.randrange(p), rng.randrange(p)) for _ in range(2)])
+        glob = hm.matrix.bits[m * r:]
+        g, col, j = rng.randrange(2), rng.randrange(r * n), rng.randrange(n)
+        times_z = [list(row) for row in glob]
+        times_z[g][j::n] = [mul(v, z) for v in times_z[g][j::n]]
+        powers = [list(row) for row in glob]   # stripe row i: z^i times stripe row 0
+        for c in range(n, r * n):
+            powers[g][c] = mul(powers[g][c - n], z)
+        codes += [hm, corrupt(hm, m * r + g, col, rng.randrange(1, 1 << (p - 1))),
+                  corrupt(hm, m * r + g, col, glob[g][col] ^ z),
+                  _of_bits(hm.spec, times_z), _of_bits(hm.spec, powers)]
+    verdicts = []
+    for hm in codes:
+        spec = hm.spec
+        want = all(_view_geometric(ops, glob, spec.n) for ops, glob in
+                   ring.factor_views(hm.matrix.bits[spec.m * spec.r:]))
+        assert _scaled(hm) == [want] * len(ring.factor_ops), spec
+        verdicts.append(want)
+    assert verdicts[::5] == [True] * 6 and not any(verdicts[3::5])
+    assert not any(v for v, hm in zip(verdicts[4::5], codes[4::5]) if hm.spec.r > 1)
+
+
 def test_the_row_scaled_test_runs_on_every_construction_disk_set_and_never_in_search(
         monkeypatch):
-    tests, calls, row_scaled = [], [], sdcheck._row_scaled
+    # the test runs once per code; each batch's depth test decides all of
+    # its disk sets, so every disk set of every view is decided once; in
+    # search it declines every trial after keying stripe row 1 alone
+    tests, decided, keyed = [], [], []
+    row_scaled, depth_test, ratios = sdcheck._row_scaled, sdcheck._depth_test, _Gf2mOps.ratios
 
     def spy(*args):
-        least = row_scaled(*args)
-        tests.append(least is not None)
-        return least and (lambda x, y: calls.append(1) or least(x, y))
+        before = len(keyed)
+        scaled = row_scaled(*args)
+        tests.append((scaled, sum(keyed[before:])))
+        return scaled
 
+    def counted(*args):
+        batch = depth_test(*args)
+
+        def deciding(x, y, w):
+            depths, at = batch(x, y, w)
+            decided.append(len(depths))
+            return depths, at
+        return deciding
+
+    monkeypatch.setattr(_Gf2mOps, "ratios", lambda self, xs, ys: keyed.append(len(xs))
+                        or ratios(self, xs, ys))
     monkeypatch.setattr(sdcheck, "_row_scaled", spy)
+    monkeypatch.setattr(sdcheck, "_depth_test", counted)
     # sdbench's search shape: generic global rows, never row-scaled
     run_search(SearchConfig(n=8, m=2, s=2, r_max=8, trials=3, seed=7919,
                             algebra=make_field(16)))
-    assert tests and not any(tests) and not calls
+    assert tests and not decided
+    assert all(not scaled and count <= 8 for scaled, count in tests)
     for hm in (build_h1(5, 6, make_field(8)), build_h2(3, 5, make_field(4)),
                build_h2(4, 5, make_ring(31)), build_h1(8, 5, make_ring(41))):
+        views = len(hm.spec.algebra.factor_views([]))
         tests.clear()
-        calls.clear()
-        assert is_sd(hm).sd and all(tests)
-        assert len(calls) == comb(hm.spec.n, hm.spec.m) * len(tests)
+        decided.clear()
+        assert is_sd(hm).sd and [scaled for scaled, _ in tests] == [True]
+        assert sum(decided) == comb(hm.spec.n, hm.spec.m) * views
 
 
 # ------------------------------------------- sd_depth against per-depth is_sd
