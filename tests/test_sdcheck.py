@@ -984,11 +984,11 @@ def test_the_depth_test_and_the_key_witness_match_the_expanded_residual(alg_name
     # four values, zero among them, so ratios repeat and x = 0 and y = 0
     # columns occur; nonzero at random; nonzero with rho_1 = rho_0 mu^t
     # planted; and some with a planted zero column or a planted repeated
-    # ratio, (x_1, y_1) = a (x_0, y_0).  h1 and h2 go past the
-    # bound, so mu^t = 1 within r over GF(2^4) and ring 7; mu generates
-    # the field's units or does not (n = 4 and 5 over GF(2^8)).  Each disk set's
-    # depth and every at(t, d) must be those of its own residual, expanded
-    # by lambda_{g,i} = g[in] / g[0], whatever the rest of the batch holds
+    # ratio, (x_1, y_1) = a (x_0, y_0).  h1 and h2 go past the bound, so
+    # mu^t = 1 within r over GF(2^4) and ring 7; mu generates the field's
+    # units or does not (n = 4 and 5 over GF(2^8)).  Each disk set's depth
+    # and every at(t, d) must be those of its own residual, expanded by
+    # lambda_{g,i} = g[in] / g[0], whatever the rest of the batch holds
     # (without tables the batch's keys share one constant)
     alg = _FORMULA_ALGEBRAS[alg_name]()
     rng = random.Random(f"key-witness/{alg_name}")
@@ -1026,10 +1026,10 @@ def test_the_depth_test_and_the_key_witness_match_the_expanded_residual(alg_name
 def test_a_singular_block_in_a_row_scaled_batch_takes_the_elimination_path(monkeypatch):
     # one local block on every stripe row and h2's geometric global rows,
     # each times alpha^(g+1) so that g[0] is not 1, inside the bound and
-    # past it, with a block singular at one disk set:
-    # its second row repeats an entry (singular in every view), or over ring
-    # 7 holds 0xa + 1 = 0xb, zero mod that factor of M_7(x) alone.  That
-    # disk set's item is None in that view and it eliminates, on global
+    # past it, with a block singular at one disk set: its second row
+    # repeats an entry (singular in every view), or over ring 7 holds
+    # 0xa + 1 = 0xb, zero mod that factor of M_7(x) alone.  That disk
+    # set's item is None in that view and it eliminates, on global
     # rows rebuilt from stripe row 0 and g[n]; the rest of its batch keeps
     # batch depths.  Every disk set's witness at every depth equals the
     # eliminate oracle's, and reports equal the generic path's and the
