@@ -109,6 +109,7 @@ def unpack(acc: int, count: int, width: int) -> list[int]:
 
 
 _BIT = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]     # byte value -> its bit k
+_DIGIT = bytes.maketrans(b"\x00\x01", b"01")                            # bit byte -> its digit
 
 
 def bit_bytes(data: bytes) -> bytes:
@@ -288,6 +289,12 @@ class _Gf2mOps:
             bits = wide
         span = 8 * nbytes * step
         return [int.from_bytes(bits[o:o + span], "little") for o in range(0, len(bits), span)]
+
+    def _unspread(self, a: int) -> int:
+        """The residue of a spread one, as products leave it: bit k is the
+        low bit of slot k."""
+        bits = a.to_bytes(self._shift >> 3, "little")[::self._slot >> 3]
+        return int(bits[::-1].translate(_DIGIT), 2)
 
     def _mul_fold(self, a: int, b: int) -> int:
         """Product of two spread residues mod M_p(x): slot k + p adds onto

@@ -41,8 +41,8 @@ both constructions and every exponent formula alpha^(a_g in + b_g j)
 (c_g = alpha^(a_g n) there).  ``_row_scaled`` tests this once in the
 algebra: in a field, or a ring whose M_p(x) is irreducible, in its one
 view; in a split ring by the cross products g[k] g[0] = g[n] g[k-n] mod
-M_p(x), with g[0..n] nonzero in every factor view, so that every view is
-row-scaled or none is.  Then each view's Schur residual at (i, j) is
+M_p(x) and one unit test of the product of g[0..n], so that every view
+is row-scaled or none is.  Then each view's Schur residual at (i, j) is
 c_g^i times the one at (0, j), so only stripe row 0 and g[n] of the
 global rows are projected, and the plans run on stripe row 0 alone.
 Column (i, j) has the ratio mu^i rho_j, mu = c_1 / c_0, rho_j read from
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, combinations, compress, islice, repeat, starmap
+from itertools import chain, combinations, compress, islice, repeat
 from math import comb, gcd
 from operator import getitem, index, sub, xor
 from typing import Callable, Optional, Sequence
@@ -261,34 +261,33 @@ def _local_blocks(spec: CodeSpec, bits):
     kind = [seen.setdefault(block, len(seen)) for block in per_row]
     local = [row for block in seen for row in block]
     glob = list(bits[m * r:])
-    scaled = spec.s == 2 and len(seen) == 1 and _row_scaled(spec.algebra.ops, glob, n)
-    views = spec.algebra.factor_views(local + ([g[:n + 1] for g in glob] if scaled else glob))
-    if scaled and not all(all(g) for _, rows in views for g in rows[len(local):]):
-        # a g[j], j <= n, that is a zero divisor of a split ring: no view is row-scaled
-        scaled, views = False, spec.algebra.factor_views(local + glob)
+    scaled = spec.s == 2 and len(seen) == 1 and _row_scaled(spec.algebra, glob, n)
     out = []
-    for ops, rows in views:
+    for ops, rows in spec.algebra.factor_views(local + ([g[:n + 1] for g in glob] if scaled
+                                                        else glob)):
         blocks = [tuple(map(tuple, rows[k:k + m])) for k in range(0, len(local), m)]
         glob = rows[len(local):]
         out.append((ops, glob, blocks, kind, _depth_test(ops, glob, n, r) if scaled else None))
     return out
 
 
-def _row_scaled(ops, glob, n: int) -> bool:
+def _row_scaled(algebra, glob, n: int) -> bool:
     """Whether each global row has no zero entry and is geometric in the
-    algebra of ops, its stripe row i + 1 one constant c_g times its stripe
-    row i: with tables, the ``ops.ratios`` keys of each entry against the
-    one a stripe row above are all equal; without, the cross products
-    g[k] g[0] = g[n] g[k - n] of spread residues hold.  Stripe row 1 goes
-    first, so a generic row declines after n keys.  For a split ring ops
-    is ``Ring.ops``, whose spread products hold mod M_p(x): the test runs
-    once, not once per factor view, and _local_blocks asks that each g[j],
-    j <= n, be a unit, nonzero in every view, which with the cross products
-    makes every entry one and every view's rows geometric."""
+    algebra, its stripe row i + 1 one unit c_g times its stripe row i:
+    with tables, the ``ops.ratios`` keys of each entry against the one a
+    stripe row above are all equal; without, the cross products g[k] g[0]
+    = g[n] g[k - n] of spread residues hold and the product of every
+    g[j], j <= n, is a unit, as it is exactly when each of them is.
+    Stripe row 1 goes first, so a generic row declines after n keys.  For
+    a split ring ops is ``Ring.ops``, whose spread products hold mod
+    M_p(x): the test runs once, not once per factor view, as units g[0]
+    and g[n] and the cross products make every entry a unit and every
+    view's rows geometric."""
+    ops, units = algebra.ops, 1
     if not all(map(all, glob)):
         return False
     for g in glob:
-        keys, sp = set(), []
+        keys, sp = set(), [] if ops.has_tables else ops._spread(g[:n + 1])
         for lo, hi in ((n, min(2 * n, len(g))), (2 * n, len(g))):
             if lo >= hi:
                 break
@@ -302,7 +301,8 @@ def _row_scaled(ops, glob, n: int) -> bool:
                 if ([*map(mul, sp[lo:hi], repeat(sp[0]))]
                         != [*map(mul, repeat(sp[n]), sp[lo - n:hi - n])]):
                     return False
-    return True
+        units = reduce(ops._spread_mul, sp[:n + 1], units) if sp else units
+    return ops.has_tables or algebra.is_unit_bits(ops._unspread(units))
 
 
 def _depth_test(ops, glob, n: int, r: int):
@@ -319,12 +319,13 @@ def _depth_test(ops, glob, n: int, r: int):
     its ratio times one constant of the batch), and at sweeps a disk set's
     keys scaled by mu^i (the x = 0 and y = 0 keys kept), a log sum with
     tables and a spread product without, so nothing past row 0 is read.
-    With tables, where mu generates the field's units, a disk set sorts
-    its keys' logs to base mu, as two keys meet at mu^t for t their
-    cyclic distance; where it does not, it takes w(w-1)/2 lookups of its
-    key differences among the 2(r-1) logs of mu^t and mu^-t.  Without
-    tables it takes one set of its r w scaled keys.  Each gives 1 where
-    two keys of row 0 are equal."""
+    With tables, a disk set sorts its keys by coset of the powers of mu
+    and, within one, by log to base mu: two keys meet at mu^t exactly
+    when they share a coset and t is their cyclic distance mod the order
+    of mu, so with each key less than r from its coset's start copied one
+    order on, every such distance below r is a gap of sorted neighbours;
+    bands three orders wide keep cosets apart.  Without tables it takes one set of its r w scaled keys.  Each
+    gives 1 where two keys of row 0 are equal."""
     ratios = ops.ratios
     # log c_g, or c_g times one constant without tables; g[-1] is g[n],
     # or at r = 1, where mu is not read, g[n - 1]
@@ -332,27 +333,20 @@ def _depth_test(ops, glob, n: int, r: int):
     if ops.has_tables:
         qm1, zero = ops.qm1, {-1, ops.qm1}      # the x = 0 and y = 0 keys
         step = c1 - c0                  # log mu
-        order = qm1 // gcd(step, qm1)   # of mu: mu^t = 1 exactly where it divides t
+        cosets = gcd(step, qm1)
+        order = qm1 // cosets           # of mu: mu^t = 1 exactly where it divides t
+        inv = pow(step // cosets, -1, order)
         repeated = order + 1 if order < r else r + 1
+        span = 3 * order                # a coset's band: its keys' places and their copies
 
         def scaled(keys, d):
             return [(k + i * step) % qm1 if -1 < k < qm1 else k for i in range(d) for k in keys]
 
-        if order == qm1:                # mu generates: keys k, k' meet at the cyclic
-            inv = pow(step, -1, qm1)    # distance of k / log mu and k' / log mu
-
-            def deeper(keys):
-                line = sorted([k * inv % qm1 for k in keys])
-                return min(repeated, 1 + min([qm1 - line[-1] + line[0], *map(sub, line[1:], line)]))
-        else:
-            first = {}                      # log mu^(+-t) -> t + 1
-            for t in range(r - 1, 0, -1):   # deepest first, so the shallowest t stays
-                first[t * step % qm1] = first[-t * step % qm1] = t + 1
-            first[0] = 1                    # two equal keys fail in row 0
-
-            def deeper(keys):               # keys descending: differences in 0..q-2
-                hits = first.keys() & starmap(sub, combinations(sorted(keys, reverse=True), 2))
-                return min([repeated, *map(first.__getitem__, hits)])
+        def deeper(keys):
+            line = [k % cosets * span + k // cosets * inv % order for k in keys]
+            line += [v + order for v in line if v % span < r]
+            line.sort()
+            return 1 + min([repeated - 1, *map(sub, line[1:], line)])
     else:
         mul, zero = ops._spread_mul, {-1, 0}
         mus, power = [], 1              # mus[i] = c_1^i c_0^(r-1-i), mu^i times one constant

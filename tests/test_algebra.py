@@ -544,11 +544,12 @@ def test_spread_products_match_mulmod(modulus, slot, reduction):
     rng = random.Random(modulus)
     operands = [0, 1, 2, ops.qm1, 1 << (d - 1)] + [rng.getrandbits(d) for _ in range(15)]
     spread = ops._spread(operands)
-    assert [_unspread(ops, v) for v in spread] == operands
+    assert [_unspread(ops, v) for v in spread] == operands == [*map(ops._unspread, spread)]
     assert all(v >> d * slot == 0 and v & ~ops._ones == 0 for v in spread)
     for a, sa in zip(operands, spread):
         for b, sb in zip(operands, spread):
             assert ops._spread_mul(sa, sb) == ops._spread([poly.mulmod(a, b, modulus)])[0]
+            assert ops._unspread(ops._spread_mul(sa, sb)) == poly.mulmod(a, b, modulus)
 
 
 @pytest.mark.parametrize("p", [7, 17, 31, 41, 101, 127])
@@ -569,6 +570,7 @@ def test_ring_ops_multiply_in_the_ring(p):
     for a, sa in zip(operands, spread):
         for b, sb in zip(operands, spread):
             assert ops._spread_mul(sa, sb) == ops._spread([ring.mul_bits(a, b)])[0]
+            assert ops._unspread(ops._spread_mul(sa, sb)) == ring.mul_bits(a, b)
             assert ops.mul(a, b) == ring.mul_bits(a, b)
 
 

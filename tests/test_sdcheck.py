@@ -983,13 +983,15 @@ def test_the_depth_test_and_the_key_witness_match_the_expanded_residual(alg_name
     # one batch of 12 disk sets' stripe row 0 residuals (x, y): drawn from
     # four values, zero among them, so ratios repeat and x = 0 and y = 0
     # columns occur; nonzero at random; nonzero with rho_1 = rho_0 mu^t
-    # planted; and some with a planted zero column or a planted repeated
-    # ratio, (x_1, y_1) = a (x_0, y_0).  h1 and h2 go past the bound, so
-    # mu^t = 1 within r over GF(2^4) and ring 7; mu generates the field's
-    # units or does not (n = 4 and 5 over GF(2^8)).  Each disk set's depth
-    # and every at(t, d) must be those of its own residual, expanded by
-    # lambda_{g,i} = g[in] / g[0], whatever the rest of the batch holds
-    # (without tables the batch's keys share one constant)
+    # planted, once with rho_0 = mu^-s, s <= t, so that rho_0 and rho_1
+    # lie on both sides of 1 on mu's cycle; and some with a planted zero
+    # column or a planted repeated ratio, (x_1, y_1) = a (x_0, y_0).  h1
+    # and h2 go past the bound, so mu^t = 1 within r over GF(2^4) and ring
+    # 7; mu generates the field's units or does not (n = 4 and 5 over
+    # GF(2^8)).  Each disk set's depth and every at(t, d) must be those of
+    # its own residual, expanded by lambda_{g,i} = g[in] / g[0], whatever
+    # the rest of the batch holds (without tables the batch's keys share
+    # one constant)
     alg = _FORMULA_ALGEBRAS[alg_name]()
     rng = random.Random(f"key-witness/{alg_name}")
     r = 9
@@ -1007,6 +1009,9 @@ def test_the_depth_test_and_the_key_witness_match_the_expanded_residual(alg_name
                 if k % 3 == 2:
                     t = rng.randrange(1, r)
                     mu_t = ops.mul(lam[1][t], ops.inv(lam[0][t]))
+                    if k == 8:          # rho_0 = mu^-s: the pair meets across mu^0 = 1
+                        s = rng.randrange(1, t + 1)
+                        y[0] = ops.mul(x[0], ops.mul(lam[0][s], ops.inv(lam[1][s])))
                     y[1] = ops.mul(ops.mul(y[0], ops.inv(x[0])), ops.mul(x[1], mu_t))
                 if k % 4 == 1:
                     j = rng.randrange(w)
