@@ -324,8 +324,9 @@ def _depth_test(ops, glob, n: int, r: int):
     when they share a coset and t is their cyclic distance mod the order
     of mu, so with each key less than r from its coset's start copied one
     order on, every such distance below r is a gap of sorted neighbours;
-    bands three orders wide keep cosets apart.  Without tables it takes one set of its r w scaled keys.  Each
-    gives 1 where two keys of row 0 are equal."""
+    bands three orders wide keep cosets apart.  Without tables it takes
+    one set of its r w scaled keys.  Each gives 1 where two keys of row 0
+    are equal."""
     ratios = ops.ratios
     # log c_g, or c_g times one constant without tables; g[-1] is g[n],
     # or at r = 1, where mu is not read, g[n - 1]
