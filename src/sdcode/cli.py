@@ -13,8 +13,8 @@ from typing import Optional
 from .algebra import Algebra, key_values, make_field, make_ring, read_int
 from .codec import decode, encode, read_stripe, write_stripe
 from .construct import (
-    build_h1,
-    build_h2,
+    _FORMULAS,
+    _family,
     read_matrix,
     read_row,
     shorten,
@@ -82,8 +82,7 @@ def _read_tokens(path: str, algebra: Algebra) -> list:
 
 def _cmd_construct(args) -> int:
     algebra = _algebra_of(args)
-    build = build_h1 if args.family == "construction1" else build_h2
-    hm = build(args.r, args.n, algebra)
+    hm = _family(args.family, args.r, args.n, algebra)
     spec = hm.spec
     write_matrix(hm, args.output)
     print(f"family={spec.family} n={spec.n} m={spec.m} s={spec.s} r={spec.r} "
@@ -159,8 +158,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("construct", help="build a parity-check matrix file")
-    p.add_argument("--family", required=True,
-                   choices=("construction1", "construction2"))
+    p.add_argument("--family", required=True, choices=tuple(_FORMULAS))
     p.add_argument("--r", type=_decimal, required=True, help="sector rows per stripe")
     p.add_argument("--n", type=_decimal, required=True, help="number of disks")
     _add_algebra_flags(p)

@@ -6,17 +6,16 @@ matrix has mr + s rows: the first mr are local (row i is nonzero only
 inside the n columns of block ⌊i/m⌋) and the last s are global rows with
 every entry nonzero.
 
-Two fixed families are provided, both requiring rn <= O(alpha):
+Every row of the two fixed families comes from one exponent formula:
+the row of (a, b) holds alpha^(a in + b j) at column in + j.  Parity t
+of block i is the pair (0, t) cut to block i, and a family is a row of
+``_FORMULAS``: its m and the (a_g, b_g) of its s global rows.
 
-* construction1 (m=1, s=2): local row i is all ones on block i; global
-  rows hold alpha^(in+j) and alpha^(2in-j) at column in + j.
-* construction2 (m=2, s=2): block i contributes two local rows holding 1
-  and alpha^j; global rows hold alpha^(3in-j) and alpha^(2(in+j)).
+* construction1: m = 1, (a_g, b_g) = (1, 1), (2, -1).
+* construction2: m = 2, (a_g, b_g) = (3, -1), (2, 2).
 
-All three builders share one local-row builder: parity t of block i puts
-alpha^(tj) at column in + j (the families' local parts at m = 1 and 2).
-The families add two global exponent formulas; the generic builder takes
-caller-supplied global rows (used by the random search).
+Both require rn <= O(alpha).  The generic builder takes caller-supplied
+global rows (used by the random search) over the same local rows.
 """
 
 from __future__ import annotations
@@ -39,8 +38,10 @@ from .errors import (
 )
 from .linalg import Matrix
 
-FAMILIES = ("construction1", "construction2", "generic")
-_FIXED_MS = {"construction1": (1, 2), "construction2": (2, 2)}
+# family -> (m, the (a_g, b_g) of each global row): the one owner of a family
+_FORMULAS = {"construction1": (1, ((1, 1), (2, -1))),
+             "construction2": (2, ((3, -1), (2, 2)))}
+FAMILIES = (*_FORMULAS, "generic")
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,11 +110,19 @@ def _check_order(r: int, n: int, algebra: Algebra) -> None:
             f"the construction needs r*n <= O(alpha)")
 
 
+def _exponent_rows(algebra: Algebra, n: int, r: int,
+                   pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Per (a, b) in pairs, the row holding alpha^(a in + b j) at column
+    in + j, for i < r and j < n (alpha_pow_bits reduces mod O(alpha))."""
+    return [list(map(algebra.alpha_pow_bits, (a * i * n + b * j for i in range(r)
+                                              for j in range(n)))) for a, b in pairs]
+
+
 @lru_cache(maxsize=64)
 def _local_rows(spec: CodeSpec) -> tuple[tuple[int, ...], ...]:
     """The mr local rows: parity t of block i puts alpha^(tj) at column in + j."""
     n, rn = spec.n, spec.total_columns
-    parts = [[spec.algebra.alpha_pow_bits(t * j) for j in range(n)] for t in range(spec.m)]
+    parts = _exponent_rows(spec.algebra, n, 1, ((0, t) for t in range(spec.m)))
     rows = []
     for i in range(spec.r):
         for part in parts:
@@ -123,28 +132,23 @@ def _local_rows(spec: CodeSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _family(family: str, r: int, n: int, algebra: Algebra,
-            *global_exponents: Iterable[int]) -> ParityCheckMatrix:
-    """A fixed family: the local rows, then global row g holding
-    alpha^e for the exponents e of global_exponents[g] in column order."""
-    m, s = _FIXED_MS[family]
-    spec = CodeSpec(n=n, m=m, s=s, r=r, algebra=algebra, family=family)
+def _family(family: str, r: int, n: int, algebra: Algebra) -> ParityCheckMatrix:
+    """A fixed family from its _FORMULAS row: the local rows, then one
+    global row per (a_g, b_g)."""
+    m, pairs = _FORMULAS[family]
+    spec = CodeSpec(n=n, m=m, s=len(pairs), r=r, algebra=algebra, family=family)
     _check_order(r, n, algebra)
-    return _of_bits(spec, [list(map(algebra.alpha_pow_bits, exps)) for exps in global_exponents])
+    return _of_bits(spec, _exponent_rows(algebra, n, r, pairs))
 
 
 def build_h1(r: int, n: int, algebra: Algebra) -> ParityCheckMatrix:
     """The m=1, s=2 family: (r+2) × rn."""
-    return _family("construction1", r, n, algebra,
-                   (i * n + j for i in range(r) for j in range(n)),
-                   (2 * i * n - j for i in range(r) for j in range(n)))
+    return _family("construction1", r, n, algebra)
 
 
 def build_h2(r: int, n: int, algebra: Algebra) -> ParityCheckMatrix:
     """The m=2, s=2 family: (2r+2) × rn."""
-    return _family("construction2", r, n, algebra,
-                   (3 * i * n - j for i in range(r) for j in range(n)),
-                   (2 * (i * n + j) for i in range(r) for j in range(n)))
+    return _family("construction2", r, n, algebra)
 
 
 def build_h_generic(n: int, m: int, s: int, r: int,
@@ -283,13 +287,13 @@ def _parse_spec(text: str, algebra: Algebra, with_family: bool) -> CodeSpec:
     family = kv.get("family", "generic")
     if family not in FAMILIES:
         raise ParseError(f"unknown family {family!r}", line=3, column=column["family"])
-    fixed = _FIXED_MS.get(family)
     try:
         spec = CodeSpec(**shape, algebra=algebra, family=family)
-        if fixed and (spec.m, spec.s) != fixed:
-            raise ParseError(f"family {family} fixes (m, s) = {fixed}, "
-                             f"got ({spec.m}, {spec.s})", line=3, column=1)
-        if fixed:
+        if family in _FORMULAS:
+            m, pairs = _FORMULAS[family]
+            if (spec.m, spec.s) != (m, len(pairs)):
+                raise ParseError(f"family {family} fixes (m, s) = {(m, len(pairs))}, "
+                                 f"got ({spec.m}, {spec.s})", line=3, column=1)
             _check_order(spec.r, spec.n, algebra)
     except (ValueError, OrderTooSmallError) as ex:
         raise ParseError(str(ex), line=3, column=1) from None
@@ -349,4 +353,4 @@ def read_matrix(source) -> ParityCheckMatrix:
         if fault:
             raise ParseError(fault[1], line=4 + ri, column=tokens_with_columns(text)[fault[0]][1])
         rows_bits.append(row)
-    return ParityCheckMatrix(spec, Matrix(algebra, rows_bits))
+    return ParityCheckMatrix(spec, Matrix._of_ints(algebra, rows_bits))

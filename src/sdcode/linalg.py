@@ -18,9 +18,9 @@ needs no product in fields and in the ring.  It has two appliers.  A
 ``PackedMap`` spans the basis into split multiply-by-constant tables
 (``algebra.byte_tables``, the one builder of split tables), one lookup
 and one XOR per byte of each nonzero input entry; at 256 entries per
-byte, the tables pay for many products per build, so the
-solve plans and ``mul_vector`` (one map per Matrix, cached by
-``packed_map``) use them.  The SD scan's Schur plans
+byte, the tables pay for many products per build, so the solve plans
+use them.  ``mul_vector`` builds none: it takes one product per nonzero
+entry and caches nothing.  The SD scan's Schur plans
 (``sdcheck._schur_plan``) keep the basis alone and XOR it at each set
 bit of the input, about w/2 XORs per entry: a plan is applied only
 r s times per call, too few to pay for tables 32 times its size (256
@@ -54,7 +54,7 @@ CRT route, and the SD scan takes the local blocks' minors from it.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import repeat
+from itertools import compress, repeat
 from operator import getitem, index, xor
 from typing import Iterable, Sequence
 
@@ -334,13 +334,6 @@ def x_powers(modulus: int, columns: Sequence[int], count: int, stride: int) -> l
 
 
 @lru_cache(maxsize=64)
-def packed_map(m: Matrix) -> PackedMap:
-    """m compiled once for every vector it multiplies."""
-    return PackedMap(m.algebra.modulus, [pack(col, m.algebra.element_bits)
-                                         for col in zip(*m.bits)], m.rows)
-
-
-@lru_cache(maxsize=64)
 def _solve_plan(m: Matrix, cols: tuple[int, ...]) -> PackedMap | None:
     """The map from v, vec's entries at the columns not in cols in
     ascending order, to the values at cols that make m·vec = 0, and the
@@ -428,8 +421,11 @@ def solve(m: Matrix, b: Sequence[Element]) -> list[Element]:
 
 
 def mul_vector(m: Matrix, vec: Sequence[Element]) -> list[Element]:
-    """M·x as a list of Elements."""
+    """M·x as a list of Elements: one product per nonzero entry of M, with
+    nothing built or cached."""
     if len(vec) != m.cols:
         raise ShapeMismatchError(f"vector length {len(vec)} != {m.cols} columns")
     alg = m.algebra
-    return alg.elements(packed_map(m)([alg._check(e) for e in vec]))
+    x, mul = [alg._check(e) for e in vec], alg.mul_bits
+    return alg.elements([reduce(xor, map(mul, compress(row, row), compress(x, row)), 0)
+                         for row in m.bits])

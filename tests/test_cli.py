@@ -57,6 +57,30 @@ def test_construct_second_family_and_ring(tmp_path, capsys):
     assert "algebra=ring p=17 O(alpha)=17" in out
 
 
+def test_construct_stdout_of_each_family(tmp_path, capsys):
+    for family, m in (("construction1", 1), ("construction2", 2)):
+        path = tmp_path / f"{family}.txt"
+        assert run("construct", "--family", family, "--r", "3", "--n", "5",
+                   "--field", "w=4", "-o", str(path)) == 0
+        assert capsys.readouterr().out == (
+            f"family={family} n=5 m={m} s=2 r=3 algebra=field w=4 poly=0x13 O(alpha)=15\n"
+            f"wrote {path}\n")
+
+
+def test_construct_generic_family_is_a_usage_error(tmp_path, capsys):
+    # generic codes take caller-supplied global rows, so construct offers
+    # only the fixed families
+    with pytest.raises(SystemExit) as ei:
+        run("construct", "--family", "generic", "--r", "3", "--n", "5",
+            "--field", "w=4", "-o", str(tmp_path / "x"))
+    assert ei.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --family: invalid choice: 'generic'" in captured.err
+    assert "construction1" in captured.err and "construction2" in captured.err
+    assert not (tmp_path / "x").exists()
+
+
 def test_construct_order_violation_exits_1(tmp_path, capsys):
     assert run("construct", "--family", "construction1", "--r", "4", "--n", "4",
                "--field", "w=4", "-o", str(tmp_path / "x.txt")) == 1

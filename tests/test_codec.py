@@ -3,7 +3,9 @@ import dataclasses
 import io
 import json
 import random
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import pytest
 
@@ -30,7 +32,7 @@ from sdcode import codec, linalg
 from sdcode.algebra import Element
 from sdcode.codec import STRIPE_MAGIC, data_columns
 from sdcode.construct import CodeSpec, ParityCheckMatrix
-from sdcode.linalg import Matrix, eliminate, mul_vector, packed_map
+from sdcode.linalg import Matrix, eliminate, mul_vector
 from sdcode.sdcheck import erased_columns
 from sdcode.errors import (
     AlgebraMismatchError,
@@ -377,6 +379,11 @@ def test_equal_specs_hash_equal_and_share_the_cached_layout(monkeypatch, gf16):
 
 # --------------------------------------------- the two-step solve, as oracle
 
+def _times(alg, rows, x):
+    """rows·x with one product per entry: the oracle's matrix-vector product."""
+    return [reduce(xor, map(alg.mul_bits, row, x), 0) for row in rows]
+
+
 def _factor_oracle(a: Matrix):
     """The left inverse L of A stacked over A_t·L + e_t for each row t
     that some factor field did not pivot on, as rows, or None when A's
@@ -395,10 +402,10 @@ def _factor_oracle(a: Matrix):
         lefts.append([view[p][n:] for p in pivots])
         unpivoted.update(set(range(a.rows)).difference(pivots))
     left = [[alg.crt_bits(col) for col in zip(*rows)] for rows in zip(*lefts)]
-    times_left = packed_map(Matrix(alg, [[row[j] for row in left] for j in range(a.rows)]))
+    left_t = [[row[j] for row in left] for j in range(a.rows)]
     residuals = []
     for t in sorted(unpivoted):
-        res = times_left(a.bits[t])
+        res = _times(alg, left_t, a.bits[t])
         res[t] ^= 1
         residuals.append(res)
     return left + residuals
@@ -406,13 +413,14 @@ def _factor_oracle(a: Matrix):
 
 def two_step_solve(h: Matrix, vec, cols):
     """The codec's solve in two steps: the coefficient matrix H at cols
-    and the syndrome of vec held at 0 there, from H's packed map; then
-    the factored map, x = L·syndrome above the residual checks."""
-    stack = _factor_oracle(Matrix(h.algebra, [[row[c] for c in cols] for row in h.bits]))
+    and the syndrome of vec held at 0 there; then the factored map,
+    x = L·syndrome above the residual checks, each product taken alone."""
+    alg = h.algebra
+    stack = _factor_oracle(Matrix(alg, [[row[c] for c in cols] for row in h.bits]))
     if stack is None:
         return "deficient", None
-    syndrome = packed_map(h)([0 if c in cols else v for c, v in enumerate(vec)])
-    out = packed_map(Matrix(h.algebra, stack))(syndrome)
+    syndrome = _times(alg, h.bits, [0 if c in cols else v for c, v in enumerate(vec)])
+    out = _times(alg, stack, syndrome)
     if any(out[len(cols):]):
         return "inconsistent", None
     return "ok", out[:len(cols)]

@@ -1,4 +1,5 @@
 """Parity-check matrix builders and the matrix text format."""
+import hashlib
 import io
 import random
 
@@ -53,6 +54,24 @@ def test_reference_tables_declare_their_gaps():
         total_rows = ref.r + 2 if ref.family == "construction1" else 2 * ref.r + 2
         full = ref.printed_cols == ref.r * ref.n and len(ref.row_map) == total_rows
         assert full == ref.note.startswith("complete"), ref.name
+
+
+def test_write_matrix_bytes_of_both_families_are_pinned():
+    # one SHA-256 over write_matrix of both families over GF(2^4), GF(2^8),
+    # GF(2^16) and rings 5, 17, 31, 41, 101 and 127, at n = 3, 5 and 8 and
+    # r = min(4, O(alpha) // n): 52 files (ring 5 has no room for n = 8)
+    digest, count = hashlib.sha256(), 0
+    for alg in (*map(make_field, (4, 8, 16)), *map(make_ring, (5, 17, 31, 41, 101, 127))):
+        for n in (3, 5, 8):
+            r = min(4, alg.order_of_alpha() // n)
+            for build in (build_h1, build_h2) if r else ():
+                buf = io.StringIO()
+                write_matrix(build(r, n, alg), buf)
+                digest.update(buf.getvalue().encode())
+                count += 1
+    assert count == 52
+    assert digest.hexdigest() == (
+        "cf60f5343f0a840e8fda59d004181315ac43bce9b9ac2753ff40a5a9252080c1")
 
 
 # ------------------------------------------------- formulas
@@ -329,9 +348,17 @@ def test_read_matrix_error_positions(gf16):
     assert (ei.value.line, ei.value.column) == (3, 8)
     assert "unknown family" in str(ei.value)
 
-    with pytest.raises(ParseError) as ei:
-        parse_lines(good[0], good[1], "params family=construction2 n=3 m=1 s=2 r=2", *good[3:])
-    assert ei.value.line == 3 and "fixes (m, s)" in str(ei.value)  # family contradicts m
+    # a family fixes its (m, s): m or s contradicting it
+    for params, message in (
+            ("family=construction2 n=3 m=1 s=2 r=2",
+             "family construction2 fixes (m, s) = (2, 2), got (1, 2)"),
+            ("family=construction1 n=3 m=1 s=3 r=2",
+             "family construction1 fixes (m, s) = (1, 2), got (1, 3)"),
+            ("family=construction1 n=3 m=2 s=2 r=2",
+             "family construction1 fixes (m, s) = (1, 2), got (2, 2)")):
+        with pytest.raises(ParseError) as ei:
+            parse_lines(good[0], good[1], f"params {params}", *good[3:])
+        assert str(ei.value) == f"line 3, column 1: {message}"
 
     # a repeated key is rejected, not silently overridden
     params = "params n=3 m=1 s=2 r=2 family=construction1 n=5"

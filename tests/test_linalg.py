@@ -1,10 +1,12 @@
 """Exact linear algebra over fields and over the composite residue ring."""
 import random
+import tracemalloc
 
 import pytest
 
 from sdcode import (
     Matrix,
+    build_h2,
     determinant,
     is_invertible,
     make_field,
@@ -326,6 +328,26 @@ def test_mul_vector_shapes(gf16):
         solve(wide, [gf16.one])
     with pytest.raises(NotSquareError):
         is_invertible(wide)
+
+
+def test_mul_vector_takes_one_product_per_entry_and_keeps_nothing():
+    # h2 at n = 16, r = 32 over GF(2^16): 66 x 512 entries; tables for the
+    # whole matrix would hold tens of MB after the call
+    gf = make_field(16)
+    h = build_h2(32, 16, gf).matrix
+    rng = random.Random("mul-vector")
+    x = [gf.element(rng.getrandbits(16)) for _ in range(h.cols)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = mul_vector(h, x)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 20
+    bits = [e.bits for e in x]
+    assert [e.bits for e in got] == [
+        dot(gf.mul_bits, [(k, v) for k, v in enumerate(row) if v], bits) for row in h.bits]
 
 
 # ------------------------------------------------------- packed maps

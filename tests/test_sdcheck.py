@@ -27,7 +27,7 @@ from sdcode import (
 from sdcode import sdcheck
 from sdcode.algebra import _Gf2mOps
 from sdcode.search import SearchConfig, random_nonzero, run_search
-from sdcode.construct import CodeSpec, ParityCheckMatrix, _of_bits
+from sdcode.construct import _FORMULAS, CodeSpec, ParityCheckMatrix, _exponent_rows, _of_bits
 from sdcode.linalg import Matrix, det_bits, determinant, eliminate, submatrix
 from sdcode.sdcheck import SdReport, validate_pattern
 from sdcode.errors import (
@@ -883,16 +883,14 @@ def test_construction_scan_runs_no_elimination_and_one_block(gf256, monkeypatch)
 
 def _formula(alg, m, n, r, exponents):
     """The code whose global row g holds alpha^(a in + b j) at column
-    in + j, (a, b) = exponents[g], each exponent reduced mod O(alpha):
-    the form of both constructions, built through _of_bits at any r, past
-    rn <= O(alpha) too."""
-    order = alg.order_of_alpha()
-    spec = CodeSpec(n=n, m=m, s=2, r=r, algebra=alg, family="generic")
-    return _of_bits(spec, [[alg.alpha_pow_bits((a * i * n + b * j) % order)
-                            for i in range(r) for j in range(n)] for a, b in exponents])
+    in + j, (a, b) = exponents[g]: the form of both constructions, from
+    their row builder through _of_bits at any r, past rn <= O(alpha) too."""
+    spec = CodeSpec(n=n, m=m, s=len(exponents), r=r, algebra=alg, family="generic")
+    return _of_bits(spec, _exponent_rows(alg, n, r, exponents))
 
 
-_H1, _H2 = ((1, 1), (2, -1)), ((3, -1), (2, 2))      # the constructions' (a_g, b_g)
+# the constructions' (a_g, b_g)
+_H1, _H2 = (_FORMULAS[family][1] for family in ("construction1", "construction2"))
 
 
 def _scaled(hm):
