@@ -524,6 +524,7 @@ class Field(Algebra):
         self.modulus = modulus
         self.element_bits = w
         self.ops = _Gf2mOps(modulus)
+        self.mul_bits = self.ops.mul        # one frame per product, not a method calling it
         self._elements: dict[int, Element] = {}     # at most 2^w, filled on first use
         # alpha = g^la: alpha^k = g^lg iff d = gcd(la, q-1) divides lg, and
         # then k = (lg/d) * (la/d)^-1 mod O(alpha), where O(alpha) = (q-1)/d
@@ -555,9 +556,6 @@ class Field(Algebra):
             return list(map(self._elements.__getitem__, bits))
         except KeyError:
             return list(map(self.element, bits))
-
-    def mul_bits(self, a: int, b: int) -> int:
-        return self.ops.mul(a, b)
 
     def inv_bits(self, a: int) -> int:
         if a == 0:

@@ -47,12 +47,18 @@ c_g^i times the one at (0, j), so only stripe row 0 and g[n] of the
 global rows are projected, and the plans run on stripe row 0 alone.
 Column (i, j) has the ratio mu^i rho_j, mu = c_1 / c_0, rho_j read from
 row 0, and past depth 1 a disk set passes exactly when row 0 has no zero
-entry and these ratios all differ, so ``_depth_test`` gives from one
-``ops.ratios`` call per plan batch every disk set's smallest failing
-depth; the scan builds no group for a disk set that passes at best - 1
-in every view.  A disk set that fails sweeps its slice of the same keys,
-row 0's scaled by mu^i, so the witness is the same, and no residual past
-row 0 is built.
+entry and these ratios all differ, so ``_depth_test`` decides a plan
+batch at once.  With log tables it is one line: each column's place on
+mu's cycle (a band per coset of mu's powers, then log to base mu) plus
+its disk set's tag, sorted once; the smallest gap of neighbours and the
+smallest wrap gap (a band's first + the order of mu - its last) give the
+batch's smallest failing depth, and in a batch that fails each disk set
+reads its own from its run of the line.  Without tables one
+``ops.ratios`` call keys the batch and each disk set takes one set test.
+A batch that passes at best - 1 in every view the scan takes whole, with
+no item and no group per disk set; a disk set that fails sweeps its own
+keys, row 0's scaled by mu^i, so the witness is the same, and no
+residual past row 0 is built.
 
 Over the ring the rest runs once per factor view the algebra supplies,
 one per irreducible factor of M_p(x); a pattern fails if it fails in any
@@ -314,40 +320,65 @@ def _depth_test(ops, glob, n: int, r: int):
     first failing pair there.  Column (i, j) of a disk set has the ratio
     mu^i rho_j, mu = c_1 / c_0, rho_j = y_j / x_j, so its depth is 1 where
     row 0 fails alone, else 2 where some x_j or y_j is zero, else the
-    first t + 1 with mu^t = 1 or some rho_j / rho_j' = mu^t.  One
-    ``ops.ratios`` call keys the whole batch (without tables each key is
-    its ratio times one constant of the batch), and at sweeps a disk set's
-    keys scaled by mu^i (the x = 0 and y = 0 keys kept), a log sum with
-    tables and a spread product without, so nothing past row 0 is read.
-    With tables, a disk set sorts its keys by coset of the powers of mu
-    and, within one, by log to base mu: two keys meet at mu^t exactly
-    when they share a coset and t is their cyclic distance mod the order
-    of mu, so with each key less than r from its coset's start copied one
-    order on, every such distance below r is a gap of sorted neighbours;
-    bands three orders wide keep cosets apart.  Without tables it takes
-    one set of its r w scaled keys.  Each gives 1 where two keys of row 0
-    are equal."""
+    first t + 1 with mu^t = 1 or some rho_j / rho_j' = mu^t.  at sweeps
+    the disk set's ``ops.ratios`` keys scaled by mu^i (the x = 0 and y = 0
+    keys kept), a log sum with tables and a spread product without, so
+    nothing past row 0 is read.
+
+    With tables the whole batch is one line: each column's log y - log x
+    becomes its place on mu's cycle (its coset of the powers of mu, as a
+    band two orders wide, then its log to base mu) plus its disk set's
+    tag, and one sort puts each disk set's places, band by band, in a run
+    of its own.  Two keys meet at mu^t exactly when they share a band and
+    t is their cyclic distance mod the order of mu, so the closest pair of
+    a band are sorted neighbours or its first and last, whose wrap gap is
+    first + order - last (order itself for a lone key, where mu^order =
+    1).  When no neighbour gap and no wrap gap is below r and no entry is
+    zero, every disk set passes; otherwise _line_depths reads each one's
+    depth from its run.  Without tables each disk set takes one set test
+    of its r w keys scaled by mu^i, each its ratio times one constant of
+    the batch."""
     ratios = ops.ratios
     # log c_g, or c_g times one constant without tables; g[-1] is g[n],
     # or at r = 1, where mu is not read, g[n - 1]
     c0, c1 = ratios([g[0] for g in glob], [g[-1] for g in glob])
     if ops.has_tables:
-        qm1, zero = ops.qm1, {-1, ops.qm1}      # the x = 0 and y = 0 keys
+        log, qm1 = ops.log, ops.qm1
         step = c1 - c0                  # log mu
         cosets = gcd(step, qm1)
         order = qm1 // cosets           # of mu: mu^t = 1 exactly where it divides t
         inv = pow(step // cosets, -1, order)
-        repeated = order + 1 if order < r else r + 1
-        span = 3 * order                # a coset's band: its keys' places and their copies
+        span = 2 * order                # a band: its places, then more than an order apart
 
         def scaled(keys, d):
             return [(k + i * step) % qm1 if -1 < k < qm1 else k for i in range(d) for k in keys]
 
-        def deeper(keys):
-            line = [k % cosets * span + k // cosets * inv % order for k in keys]
-            line += [v + order for v in line if v % span < r]
+        def depths(x, y, w):
+            tags = _tags(len(x) // w, w, cosets * span)
+            if cosets == 1:             # mu generates the units: no coset arithmetic
+                line = [(log[b] - log[a]) * inv % order + t for a, b, t in zip(x, y, tags)]
+            else:
+                line = [(k := log[b] - log[a]) % cosets * span + k // cosets * inv % order + t
+                        for a, b, t in zip(x, y, tags)]
             line.sort()
-            return 1 + min([repeated - 1, *map(sub, line[1:], line)])
+            gaps = list(map(sub, line[1:], line))
+            if cosets == 1:
+                starts = range(0, len(line), w)
+                wraps = [order + a - b for a, b in zip(line[::w], line[w - 1::w])]
+            else:                       # a band starts more than an order past the last
+                starts = [0, *(i for i, gap in enumerate(gaps, 1) if gap > order)]
+                wraps = [order + line[s] - line[e - 1]
+                         for s, e in zip(starts, [*starts[1:], len(line)])]
+            zeros = not (all(x) and all(y))
+            if not zeros and min(gaps, default=r) >= r and min(wraps) >= r:
+                return [r + 1] * (len(x) // w)
+            out = _line_depths(gaps, starts, wraps, w, r)
+            if zeros:                   # a disk set with an x = 0 or y = 0 entry: row 0 decides
+                for t in range(len(out)):
+                    xs, ys = x[t * w:(t + 1) * w], y[t * w:(t + 1) * w]
+                    if not (all(xs) and all(ys)):
+                        out[t] = 2 if _first_pair_backward(xs, ys, ratios(xs, ys)) is None else 1
+            return out
     else:
         mul, zero = ops._spread_mul, {-1, 0}
         mus, power = [], 1              # mus[i] = c_1^i c_0^(r-1-i), mu^i times one constant
@@ -361,30 +392,50 @@ def _depth_test(ops, glob, n: int, r: int):
         def scaled(keys, d):
             return [k if k == -1 else mul(mu, k) for mu in mus[:d] for k in keys]
 
-        def deeper(keys):
-            w, keys = len(keys), scaled(keys, r)
-            if len(set(keys)) == len(keys):
-                return r + 1
-            seen = set()
-            for i in range(r):
-                seen.update(keys[i * w:(i + 1) * w])
-                if len(seen) < (i + 1) * w:
-                    return i + 1
+        def depths(x, y, w):
+            keys, out = ratios(x, y), []
+            for o in range(0, len(keys), w):
+                own = keys[o:o + w]
+                if not zero.isdisjoint(own):
+                    out.append(2 if _first_pair_backward(x[o:o + w], y[o:o + w], own) is None
+                               else 1)
+                    continue
+                own = scaled(own, r)
+                depth, seen = r + 1, set()
+                if len(set(own)) < len(own):
+                    for i in range(r):
+                        seen.update(own[i * w:(i + 1) * w])
+                        if len(seen) < (i + 1) * w:
+                            depth = i + 1
+                            break
+                out.append(depth)
+            return out
 
     def batch(x, y, w: int):
-        keys, depths = ratios(x, y), []
-        for o in range(0, len(keys), w):
-            own = keys[o:o + w]
-            if zero.isdisjoint(own):    # deeper gives 1 where two keys are equal
-                depths.append(deeper(own))
-            else:
-                depths.append(2 if _first_pair_backward(x[o:o + w], y[o:o + w], own) is None else 1)
-
         def at(t: int, d: int):
-            o = t * w
-            return _first_pair_backward(x[o:o + w] * d, y[o:o + w] * d, scaled(keys[o:o + w], d))
-        return depths, at
+            xs, ys = x[t * w:(t + 1) * w], y[t * w:(t + 1) * w]
+            return _first_pair_backward(xs * d, ys * d, scaled(ratios(xs, ys), d))
+        return depths(x, y, w), at
     return batch
+
+
+@lru_cache(maxsize=16)
+def _tags(count: int, w: int, band: int) -> tuple[int, ...]:
+    """The disk-set tag of each entry of a batch line of count disk sets,
+    w entries each: disk set t's entries start t band on."""
+    return tuple(t * band for t in range(count) for _ in range(w))
+
+
+def _line_depths(gaps, starts, wraps, w: int, r: int) -> list[int]:
+    """Each disk set's smallest failing depth, r + 1 when none, from a
+    sorted batch line of w entries per disk set: gaps[i] is entry i + 1
+    less entry i, and band k, which starts at entry starts[k] and ends
+    where the next begins, has the wrap gap wraps[k].  A disk set's depth
+    is 1 + its smallest gap of neighbours in one band or wrap gap."""
+    out = [r + 1] * ((len(gaps) + 1) // w)
+    for s, e, wrap in zip(starts, [*starts[1:], len(gaps) + 1], wraps):
+        out[s // w] = min(out[s // w], 1 + min([wrap, *gaps[s:e - 1]]))
+    return out
 
 
 def _geometric_rows(ops, glob, n: int, depth: int):
@@ -435,18 +486,27 @@ def _schur_plan(ops, block, first: int, stop: int):
 
 
 def _schur_residuals(spec: CodeSpec, views):
-    """(disks, each view's item at disks, as _view_residuals gives them)
-    for every disk set in lexicographic order, from one plan per view and
-    block."""
-    return zip(combinations(range(spec.n), spec.m),
-               zip(*[_view_residuals(spec, *view) for view in views]))
+    """(disk sets, least, items) per plan batch, in lexicographic order:
+    the batch's disk sets; the smallest depth at which one of them fails
+    in some view, as the row-scaled views' depth tests give it, or 0 where
+    a view is not row-scaled or has a singular V_i there; and an iterator
+    of each disk set's items, one per view, as _view_residuals gives them.
+    Every view of an algebra has one degree, so their batches line up."""
+    disk_sets = combinations(range(spec.n), spec.m)
+    for batch in zip(*[_view_residuals(spec, *view) for view in views]):
+        counts, leasts, items = zip(*batch)
+        yield list(islice(disk_sets, counts[0])), min(leasts), zip(*items)
 
 
 def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind, test):
-    """One factor view's items for _schur_residuals, disk set by disk set:
-    None where some V_i is singular, else the global rows after the Schur
-    step, of every stripe row, or in a row-scaled view (depth, t, at) from
-    test on the batch's stripe row 0 residuals (see _depth_test).
+    """One factor view's (count, least, items) per plan batch of count
+    disk sets, for _schur_residuals.  Without test, least is 0 and items
+    gives, disk set by disk set, None where some V_i is singular, else the
+    global rows after the Schur step, of every stripe row.  In a
+    row-scaled view test gives every disk set's depth at once from the
+    batch's stripe row 0 residuals (see _depth_test): least is the
+    smallest, or 0 where a V_i is singular, and an item is (depth, t, at)
+    or None, built only when read.
 
     A plan maps a stripe row's n entries to every disk set's residual
     entries there: the XOR of its basis ints at the entries' set bits,
@@ -465,21 +525,30 @@ def _view_residuals(spec: CodeSpec, ops, glob, blocks, kind, test):
                  for k in range(0, r * len(glob), r)]
     total, per = comb(n, m), max(1, _PLAN_BITS // (lane * w))
     for first in range(0, total, per):
-        stop = min(first + per, total)
-        plans = [_schur_plan(ops, block, first, stop) for block in blocks]
-        values = [[unpack(reduce(xor, compress(plans[kind[i]][1], sel), 0),
-                          (stop - first) * w, lane) for i, sel in enumerate(sels)]
-                  for sels in selectors]
-        if test:
-            (x,), (y,) = values
-            depths, at = test(x, y, w)
-            for t, (depth, det) in enumerate(zip(depths, plans[0][0])):
-                yield (depth, t, at) if det else None
+        count = min(per, total - first)
+        plans = [_schur_plan(ops, block, first, first + count) for block in blocks]
+        values = [[unpack(reduce(xor, compress(plans[kind[i]][1], sel), 0), count * w, lane)
+                   for i, sel in enumerate(sels)] for sels in selectors]
+        if not test:
+            yield count, 0, _residual_rows(plans, values, w)
             continue
-        for t in range(stop - first):
-            at = repeat(slice(t * w, (t + 1) * w))
-            yield None if not all(dets[t] for dets, _ in plans) else [
-                list(chain.from_iterable(map(getitem, per_row, at))) for per_row in values]
+        (x,), (y,) = values
+        depths, at = test(x, y, w)
+        items, dets = zip(depths, range(count), repeat(at)), plans[0][0]
+        if all(dets):
+            yield count, min(depths), items
+        else:
+            yield count, 0, [item if det else None for item, det in zip(items, dets)]
+
+
+def _residual_rows(plans, values, w: int):
+    """Disk set by disk set of a plan batch: None where some V_i is
+    singular, else each global row's residual entries, stripe row by
+    stripe row, from values, each stripe row's unpacked batch."""
+    for t, dets in enumerate(zip(*[dets for dets, _ in plans])):
+        at = repeat(slice(t * w, (t + 1) * w))
+        yield None if not all(dets) else [
+            list(chain.from_iterable(map(getitem, per_row, at))) for per_row in values]
 
 
 def _group(spec: CodeSpec, views, disks: Sequence[int], residuals):
@@ -564,31 +633,41 @@ def _scan(hm: ParityCheckMatrix, progress: Optional[Callable[[int, int], None]] 
     spec = hm.spec
     views = _local_blocks(spec, hm.matrix.bits)
     scaled = all(view[4] for view in views)     # every item a depth, bar singular blocks
-    total, best, first, witness = comb(spec.n, spec.m), spec.r + 1, None, None
-    for done, (disks, residuals) in enumerate(_schur_residuals(spec, views), start=1):
-        if scaled and None not in residuals and min(item[0] for item in residuals) >= best:
-            found = None        # passes at best - 1 in every view: no group is built
-        else:
-            first_at = _group(spec, views, disks, residuals)
-            found = first_at(best - 1)
-        if progress is not None and first is None:
-            progress(done, total)
-        if found is None:
+    total, best, first, witness, done = comb(spec.n, spec.m), spec.r + 1, None, None, 0
+    for disk_sets, least, items in _schur_residuals(spec, views):
+        if least >= best:       # every disk set passes at best - 1 in every view
+            if progress is not None and first is None:
+                for k in range(done + 1, done + len(disk_sets) + 1):
+                    progress(k, total)
+            done += len(disk_sets)
             continue
-        if first is None:
-            first = found
-            if not depth:
-                break
-        lo, hi = 0, best - 1    # depth lo passes, depth hi fails with `found`
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            at_mid = first_at(mid)
-            if at_mid is None:
-                lo = mid
+        for disks, residuals in zip(disk_sets, items):
+            done += 1
+            if scaled and None not in residuals and min(item[0] for item in residuals) >= best:
+                found = None    # passes at best - 1 in every view: no group is built
             else:
-                hi, found = mid, at_mid
-        best, witness = hi, found
-        if best == 1:           # depth 0 always passes: no disk set goes lower
+                first_at = _group(spec, views, disks, residuals)
+                found = first_at(best - 1)
+            if progress is not None and first is None:
+                progress(done, total)
+            if found is None:
+                continue
+            if first is None:
+                first = found
+                if not depth:
+                    break
+            lo, hi = 0, best - 1    # depth lo passes, depth hi fails with `found`
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                at_mid = first_at(mid)
+                if at_mid is None:
+                    lo = mid
+                else:
+                    hi, found = mid, at_mid
+            best, witness = hi, found
+            if best == 1:           # depth 0 always passes: no disk set goes lower
+                break
+        if best == 1 or first is not None and not depth:
             break
     return (SdReport(first is None, first, _patterns(spec, spec.r)), best - 1,
             SdReport(witness is None, witness, _patterns(spec, min(best, spec.r))))

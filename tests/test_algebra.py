@@ -64,6 +64,23 @@ def test_field_mul_table_against_carryless_reference(gf16, ring17):
                 assert ops.mul(a, b) == poly.mulmod(a, b, f)
 
 
+def test_field_mul_bits_is_its_ops_mul():
+    # one frame per product: a field's mul_bits is its ops.mul itself, so
+    # it agrees with it everywhere, zeros included (all pairs over GF(2^4)
+    # and GF(2^8), zero against every value and 4,000 random pairs over
+    # GF(2^16)), and with the carry-less product reduced by the modulus
+    rng = random.Random("mul_bits")
+    for w in (4, 8, 16):
+        f = make_field(w)
+        assert f.mul_bits == f.ops.mul and f.mul_bits.__self__ is f.ops
+        q = 1 << w
+        pairs = ([(a, b) for a in range(q) for b in range(q)] if w < 16 else
+                 [(0, b) for b in range(q)] + [(a, 0) for a in range(q)]
+                 + [(rng.randrange(q), rng.randrange(q)) for _ in range(4000)])
+        assert [f.mul_bits(a, b) for a, b in pairs] == [f.ops.mul(a, b) for a, b in pairs]
+        assert all(f.mul_bits(a, b) == poly.mulmod(a, b, f.modulus) for a, b in pairs[::97])
+
+
 def test_field_inverse_and_units(gf16):
     assert not gf16.is_unit(gf16.zero)
     with pytest.raises(NotAUnitError):

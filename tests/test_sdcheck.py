@@ -2,7 +2,7 @@
 import io
 import random
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -498,19 +498,25 @@ def test_is_sd_generic_s_values(gf16):
 
 def test_is_sd_progress_callback(gf16, monkeypatch):
     # each disk set is reported as its scan finishes, not after all of
-    # them: when the residual stream has handed out that disk set's item,
-    # on the row-scaled path (which builds no group for an SD code) and on
-    # the generic one
-    scans = _record_residuals(monkeypatch)
+    # them: once the residual stream has handed out its plan batch (64
+    # bits hold two disk sets of w = 4 byte lanes) and, where the scan
+    # reads it, that disk set's item.  On the row-scaled path an SD code's
+    # batches pass whole, so no item is read; on the generic path each is
+    monkeypatch.setattr(sdcheck, "_PLAN_BITS", 64)
+    handed = []
+    scans = _record_residuals(monkeypatch, handed)
     hm = build_h1(3, 5, gf16)
     for path in ("row-scaled", "generic"):
         assert _scaled(hm) == [path == "row-scaled"]
         for jobs in (0, 1):
             seen = []
             scans.clear()
-            is_sd(hm, jobs=jobs,
-                  progress=lambda done, total: seen.append((done, total, len(scans))))
-            assert seen == [(1, 5, 1), (2, 5, 2), (3, 5, 3), (4, 5, 4), (5, 5, 5)]
+            handed.clear()
+            is_sd(hm, jobs=jobs, progress=lambda done, total: seen.append(
+                (done, total, sum(map(len, handed)), len(scans))))
+            read = [0] * 5 if path == "row-scaled" else [1, 2, 3, 4, 5]
+            assert seen == [(done, 5, min(5, done + done % 2), k)
+                            for done, k in zip(range(1, 6), read)]
         monkeypatch.setattr(sdcheck, "_row_scaled", lambda *a: None)
 
 
@@ -583,7 +589,7 @@ def _assert_groups_match_oracle(hm):
     codes = [(c.spec, spec.algebra.factor_views(c.matrix.bits))
              for c in [shorten(hm, d) for d in range(1, spec.r)] + [hm]]
     failing = 0
-    for disks, residuals in sdcheck._schur_residuals(spec, views):
+    for disks, residuals in _stream(spec, views):
         first_at = sdcheck._group(spec, views, disks, residuals)
         assert first_at(0) is None
         for short, plain in codes:
@@ -708,7 +714,7 @@ def test_schur_scan_fallback_on_hand_made_blocks(case, monkeypatch):
 def test_ring7_block_singular_in_one_factor_view_only():
     hm, _ = _fallback_cases()["ring7-one-factor"]
     views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
-    residuals = dict(sdcheck._schur_residuals(hm.spec, views))[(0, 1)]
+    residuals = dict(_stream(hm.spec, views))[(0, 1)]
     assert [res is None for res in residuals] == [True, False]
     assert [_schur_residual(hm.spec, *v[:4], (0, 1)) is None for v in views] == [True, False]
 
@@ -720,7 +726,7 @@ def test_repeated_blocks_singular_in_one_ring_factor_match_eliminate_at_every_de
     views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
     assert [(len(v[2]), v[3]) for v in views] == [(2, [0, 1, 0, 1])] * 2
     assert [[res is None for res in residuals] for _, residuals in
-            sdcheck._schur_residuals(hm.spec, views)] == [[True, False]] + [[False, False]] * 5
+            _stream(hm.spec, views)] == [[True, False]] + [[False, False]] * 5
     _assert_groups_match_oracle(hm)
     assert sd_depth(hm) == per_depth_sd_depth(hm)
 
@@ -744,18 +750,28 @@ def test_scans_project_only_the_distinct_blocks_and_the_global_rows(monkeypatch)
         assert lengths == [want, want], spec
 
 
-def _record_residuals(monkeypatch):
+def _record_residuals(monkeypatch, handed=None):
     """A list that collects every residual (None for a singular V_i) that
-    sdcheck._schur_residuals hands out from now on."""
+    the scan reads from sdcheck._schur_residuals from now on (none of a
+    batch it takes whole); each batch's disk sets go to handed, if given,
+    as the stream hands the batch out."""
     residuals = []
     schur = sdcheck._schur_residuals
 
     def record(*args):
-        for disks, found in schur(*args):
-            residuals.extend(found)
-            yield disks, found
+        for disk_sets, least, items in schur(*args):
+            if handed is not None:
+                handed.append(disk_sets)
+            yield disk_sets, least, (residuals.extend(found) or found for found in items)
     monkeypatch.setattr(sdcheck, "_schur_residuals", record)
     return residuals
+
+
+def _stream(spec, views):
+    """(disks, each view's item at disks) for every disk set, from the
+    batches of sdcheck._schur_residuals."""
+    return [pair for disk_sets, _, items in sdcheck._schur_residuals(spec, views)
+            for pair in zip(disk_sets, items)]
 
 
 def _schur_residual(spec, ops, glob, blocks, kind, disks):
@@ -787,8 +803,13 @@ def _assert_plans_match_oracle(hm):
     spec, nones = hm.spec, 0
     views = sdcheck._local_blocks(spec, hm.matrix.bits)
     whole = spec.algebra.factor_views(hm.matrix.bits[spec.m * spec.r:])   # every global entry
-    stream = list(sdcheck._schur_residuals(spec, views))
+    stream = _stream(spec, views)
     assert [disks for disks, _ in stream] == list(combinations(range(spec.n), spec.m))
+    # a batch's least is its items' smallest depth, 0 where any is not one
+    for disk_sets, least, items in sdcheck._schur_residuals(spec, views):
+        depths = [item and item[0] if test else None
+                  for each, (*_, test) in zip(zip(*items), views) for item in each]
+        assert least == (min(depths) if None not in depths else 0)
     for disks, residuals in stream:
         assert len(residuals) == len(views)
         for (ops, _, blocks, kind, test), (_, glob), item in zip(views, whole, residuals):
@@ -877,6 +898,27 @@ def test_construction_scan_runs_no_elimination_and_one_block(gf256, monkeypatch)
     calls = []
     monkeypatch.setattr(sdcheck, "eliminate", lambda *a: calls.append(a) or eliminate(*a))
     assert is_sd(hm).sd and not calls
+
+
+def test_construction_batches_pass_whole_with_no_per_disk_set_work(monkeypatch):
+    # sdbench's verify-table shapes: every plan batch's line passes, so
+    # is_sd reads no disk set's item, runs no _line_depths and no
+    # _first_pair_backward, and builds no group, though the stream hands
+    # out every disk set; past the bound (h2 at n = 16, r = 17 over
+    # GF(2^8), rn = 272 > 255) the failing batches run all three
+    calls, handed = [], []
+    for name in ("_line_depths", "_first_pair_backward", "_group"):
+        monkeypatch.setattr(sdcheck, name, (lambda name, fn: lambda *a: calls.append(name) or fn(
+            *a))(name, getattr(sdcheck, name)))
+    residuals = _record_residuals(monkeypatch, handed)
+    for hm in (build_h2(32, 16, make_field(16)), build_h1(60, 16, make_field(16)),
+               build_h2(15, 16, make_field(8)), build_h2(25, 5, make_ring(127))):
+        handed.clear()
+        assert is_sd(hm).sd
+        assert not calls and not residuals
+        assert sum(map(len, handed)) == comb(hm.spec.n, hm.spec.m)
+    assert not is_sd(_formula(make_field(8), 2, 16, 17, _H2)).sd
+    assert set(calls) == {"_line_depths", "_first_pair_backward", "_group"} and residuals
 
 
 # ------------------------------------------------ the row-scaled s = 2 scan
@@ -1026,6 +1068,95 @@ def test_the_depth_test_and_the_key_witness_match_the_expanded_residual(alg_name
                 _assert_depth_item((depths[t], t, at), _expanded_pairs(ops, rows, w, r))
 
 
+_LINE_ALGEBRAS = {"gf16": lambda: make_field(4).ops, "gf256": lambda: make_field(8).ops,
+                  "gf65536": lambda: make_field(16).ops,
+                  "ring7": lambda: make_ring(7).factor_ops[0]}
+
+
+@pytest.mark.parametrize("alg_name", sorted(_LINE_ALGEBRAS))
+def test_the_batch_line_matches_the_expanded_residual_in_every_layout(alg_name, monkeypatch):
+    # batches built column by column: column j of a disk set has x_j at
+    # random and y_j = x_j g^c mu^p, so that rho_j lies in coset c of mu's
+    # powers (g generates the units) at place p on mu's cycle.  mu
+    # generates the units, has several cosets (three or more, as q - 1 is
+    # odd), or has order at most r (mu = 1 over ring 7's GF(8)).  Layouts:
+    # a batch that passes whole, with one disk set twice (equal keys in two
+    # disk sets); one planted failure among passing disk sets; a failing
+    # pair straddling the wrap (places near the order and near 0); one
+    # place in three cosets; rho_j = 1 throughout; zero entries; random
+    # columns; w = 1.  Every disk set's depth and at(t, d) must be those of
+    # its expanded residual, also when at is read after the next batch is
+    # keyed, and _line_depths runs exactly where a batch does not pass
+    ops = _LINE_ALGEBRAS[alg_name]()
+    rng = random.Random(f"batch-line/{alg_name}")
+    lines, line_depths = [], sdcheck._line_depths
+    monkeypatch.setattr(sdcheck, "_line_depths", lambda *a: lines.append(a) or line_depths(*a))
+    qm1, g = ops.qm1, ops.exp[1]
+    power = lambda a, e: ops.exp[ops.log[a] * e % qm1]
+    least = next(p for p in range(2, qm1 + 1) if qm1 % p == 0)    # smallest prime factor
+    unit = next(e for e in range(rng.randrange(1, qm1), 2 * qm1) if gcd(e, qm1) == 1)
+    for mu, order in ((power(g, unit), qm1), (power(g, least), qm1 // least),
+                      (power(g, qm1 // least), least)):
+        cosets, r = qm1 // order, order + 2 if order <= 8 else min(6, order // 3)
+        w, far = 3, order // 3
+        c0 = rng.randrange(1, ops.q)
+        lam = [[power(c, i) for i in range(r)] for c in (c0, ops.mul(c0, mu))]
+        batch = sdcheck._depth_test(ops, [[1] * 4 + [c0], [1] * 4 + [lam[1][1]]], 4, r)
+
+        def column(c, p):
+            x = rng.randrange(1, ops.q)
+            return [x, ops.mul(x, ops.mul(power(g, c), power(mu, p)))]
+
+        def check(sets, w):
+            """The batch's depths, checked against the oracle by again()."""
+            x, y = ([v for cols in sets for v in cols[k::2]] for k in (0, 1))
+            depths, at = batch(x, y, w)
+
+            def again():
+                for t in range(len(sets)):
+                    rows = [[ops.mul(c, v) for c in lam_g for v in row[t * w:(t + 1) * w]]
+                            for lam_g, row in zip(lam, (x, y))]
+                    _assert_depth_item((depths[t], t, at), _expanded_pairs(ops, rows, w, r))
+            again()
+            return depths, again
+
+        spread = lambda p: column(0, p) + column(0, p + far) + column(0, p + 2 * far)
+        passing = [spread(rng.randrange(order)) for _ in range(4)]
+        passing.insert(2, passing[0])           # the same keys in disk sets 0 and 2
+        t, p, a = rng.randrange(1, r), rng.randrange(order), rng.randrange(1, r)
+        b = rng.randrange(r - a)
+        zero = list(passing[0])
+        zero[rng.randrange(2 * w)] = 0
+        layouts = [passing,
+                   passing[:3] + [column(0, p) + column(0, p + t) + column(0, p + 2 * far)]
+                   + passing[3:],
+                   passing[:1] + [column(0, -a) + column(0, b) + column(0, order // 2)],
+                   [column(0, p) + column(1, p) + column(2, p),     # place p in three bands
+                    column(1, p) + column(1, p + t) + column(0, p + t)] + passing,
+                   [[v for _ in range(w) for v in [rng.randrange(1, ops.q)] * 2]] + passing,
+                   [zero] + passing,
+                   [[rng.choice([0, rng.randrange(1, ops.q)]) for _ in range(2 * w)]
+                    for _ in range(6)]]
+        for sets in layouts[:3] + layouts[3 if cosets > 1 else 4:]:
+            before = len(lines)
+            depths = check(sets, w)[0]
+            assert (len(lines) > before) == (depths != [r + 1] * len(sets))
+        if order > r:
+            assert check(passing, w)[0] == [r + 1] * 5
+            assert check(layouts[1], w)[0] == [r + 1] * 3 + [t + 1] + [r + 1] * 2
+            assert check(layouts[2], w)[0][1] <= a + b + 1
+        if cosets > 1:                          # t mod order is the pair's cyclic distance
+            near = min(t % order, -t % order, r)
+            assert check(layouts[3], w)[0][:2] == [min(order, r) + 1, near + 1]
+        # w = 1: a lone column meets itself only at mu^order = 1
+        singles = [column(rng.randrange(cosets), rng.randrange(order)) for _ in range(5)]
+        assert check(singles, 1)[0] == [min(order, r) + 1] * 5
+        # two batches: the first one's witnesses stay its own
+        again = check(layouts[1], w)[1]
+        check(layouts[-1], w)
+        again()
+
+
 def test_a_singular_block_in_a_row_scaled_batch_takes_the_elimination_path(monkeypatch):
     # one local block on every stripe row and h2's geometric global rows,
     # each times alpha^(g+1) so that g[0] is not 1, inside the bound and
@@ -1055,7 +1186,7 @@ def test_a_singular_block_in_a_row_scaled_batch_takes_the_elimination_path(monke
             hm = _hand_made(alg, n, m, 2, [block] * r, glob)
             assert all(_scaled(hm))
             views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
-            stream = sdcheck._schur_residuals(hm.spec, views)
+            stream = _stream(hm.spec, views)
             assert [disks for disks, items in stream if None in items] == [singular]
             assert _assert_plans_match_oracle(hm) == nones    # the singular views' items
             _assert_groups_match_oracle(hm)
@@ -1328,7 +1459,7 @@ def test_sd_depth_falls_back_where_one_ring_factor_has_a_singular_block(monkeypa
     hm = read_matrix(io.StringIO(_RING7_ONE_FACTOR_SINGULAR))
     views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
     assert [[res is None for res in residuals] for _, residuals in
-            sdcheck._schur_residuals(hm.spec, views)] == [[True, False]] + [[False, False]] * 5
+            _stream(hm.spec, views)] == [[True, False]] + [[False, False]] * 5
     cut = []
     singular_ops = hm.spec.algebra.factor_ops[0]
     monkeypatch.setattr(sdcheck, "eliminate",
