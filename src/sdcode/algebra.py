@@ -151,13 +151,14 @@ def _order_of_2_mod(p: int) -> int:
 
 
 class _Gf2mOps:
-    """Arithmetic in GF(2)[x]/(f) for irreducible f, on raw ints.
+    """Arithmetic in GF(2)[x]/(f), a field where f is irreducible, on raw ints.
 
-    Log/antilog tables are built for degrees up to 16.  Beyond that (only
-    ring factor fields for large p) a product is the windowed carry-less
-    ``poly.mul`` followed by ``reduce``, which folds the bits above the
-    degree one byte at a time through tables built with the field, one per
-    byte of x^d .. x^(2d-2): its domain is a product of two residues.
+    Log/antilog tables are built exactly where f is irreducible of degree
+    at most 16.  Without them (ring factor fields for large p, and a
+    reducible f) a product is the windowed carry-less ``poly.mul``
+    followed by ``reduce``, which folds the bits above the degree one byte
+    at a time through tables built with the field, one per byte of
+    x^d .. x^(2d-2): its domain is a product of two residues.
 
     The tableless ``ratios`` sweep multiplies spread residues instead
     (Kronecker substitution, as in Harvey, J. Symbolic Comput. 2009): bit
@@ -167,22 +168,21 @@ class _Gf2mOps:
     bit its coefficient.  ``_spread_mul`` reduces it by folding at x^p
     when f is M_p(x) itself (x^p = 1 there) and by Barrett reduction with
     floor(x^(2d) / f) otherwise; its constants are built with the field.
-    With tables false none are built at any degree: ``Ring.ops`` is such
-    a one for an M_p(x) that splits, whose products (``mul``,
-    ``_spread_mul``) need no irreducible f, though inverses and ratio
-    keys do.
+    A reducible f gets no tables at any degree: ``Ring.ops`` is such a one
+    for an M_p(x) that splits, whose products (``mul``, ``_spread_mul``)
+    need no irreducible f, though inverses and ratio keys do.
     """
 
     __slots__ = ("modulus", "degree", "q", "qm1", "has_tables", "exp", "log",
                  "_fold", "_exp_np", "_log_np", "_slot", "_ones", "_shift", "_top", "_mu",
                  "_tail", "_spread_mul")
 
-    def __init__(self, modulus: int, tables: bool = True):
+    def __init__(self, modulus: int):
         self.modulus = modulus
         self.degree = poly.degree(modulus)
         self.q = 1 << self.degree
         self.qm1 = self.q - 1
-        self.has_tables = tables and self.degree <= _TABLE_DEGREE_MAX
+        self.has_tables = self.degree <= _TABLE_DEGREE_MAX and poly.is_irreducible(modulus)
         self._fold = None
         self._exp_np = None
         self._log_np = None
@@ -656,7 +656,7 @@ class Ring(Algebra):
         hold (a zero divisor has no inverse), for tests run once in the
         ring rather than once per factor view."""
         factors = self.factor_ops
-        return factors[0] if len(factors) == 1 else _Gf2mOps(self.modulus, tables=False)
+        return factors[0] if len(factors) == 1 else _Gf2mOps(self.modulus)
 
     def factor_views(self, rows) -> list[tuple[_Gf2mOps, list[list[int]]]]:
         # one projection per distinct entry (a constructed H holds powers

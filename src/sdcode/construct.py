@@ -3,8 +3,9 @@
 Codes live on an r × n stripe (r sector rows, n disks); the sector at
 stripe row i of disk j maps to matrix column ni + j.  A parity-check
 matrix has mr + s rows: the first mr are local (row i is nonzero only
-inside the n columns of block ⌊i/m⌋) and the last s are global rows with
-every entry nonzero.
+inside the n columns of block ⌊i/m⌋, which ``ParityCheckMatrix`` checks
+as it splits out the blocks) and the last s are global rows with every
+entry nonzero.
 
 Every row of the two fixed families comes from one exponent formula:
 the row of (a, b) holds alpha^(a in + b j) at column in + j.  Parity t
@@ -22,8 +23,9 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import count, repeat
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .algebra import Algebra, Element, key_values, parse_algebra, read_int
@@ -88,10 +90,13 @@ class CodeSpec:
 
 @dataclass(frozen=True, slots=True)
 class ParityCheckMatrix:
-    """A matrix of the spec's shape (mr + s by rn) over the spec's algebra."""
+    """An (mr + s) x rn matrix over the spec's algebra; `blocks` holds its distinct
+    m x n local blocks in first-seen order, and `kinds[i]` stripe row i's index."""
 
     spec: CodeSpec
     matrix: Matrix
+    blocks: tuple = field(init=False, compare=False, repr=False)
+    kinds: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         spec, h = self.spec, self.matrix
@@ -100,6 +105,17 @@ class ParityCheckMatrix:
                                      f"{spec.parity_rows} x {spec.total_columns}")
         if h.algebra != spec.algebra:
             raise AlgebraMismatchError(f"matrix over {h.algebra} for a code over {spec.algebra}")
+        m, n, local = spec.m, spec.n, h.bits[:spec.m * spec.r]
+        seen = {}       # block -> its index, first seen first; zip gives each stripe row's m rows
+        object.__setattr__(self, "kinds", tuple(
+            seen.setdefault(tuple(row[i * n:i * n + n] for row in rows), len(seen))
+            for i, rows in enumerate(zip(*[iter(local)] * m))))
+        object.__setattr__(self, "blocks", tuple(seen))
+        # an entry outside its block leaves the local rows short of zeros
+        if sum(row.count(0) for row in local) != len(local) * (spec.total_columns - n) + sum(
+                row.count(0) for k in self.kinds for row in self.blocks[k]):
+            col, why = next(filter(None, map(_layout_fault, repeat(spec), count(), local)))
+            raise ShapeMismatchError(f"{why}, column {col}")
 
 
 def _check_order(r: int, n: int, algebra: Algebra) -> None:
@@ -196,8 +212,8 @@ def _layout_fault(spec: CodeSpec, i: int, row: Sequence[int]) -> tuple[int, str]
 
 
 def validate_structure(pcm: ParityCheckMatrix) -> bool:
-    """True iff every row keeps the layout (the shape is checked when pcm is built)."""
-    return not any(_layout_fault(pcm.spec, i, row) for i, row in enumerate(pcm.matrix.bits))
+    """True iff no global row has a zero entry, the one fault pcm can hold."""
+    return all(map(all, pcm.matrix.bits[pcm.spec.m * pcm.spec.r:]))
 
 
 def shorten(hm: ParityCheckMatrix, r_new: int) -> ParityCheckMatrix:
@@ -209,9 +225,7 @@ def shorten(hm: ParityCheckMatrix, r_new: int) -> ParityCheckMatrix:
     keep_cols = r_new * spec.n
     bits = hm.matrix.bits
     rows = [row[:keep_cols] for row in bits[:spec.m * r_new] + bits[spec.m * spec.r:]]
-    new_spec = CodeSpec(n=spec.n, m=spec.m, s=spec.s, r=r_new,
-                        algebra=spec.algebra, family=spec.family)
-    return ParityCheckMatrix(new_spec, Matrix._of_ints(spec.algebra, rows))
+    return ParityCheckMatrix(replace(spec, r=r_new), Matrix._of_ints(spec.algebra, rows))
 
 
 # -- text format -----------------------------------------------------------

@@ -271,15 +271,14 @@ class PackedMap:
     x[c], mapping the chunk at bit `shift` to M[:, c]·(chunk << shift),
     packed: the ``byte_tables`` of the column's ``x_powers``, so no product
     is taken, in fields with or without log tables or in rings.  Applying
-    M is one lookup and one XOR per chunk, then one ``unpack``; x is read
+    M is one lookup and one XOR per chunk, its rows left packed; x is read
     as it is (a zero column's tables are all zero).
     """
 
-    __slots__ = ("width", "rows", "tables")
+    __slots__ = ("width", "tables")
 
     def __init__(self, modulus: int, columns: Sequence[int], rows: int):
         self.width = modulus.bit_length() - 1
-        self.rows = rows
         self.tables = [table for basis in x_powers(modulus, columns, rows, self.width)
                        for table in byte_tables(basis)]
 
@@ -289,10 +288,6 @@ class PackedMap:
             nbytes = (self.width + 7) >> 3
             x = b"".join(map(int.to_bytes, x, repeat(nbytes), repeat("little")))
         return reduce(xor, map(getitem, self.tables, x), 0)
-
-    def __call__(self, x: Sequence[int]) -> list[int]:
-        """M·x as a list."""
-        return unpack(self.packed(x), self.rows, self.width)
 
 
 def pack(values: Sequence[int], width: int) -> int:

@@ -63,7 +63,7 @@ residual past row 0 is built.
 Over the ring the rest runs once per factor view the algebra supplies,
 one per irreducible factor of M_p(x); a pattern fails if it fails in any
 factor.  Only what the scan reads is projected into the factor fields:
-the distinct local blocks, told apart in the ring, and the global rows.
+the distinct local blocks that the matrix holds, and the global rows.
 
 One pass over the disk sets, on one thread, answers both ``is_sd`` and
 ``sd_depth``, the largest depth r' at which the code is SD.  The code at
@@ -253,27 +253,22 @@ def _first_singular(ops, rows: list[list[int]], s: int):
     return None
 
 
-def _local_blocks(spec: CodeSpec, bits):
-    """Per factor view of H's entries `bits`: (ops, the global rows, the
-    distinct local blocks, each stripe row's block index, and the view's
-    batch depth test from _depth_test where the code is row-scaled, else
-    None).  Blocks are told apart in the algebra, and only they and the
-    global rows are projected; of a row-scaled code's global rows, only
-    stripe row 0 and g[n], from which the depth test and the scan read."""
+def _local_blocks(hm: ParityCheckMatrix):
+    """Per factor view of hm: (ops, the global rows, hm.blocks, hm.kinds,
+    and _depth_test's batch test where the code is row-scaled, else None).
+    Only the blocks and the global rows are projected, and of a row-scaled
+    code's global rows only stripe row 0 and g[n], which the scan reads."""
+    spec = hm.spec
     m, n, r = spec.m, spec.n, spec.r
-    per_row = [tuple(tuple(row[i * n:(i + 1) * n]) for row in bits[i * m:(i + 1) * m])
-               for i in range(r)]
-    seen = {}                           # block -> its index, in first-seen order
-    kind = [seen.setdefault(block, len(seen)) for block in per_row]
-    local = [row for block in seen for row in block]
-    glob = list(bits[m * r:])
-    scaled = spec.s == 2 and len(seen) == 1 and _row_scaled(spec.algebra, glob, n)
+    local = [row for block in hm.blocks for row in block]
+    glob = list(hm.matrix.bits[m * r:])
+    scaled = spec.s == 2 and len(hm.blocks) == 1 and _row_scaled(spec.algebra, glob, n)
     out = []
     for ops, rows in spec.algebra.factor_views(local + ([g[:n + 1] for g in glob] if scaled
                                                         else glob)):
         blocks = [tuple(map(tuple, rows[k:k + m])) for k in range(0, len(local), m)]
         glob = rows[len(local):]
-        out.append((ops, glob, blocks, kind, _depth_test(ops, glob, n, r) if scaled else None))
+        out.append((ops, glob, blocks, hm.kinds, _depth_test(ops, glob, n, r) if scaled else None))
     return out
 
 
@@ -631,8 +626,7 @@ def _scan(hm: ParityCheckMatrix, progress: Optional[Callable[[int, int], None]] 
     total) runs for each disk set up to is_sd's witness's; with depth
     false the pass stops there, and only is_sd's report holds."""
     spec = hm.spec
-    views = _local_blocks(spec, hm.matrix.bits)
-    scaled = all(view[4] for view in views)     # every item a depth, bar singular blocks
+    views = _local_blocks(hm)
     total, best, first, witness, done = comb(spec.n, spec.m), spec.r + 1, None, None, 0
     for disk_sets, least, items in _schur_residuals(spec, views):
         if least >= best:       # every disk set passes at best - 1 in every view
@@ -643,11 +637,8 @@ def _scan(hm: ParityCheckMatrix, progress: Optional[Callable[[int, int], None]] 
             continue
         for disks, residuals in zip(disk_sets, items):
             done += 1
-            if scaled and None not in residuals and min(item[0] for item in residuals) >= best:
-                found = None    # passes at best - 1 in every view: no group is built
-            else:
-                first_at = _group(spec, views, disks, residuals)
-                found = first_at(best - 1)
+            first_at = _group(spec, views, disks, residuals)
+            found = first_at(best - 1)
             if progress is not None and first is None:
                 progress(done, total)
             if found is None:

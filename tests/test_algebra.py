@@ -591,6 +591,21 @@ def test_ring_ops_multiply_in_the_ring(p):
             assert ops.mul(a, b) == ring.mul_bits(a, b)
 
 
+@pytest.mark.parametrize("p", [7, 17])
+def test_a_reducible_modulus_gets_no_tables(p):
+    # M_7(x) and M_17(x) split and have degree at most 16: log tables
+    # built on either would give wrong products, so none are
+    ring = make_ring(p)
+    ops = _Gf2mOps(ring.modulus)
+    assert not ops.has_tables and ops.exp is None
+    rng = random.Random(f"reducible/{p}")
+    operands = [0, 1, ring.all_ones, *ring.factorization.factors]
+    operands += [rng.getrandbits(p - 1) for _ in range(20)]
+    for a in operands:
+        for b in operands:
+            assert ops.mul(a, b) == ring.mul_bits(a, b)
+
+
 def test_bit_bytes_match_a_join_of_each_bytes_bits():
     # the join bit_bytes replaced, on every byte value, then on random
     # 1-2 KB buffers

@@ -215,6 +215,22 @@ def test_generic_s_zero_and_s_one(gf16):
 
 # ------------------------------------------------- structure checks
 
+@pytest.mark.parametrize("build", [build_h1, build_h2])
+def test_an_entry_outside_a_local_block_is_refused_when_built(build, gf16):
+    # the SD scan reads the blocks alone, so a one at local entry (0, 5)
+    # of h1 or h2 over GF(2^4) at r = 3, n = 5 would go unseen: it makes
+    # d=0 s=0:1,1:1 (h1) and d=0,1 s=0:4,1:4 (h2) undecodable, yet the
+    # scan called the code SD
+    from sdcode import Matrix, ParityCheckMatrix
+
+    pcm = build(3, 5, gf16)
+    rows = [list(r) for r in pcm.matrix.bits]
+    rows[0][5] = 1
+    with pytest.raises(ShapeMismatchError,
+                       match=r"^nonzero entry outside block 0 in local row 0, column 5$"):
+        ParityCheckMatrix(pcm.spec, Matrix(gf16, rows))
+
+
 def test_validate_structure_accepts_builders(gf16, ring17):
     assert validate_structure(build_h1(3, 5, gf16))
     assert validate_structure(build_h2(5, 3, gf16))
@@ -227,9 +243,9 @@ def test_validate_structure_rejects_tampering(gf16):
 
     pcm = build_h1(3, 5, gf16)
     rows = [list(r) for r in pcm.matrix.bits]
-    rows[0][7] = 1  # a one outside the local block
-    assert not validate_structure(
-        ParityCheckMatrix(pcm.spec, Matrix(gf16, rows)))
+    rows[0][7] = 1  # a one outside the local block is refused when built
+    with pytest.raises(ShapeMismatchError, match="local row 0, column 7"):
+        ParityCheckMatrix(pcm.spec, Matrix(gf16, rows))
     rows = [list(r) for r in pcm.matrix.bits]
     rows[3][2] = 0  # a zero inside a global row
     assert not validate_structure(

@@ -389,7 +389,7 @@ def test_packed_map_matches_per_product_oracle(alg):
         for x in ([0] * ncols, [top] * ncols, [1 << (width - 1)] * ncols,
                   [rng.getrandbits(width) for _ in range(ncols)]):
             want = [dot(mul, [(k, v) for k, v in enumerate(row) if v], x) for row in rows]
-            assert packed(x) == want
+            assert unpack(packed.packed(x), nrows, width) == want
             assert packed.packed(x) == sum(v << (i * width) for i, v in enumerate(want))
 
 

@@ -585,7 +585,7 @@ def _assert_groups_match_oracle(hm):
     the code shortened to d stripe rows; returns the number of groups
     that fail at depth r."""
     spec = hm.spec
-    views = sdcheck._local_blocks(spec, hm.matrix.bits)
+    views = sdcheck._local_blocks(hm)
     codes = [(c.spec, spec.algebra.factor_views(c.matrix.bits))
              for c in [shorten(hm, d) for d in range(1, spec.r)] + [hm]]
     failing = 0
@@ -713,7 +713,7 @@ def test_schur_scan_fallback_on_hand_made_blocks(case, monkeypatch):
 
 def test_ring7_block_singular_in_one_factor_view_only():
     hm, _ = _fallback_cases()["ring7-one-factor"]
-    views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
+    views = sdcheck._local_blocks(hm)
     residuals = dict(_stream(hm.spec, views))[(0, 1)]
     assert [res is None for res in residuals] == [True, False]
     assert [_schur_residual(hm.spec, *v[:4], (0, 1)) is None for v in views] == [True, False]
@@ -723,8 +723,8 @@ def test_repeated_blocks_singular_in_one_ring_factor_match_eliminate_at_every_de
     # disk set (0, 1) eliminates in the factor view of 0xb at every depth,
     # on local rows rebuilt from the two blocks in stripe-row order
     hm, _ = _fallback_cases()["ring7-repeated-blocks"]
-    views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
-    assert [(len(v[2]), v[3]) for v in views] == [(2, [0, 1, 0, 1])] * 2
+    views = sdcheck._local_blocks(hm)
+    assert [(len(v[2]), v[3]) for v in views] == [(2, (0, 1, 0, 1))] * 2
     assert [[res is None for res in residuals] for _, residuals in
             _stream(hm.spec, views)] == [[True, False]] + [[False, False]] * 5
     _assert_groups_match_oracle(hm)
@@ -801,7 +801,7 @@ def _assert_plans_match_oracle(hm):
     and a row-scaled view's depth and witnesses are those of the oracle's
     residual; returns the number of (view, disk set) items that are None."""
     spec, nones = hm.spec, 0
-    views = sdcheck._local_blocks(spec, hm.matrix.bits)
+    views = sdcheck._local_blocks(hm)
     whole = spec.algebra.factor_views(hm.matrix.bits[spec.m * spec.r:])   # every global entry
     stream = _stream(spec, views)
     assert [disks for disks, _ in stream] == list(combinations(range(spec.n), spec.m))
@@ -867,6 +867,29 @@ def test_schur_plans_match_the_per_call_oracle(alg_name):
     assert sum(_assert_plans_match_oracle(hm) for hm in _plan_cases(alg, alg_name)) > 0
 
 
+def test_matrix_blocks_and_kinds_match_a_split_from_scratch():
+    # the split ParityCheckMatrix makes once, which the scan reads, against
+    # one cut entry by entry: the distinct m x n local blocks in first-seen
+    # order, and each stripe row's index into them
+    def split(hm):
+        spec, bits = hm.spec, hm.matrix.bits
+        m, n, blocks, kinds = spec.m, spec.n, [], []
+        for i in range(spec.r):
+            block = tuple(tuple(bits[i * m + t][i * n + j] for j in range(n)) for t in range(m))
+            if block not in blocks:
+                blocks.append(block)
+            kinds.append(blocks.index(block))
+        return tuple(blocks), tuple(kinds)
+
+    fallback = _fallback_cases()
+    codes = [hm for name, alg in sorted(_PLAN_ALGEBRAS.items()) for hm in _plan_cases(alg(), name)]
+    codes += [hm for hm, _ in fallback.values()]
+    for hm in codes:
+        assert (hm.blocks, hm.kinds) == split(hm), hm.spec
+    assert fallback["ring7-repeated-blocks"][0].kinds == (0, 1, 0, 1)
+    assert fallback["differing-blocks"][0].kinds == (0, 1, 2)
+
+
 @pytest.mark.parametrize("case", sorted(_fallback_cases()))
 def test_schur_plans_match_the_oracle_on_hand_made_blocks(case):
     hm, singular = _fallback_cases()[case]
@@ -893,7 +916,7 @@ def test_construction_scan_runs_no_elimination_and_one_block(gf256, monkeypatch)
     # every stripe row shares one Vandermonde block, invertible on every
     # disk set, so the s = 2 scan never calls eliminate
     hm = build_h2(6, 8, gf256)
-    views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
+    views = sdcheck._local_blocks(hm)
     assert [len(v[2]) for v in views] == [1]
     calls = []
     monkeypatch.setattr(sdcheck, "eliminate", lambda *a: calls.append(a) or eliminate(*a))
@@ -937,7 +960,7 @@ _H1, _H2 = (_FORMULAS[family][1] for family in ("construction1", "construction2"
 
 def _scaled(hm):
     """Whether each factor view of hm is row-scaled."""
-    return [least is not None for *_, least in sdcheck._local_blocks(hm.spec, hm.matrix.bits)]
+    return [least is not None for *_, least in sdcheck._local_blocks(hm)]
 
 
 def _scans(hm):
@@ -1038,7 +1061,7 @@ def test_the_depth_test_and_the_key_witness_match_the_expanded_residual(alg_name
     for n, m, exponents in ((4, 1, _H1), (5, 1, _H1), (4, 2, _H2), (5, 2, _H2)):
         hm = _formula(alg, m, n, r, exponents)
         w = n - m
-        views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
+        views = sdcheck._local_blocks(hm)
         for (ops, _, _, _, test), (_, glob) in zip(views, alg.factor_views(hm.matrix.bits[m * r:])):
             lam = [[ops.mul(g[i * n], ops.inv(g[0])) for i in range(r)] for g in glob]
             cases = []
@@ -1185,7 +1208,7 @@ def test_a_singular_block_in_a_row_scaled_batch_takes_the_elimination_path(monke
                     for g, row in enumerate(_formula(alg, m, n, r, exponents).matrix.bits[m * r:])]
             hm = _hand_made(alg, n, m, 2, [block] * r, glob)
             assert all(_scaled(hm))
-            views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
+            views = sdcheck._local_blocks(hm)
             stream = _stream(hm.spec, views)
             assert [disks for disks, items in stream if None in items] == [singular]
             assert _assert_plans_match_oracle(hm) == nones    # the singular views' items
@@ -1457,7 +1480,7 @@ x:2b x:37 x:14 x:11 x:27 x:e x:27 x:3 x:26 x:2c x:b x:1c
 
 def test_sd_depth_falls_back_where_one_ring_factor_has_a_singular_block(monkeypatch):
     hm = read_matrix(io.StringIO(_RING7_ONE_FACTOR_SINGULAR))
-    views = sdcheck._local_blocks(hm.spec, hm.matrix.bits)
+    views = sdcheck._local_blocks(hm)
     assert [[res is None for res in residuals] for _, residuals in
             _stream(hm.spec, views)] == [[True, False]] + [[False, False]] * 5
     cut = []
